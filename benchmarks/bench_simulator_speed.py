@@ -31,23 +31,23 @@ Usage::
     --fused             measure analysis wall time instead of raw
                         simulator speed: for each FUSED_APPS entry,
                         time execute+analyze end-to-end under the
-                        in-RAM batch path, the streaming drain and the
-                        fused in-flight path, and record per-app
-                        ``vs_inram`` / ``vs_stream`` speedups in a
-                        ``fused`` section of the results file. With
+                        in-RAM batch path and the fused in-flight
+                        path, and record per-app ``vs_inram`` speedups
+                        in a ``fused`` section of the results file. With
                         --floor R, exit nonzero if any app's fused
                         ``vs_inram`` speedup falls below R (the fused
                         CI perf gate)
-    --rss               measure drain peak RSS instead of speed: each
-                        configuration runs in a forked child and reports
-                        its instrumentation-attributable ru_maxrss
-                        delta (instrumented minus an uninstrumented run
-                        at the same input). Exercises the paper-scale
-                        RSS_APPS inputs (>=4x the registry defaults) and
-                        exits nonzero if the streaming drain exceeds its
-                        per-app ceiling or fails to stay below the
-                        in-RAM drain at the *current* (unscaled) input
-                        sizes (the O(segment) CI gate)
+    --rss               measure analysis peak RSS instead of speed:
+                        each configuration runs in a forked child and
+                        reports its instrumentation-attributable
+                        ru_maxrss delta (instrumented minus an
+                        uninstrumented run at the same input).
+                        Exercises the paper-scale RSS_APPS inputs (>=4x
+                        the registry defaults) and exits nonzero if
+                        fused in-flight analysis exceeds its per-app
+                        ceiling or fails to stay below the in-RAM path
+                        at the *current* (unscaled) input sizes (the
+                        O(segment) CI gate)
 
 The JSON keeps two sections per configuration key: ``baseline``
 (written once per era with --update-baseline, e.g. before a perf PR
@@ -65,7 +65,6 @@ import json
 import os
 import resource
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -87,6 +86,7 @@ from repro.gpu.device import Device
 from repro.host.runtime import CudaRuntime
 from repro.passes.pipeline import instrumentation_pipeline, optimization_pipeline
 from repro.profiler.session import ProfilingSession
+from repro.reliability.spill import SpillConfig
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 RESULT_FILE = os.path.join(RESULTS_DIR, "BENCH_simulator.json")
@@ -108,8 +108,8 @@ INSTRUMENT_MODES = ["memory", "blocks", "arith"]
 #: default input, ``scaled`` grows the *trace* by >= 4x (via steps /
 #: iterations where the app supports it, so analyzer cursor state --
 #: which is O(distinct footprint), not O(trace) -- stays comparable),
-#: and ``ceiling_kb`` is the absolute backstop for the streaming
-#: drain's attributable RSS at the scaled input.
+#: and ``ceiling_kb`` is the absolute backstop for fused in-flight
+#: analysis' attributable RSS at the scaled input.
 RSS_APPS: Dict[str, dict] = {
     "bfs": {
         "small": {"num_nodes": 2048},
@@ -160,13 +160,15 @@ FUSED_APPS: Dict[str, dict] = {
     "bfs": {"num_nodes": 8192},
 }
 
-#: Cache-line size handed to the drain-time analyzers in --rss runs.
+#: Cache-line size handed to the analyzers in --rss / --fused runs.
 RSS_LINE_SIZE = 128
 
-#: Spill segment size for --rss runs: big enough that segment framing
-#: is not the bottleneck, small enough that O(segment) is visibly
-#: smaller than the full trace.
-RSS_SPILL_ROWS = 2048
+#: Fused flush size (rows) for --rss / --fused runs: big enough that
+#: per-flush overhead is not the bottleneck, small enough that
+#: O(segment) is visibly smaller than the full trace. A fused session
+#: takes its flush granularity from the spill config's segment size and
+#: never writes a segment file.
+RSS_FLUSH_ROWS = 2048
 
 
 def _run_app(
@@ -301,9 +303,9 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
     """Peak-RSS delta (KB) of one configuration, run in a forked child.
 
     ``mode`` is ``plain`` (uninstrumented), ``inram`` (instrumented,
-    default drain, batch analyses over the materialized trace) or
-    ``stream`` (instrumented, streaming drain through an
-    :func:`advisor_plan` analyzer bank). The child records its
+    batch analyses over the materialized trace) or ``fused``
+    (instrumented, rows analyzed in flight by an :func:`advisor_plan`
+    analyzer bank). The child records its
     ``ru_maxrss`` before and after the run; since maxrss is a
     high-water mark, the delta is exactly the memory the run grew the
     child by on top of the (copy-on-write, parent-resident) imports.
@@ -315,44 +317,22 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
         try:
             os.close(read_fd)
             start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            with tempfile.TemporaryDirectory() as spill_dir:
-                app = build_app(app_name, **app_kwargs)
-                module = compile_kernels(list(app.kernels), app_name)
-                optimization_pipeline().run(module)
-                session = None
-                if mode != "plain":
-                    instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-                    plan = None
-                    if mode == "stream":
-                        plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
-                    session = ProfilingSession(
-                        spill_dir=spill_dir,
-                        spill_rows=RSS_SPILL_ROWS,
-                        streaming=plan,
-                    )
-                device = Device(KEPLER_K40C)
-                rt = CudaRuntime(device, profiler=session)
-                image = device.load_module(module)
-                state = app.prepare(rt)
-                app.run(rt, image, state)
-                # Force the same analyses on both drain paths so the
-                # comparison is analyzers-vs-analyzers, not
-                # analyzers-vs-nothing.
-                if mode == "stream":
-                    for profile in session.profiles:
-                        profile.aggregates.results()
-                elif mode == "inram":
-                    for profile in session.profiles:
-                        reuse_distance_analysis(
-                            profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
-                        )
-                        reuse_distance_analysis(
-                            profile, ReuseDistanceModel.CACHE_LINE,
-                            RSS_LINE_SIZE,
-                        )
-                        memory_divergence_analysis(profile, RSS_LINE_SIZE)
-                        branch_divergence_analysis(profile)
-                        arithmetic_analysis(profile)
+            app = build_app(app_name, **app_kwargs)
+            module = compile_kernels(list(app.kernels), app_name)
+            optimization_pipeline().run(module)
+            session = None
+            if mode != "plain":
+                instrumentation_pipeline(INSTRUMENT_MODES).run(module)
+                session = _analysis_session(mode)
+            device = Device(KEPLER_K40C)
+            rt = CudaRuntime(device, profiler=session)
+            image = device.load_module(module)
+            state = app.prepare(rt)
+            app.run(rt, image, state)
+            # Force the same analyses on both paths so the comparison
+            # is analyzers-vs-analyzers, not analyzers-vs-nothing.
+            if session is not None:
+                _analyze(session, mode)
             end = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             with os.fdopen(write_fd, "w") as out:
                 json.dump({"delta_kb": end - start}, out)
@@ -371,22 +351,22 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
 
 
 def run_rss_suite(repeat: int = 1) -> dict:
-    """Attributable drain RSS per app; the O(segment) acceptance gate.
+    """Attributable analysis RSS per app; the O(segment) acceptance gate.
 
     For each :data:`RSS_APPS` entry this measures, best-of-``repeat``:
 
-    - ``attr_inram_small_kb``: in-RAM drain + batch analyses at the
+    - ``attr_inram_small_kb``: in-RAM trace + batch analyses at the
       *current* (registry-default) input, minus an uninstrumented run
       at the same input,
-    - ``attr_stream_scaled_kb``: streaming drain at the >=4x input,
-      minus uninstrumented at the >=4x input,
-    - ``attr_inram_scaled_kb``: in-RAM drain at the >=4x input (the
+    - ``attr_fused_scaled_kb``: fused in-flight analysis at the >=4x
+      input, minus uninstrumented at the >=4x input,
+    - ``attr_inram_scaled_kb``: in-RAM at the >=4x input (the
       same-scale comparison, recorded for context).
 
-    An app passes iff the streaming drain at the scaled input stays
-    under its absolute ceiling AND under the in-RAM drain at the small
-    input -- i.e. growing the trace 4x must not cost what the old
-    full-trace drain paid at 1x.
+    An app passes iff fused analysis at the scaled input stays under
+    its absolute ceiling AND under the in-RAM path at the small input
+    -- i.e. growing the trace 4x must not cost what the full-trace
+    in-RAM path pays at 1x.
     """
     per_app: Dict[str, dict] = {}
     passed = True
@@ -396,7 +376,7 @@ def run_rss_suite(repeat: int = 1) -> dict:
             ("plain_small", spec["small"], "plain"),
             ("inram_small", spec["small"], "inram"),
             ("plain_scaled", spec["scaled"], "plain"),
-            ("stream_scaled", spec["scaled"], "stream"),
+            ("fused_scaled", spec["scaled"], "fused"),
             ("inram_scaled", spec["scaled"], "inram"),
         ):
             best = None
@@ -406,24 +386,24 @@ def run_rss_suite(repeat: int = 1) -> dict:
                     best = delta
             raw[label] = best
         attr_inram_small = raw["inram_small"] - raw["plain_small"]
-        attr_stream_scaled = raw["stream_scaled"] - raw["plain_scaled"]
+        attr_fused_scaled = raw["fused_scaled"] - raw["plain_scaled"]
         attr_inram_scaled = raw["inram_scaled"] - raw["plain_scaled"]
         entry = {
             "small_kwargs": spec["small"],
             "scaled_kwargs": spec["scaled"],
             "attr_inram_small_kb": attr_inram_small,
-            "attr_stream_scaled_kb": attr_stream_scaled,
+            "attr_fused_scaled_kb": attr_fused_scaled,
             "attr_inram_scaled_kb": attr_inram_scaled,
             "ceiling_kb": spec["ceiling_kb"],
-            "under_ceiling": attr_stream_scaled <= spec["ceiling_kb"],
-            "beats_inram_at_small": attr_stream_scaled < attr_inram_small,
+            "under_ceiling": attr_fused_scaled <= spec["ceiling_kb"],
+            "beats_inram_at_small": attr_fused_scaled < attr_inram_small,
         }
         per_app[name] = entry
         ok = entry["under_ceiling"] and entry["beats_inram_at_small"]
         passed = passed and ok
         print(
             f"{name:>10}: in-RAM@1x {attr_inram_small:>7,} KB   "
-            f"stream@4x {attr_stream_scaled:>7,} KB   "
+            f"fused@4x {attr_fused_scaled:>7,} KB   "
             f"in-RAM@4x {attr_inram_scaled:>7,} KB   "
             f"ceiling {spec['ceiling_kb']:>6,} KB   "
             f"{'ok' if ok else 'FAIL'}"
@@ -431,34 +411,49 @@ def run_rss_suite(repeat: int = 1) -> dict:
     return {"apps": per_app, "passed": passed}
 
 
-def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
-                  spill_dir: str) -> float:
+def _analysis_session(mode: str) -> ProfilingSession:
+    """The profiling session of one ``inram`` or ``fused`` run."""
+    if mode == "inram":
+        return ProfilingSession()
+    return ProfilingSession(
+        spill=SpillConfig(segment_rows=RSS_FLUSH_ROWS),
+        fused=advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES),
+    )
+
+
+def _analyze(session: ProfilingSession, mode: str) -> None:
+    """Run every analysis of ``session`` (batch or from the aggregates)."""
+    for profile in session.profiles:
+        if mode == "fused":
+            profile.aggregates.results()
+            continue
+        reuse_distance_analysis(
+            profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
+        )
+        reuse_distance_analysis(
+            profile, ReuseDistanceModel.CACHE_LINE, RSS_LINE_SIZE
+        )
+        memory_divergence_analysis(profile, RSS_LINE_SIZE)
+        branch_divergence_analysis(profile)
+        arithmetic_analysis(profile)
+
+
+def _analysis_run(app_name: str, app_kwargs: dict, mode: str) -> float:
     """Wall seconds for one execute+analyze run under ``mode``.
 
     ``inram`` materializes the trace in RAM and runs the batch
-    analyses over it afterwards (the classic pipeline); ``stream``
-    spills ``RSS_SPILL_ROWS``-row segments and drains them through an
-    :func:`advisor_plan` bank at kernel end; ``fused`` feeds the same
-    bank in flight, so no trace is ever materialized or spilled (the
-    spill config only sets the flush granularity). All three produce
-    byte-identical analyzer results; only where the work happens --
-    and therefore the wall time -- differs, which is exactly what this
-    measures: the timed region covers the app run *and* the analyses.
+    analyses over it afterwards (the classic pipeline); ``fused`` feeds
+    an :func:`advisor_plan` bank in flight, so no trace is ever
+    materialized or spilled. Both produce byte-identical analyzer
+    results; only where the work happens -- and therefore the wall
+    time -- differs, which is exactly what this measures: the timed
+    region covers the app run *and* the analyses.
     """
     app = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(app.kernels), app_name)
     optimization_pipeline().run(module)
     instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-    if mode == "inram":
-        session = ProfilingSession()
-    else:
-        plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
-        session = ProfilingSession(
-            spill_dir=spill_dir,
-            spill_rows=RSS_SPILL_ROWS,
-            streaming=plan if mode == "stream" else None,
-            fused=plan if mode == "fused" else None,
-        )
+    session = _analysis_session(mode)
     device = Device(KEPLER_K40C)
     rt = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
@@ -466,75 +461,51 @@ def _analysis_run(app_name: str, app_kwargs: dict, mode: str,
 
     start = time.perf_counter()
     app.run(rt, image, state)
-    if mode == "inram":
-        for profile in session.profiles:
-            reuse_distance_analysis(
-                profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
-            )
-            reuse_distance_analysis(
-                profile, ReuseDistanceModel.CACHE_LINE, RSS_LINE_SIZE
-            )
-            memory_divergence_analysis(profile, RSS_LINE_SIZE)
-            branch_divergence_analysis(profile)
-            arithmetic_analysis(profile)
-    else:
-        for profile in session.profiles:
-            profile.aggregates.results()
+    _analyze(session, mode)
     return time.perf_counter() - start
 
 
 def run_fused_suite(repeat: int = 1) -> dict:
-    """Execute+analyze wall time: in-RAM vs streaming vs fused.
+    """Execute+analyze wall time: in-RAM batch vs fused in-flight.
 
     Per :data:`FUSED_APPS` entry, the trimmed-mean-of-``repeat`` wall
-    time of each pipeline shape plus the ``vs_inram`` / ``vs_stream``
-    speedup ratios of the fused path. The results are comparable
-    because the three paths compute byte-identical analyzer output.
+    time of each pipeline shape plus the ``vs_inram`` speedup ratio of
+    the fused path. The results are comparable because both paths
+    compute byte-identical analyzer output.
     """
     per_app: Dict[str, dict] = {}
     for name, kwargs in FUSED_APPS.items():
         times: Dict[str, float] = {}
-        for mode in ("inram", "stream", "fused"):
-            samples = []
-            for _ in range(max(1, repeat)):
-                with tempfile.TemporaryDirectory() as spill_dir:
-                    samples.append(
-                        _analysis_run(name, kwargs, mode, spill_dir)
-                    )
+        for mode in ("inram", "fused"):
+            samples = [
+                _analysis_run(name, kwargs, mode)
+                for _ in range(max(1, repeat))
+            ]
             times[mode] = _trimmed(samples)
         per_app[name] = {
             "kwargs": kwargs,
             "inram_s": round(times["inram"], 4),
-            "stream_s": round(times["stream"], 4),
             "fused_s": round(times["fused"], 4),
             "vs_inram": round(times["inram"] / times["fused"], 3)
-            if times["fused"] else None,
-            "vs_stream": round(times["stream"] / times["fused"], 3)
             if times["fused"] else None,
         }
         print(
             f"{name:>10}: in-RAM {times['inram']:7.3f}s   "
-            f"stream {times['stream']:7.3f}s   "
             f"fused {times['fused']:7.3f}s   "
-            f"{per_app[name]['vs_inram']:.2f}x vs in-RAM   "
-            f"{per_app[name]['vs_stream']:.2f}x vs stream"
+            f"{per_app[name]['vs_inram']:.2f}x vs in-RAM"
         )
     total = {
         mode: sum(app[f"{mode}_s"] for app in per_app.values())
-        for mode in ("inram", "stream", "fused")
+        for mode in ("inram", "fused")
     }
     aggregate = {
         "inram_s": round(total["inram"], 4),
-        "stream_s": round(total["stream"], 4),
         "fused_s": round(total["fused"], 4),
         "vs_inram": round(total["inram"] / total["fused"], 3)
-        if total["fused"] else None,
-        "vs_stream": round(total["stream"] / total["fused"], 3)
         if total["fused"] else None,
     }
     print(
         f"{'TOTAL':>10}: in-RAM {total['inram']:7.3f}s   "
-        f"stream {total['stream']:7.3f}s   "
         f"fused {total['fused']:7.3f}s   "
         f"{aggregate['vs_inram']:.2f}x vs in-RAM"
     )
@@ -566,14 +537,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "speedup instead")
     parser.add_argument("--fused", action="store_true",
                         help="measure execute+analyze wall time on the "
-                        "FUSED_APPS inputs: in-RAM batch vs streaming "
-                        "drain vs fused in-flight analysis; records a "
-                        "'fused' section in the results file")
+                        "FUSED_APPS inputs: in-RAM batch vs fused "
+                        "in-flight analysis; records a 'fused' section "
+                        "in the results file")
     parser.add_argument("--rss", action="store_true",
-                        help="measure attributable drain peak RSS on the "
-                        "paper-scale RSS_APPS inputs instead of speed; "
-                        "exit 1 if the streaming drain breaches its "
-                        "ceiling or the in-RAM drain's small-input RSS")
+                        help="measure attributable analysis peak RSS on "
+                        "the paper-scale RSS_APPS inputs instead of "
+                        "speed; exit 1 if fused analysis breaches its "
+                        "ceiling or the in-RAM path's small-input RSS")
     args = parser.parse_args(argv)
     if (args.floor is not None and args.backend == "interpreter"
             and not args.fused):
@@ -588,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.fused:
         fused = run_fused_suite(repeat=args.repeat)
         fused["config"] = {
-            "spill_rows": RSS_SPILL_ROWS,
+            "flush_rows": RSS_FLUSH_ROWS,
             "line_size": RSS_LINE_SIZE,
             "modes": INSTRUMENT_MODES,
             "repeat": args.repeat,
@@ -625,7 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.rss:
         rss = run_rss_suite(repeat=args.repeat)
         rss["config"] = {
-            "spill_rows": RSS_SPILL_ROWS,
+            "flush_rows": RSS_FLUSH_ROWS,
             "line_size": RSS_LINE_SIZE,
             "modes": INSTRUMENT_MODES,
             "repeat": args.repeat,
@@ -646,11 +617,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 name for name, app in rss["apps"].items()
                 if not (app["under_ceiling"] and app["beats_inram_at_small"])
             ]
-            print("--rss: streaming drain RSS gate failed for: "
+            print("--rss: fused analysis RSS gate failed for: "
                   + ", ".join(sorted(failing)), file=sys.stderr)
             return 1
-        print("--rss: streaming drain under every ceiling and below the "
-              "in-RAM drain at current input sizes")
+        print("--rss: fused analysis under every ceiling and below the "
+              "in-RAM path at current input sizes")
         return 0
 
     apps = (

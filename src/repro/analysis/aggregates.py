@@ -1,17 +1,17 @@
-"""Streaming per-segment analyzer aggregates (the out-of-core drain).
+"""Streaming per-segment analyzer aggregates (fused in-flight analysis).
 
 The paper's analyzers are *online* consumers: reuse distance,
 divergence and cache behaviour are computed incrementally as
 instrumentation callbacks fire, never holding a full trace. This module
 restores that property for the columnar pipeline: each analysis becomes
 a :class:`SegmentAggregate` with an ``update(segment_columns)`` /
-``merge(other)`` / ``finalize()`` contract, and the streaming drain
-(:mod:`repro.profiler.streamdrain`) pushes one spill segment at a time
-through an :class:`AnalyzerBank` of them -- peak drain memory is
-O(segment), not O(trace).
+``merge(other)`` / ``finalize()`` contract, and the fused sink
+(:mod:`repro.profiler.streamdrain`) pushes each flushed buffer segment
+through an :class:`AnalyzerBank` of them while the kernel runs -- peak
+trace memory is O(segment), not O(trace).
 
 Results are **byte-identical** to running the batch analyzers over a
-fully materialized trace (pinned by ``tests/test_streaming_drain.py``):
+fully materialized trace (pinned by ``tests/test_fused_drain.py``):
 
 * Per-CTA analyses (reuse distance, stack distance, site reuse) carry
   per-CTA cursor state across segment boundaries -- a CTA's events
@@ -188,7 +188,7 @@ class _OnlineReuse:
             # is exact across any boundary -- so bound the transient
             # working set (roughly twenty n-sized arrays live during a
             # feed) by our own chunk size, not the caller's segment
-            # size. Peak RSS of a streaming drain is set right here.
+            # size. Peak RSS of fused analysis is set right here.
             return np.concatenate([
                 self.feed(elements[i:i + _FEED_CHUNK],
                           writes[i:i + _FEED_CHUNK])
@@ -714,9 +714,9 @@ class ArithmeticAggregate(SegmentAggregate):
 
 
 class AnalyzerBank:
-    """A named set of aggregates fed by one streaming drain.
+    """A named set of aggregates fed by one fused launch.
 
-    The drain calls ``update_memory`` / ``update_block`` /
+    The fused sink calls ``update_memory`` / ``update_block`` /
     ``update_arith`` once per kept segment; shard banks merge with
     :meth:`merge` (in shard order); :meth:`result` finalizes lazily and
     caches, so analyses can be read repeatedly.
@@ -790,7 +790,7 @@ class AnalyzerBank:
 
 
 class AnalyzerPlan:
-    """A recipe for the aggregates a streaming drain instantiates.
+    """A recipe for the aggregates a fused launch instantiates.
 
     A plan is shared across launches (and inherited by forked shard
     workers); every ``kernel_end`` creates a fresh bank from it.

@@ -120,7 +120,7 @@ class HitRateCurve:
 class StackDistanceSummary:
     """Exact stack-distance histogram: distance -> number of reads.
 
-    The streaming drain's compact replacement for the raw sample list
+    Fused analysis' compact replacement for the raw sample list
     (:class:`~repro.analysis.aggregates.StackDistanceAggregate` emits
     one): it holds every finite distance with its multiplicity plus the
     ∞ count, which is all :func:`hit_rate_curve` ever consumes -- so
@@ -166,7 +166,7 @@ def hit_rate_curve(
     """Evaluate every candidate capacity from precomputed distances.
 
     Accepts either an iterable of raw distance samples or a
-    :class:`StackDistanceSummary` (the streaming drain's histogram).
+    :class:`StackDistanceSummary` (fused analysis' histogram).
     """
     if isinstance(distance_samples, StackDistanceSummary):
         return distance_samples.curve(capacities, line_size)

@@ -22,7 +22,7 @@ and execution configuration the profiler supports:
   instruction lands in time cell ``k // cell_rows``. Each CTA's stream
   appears in trace order in every drain path, and CTA partitions are
   disjoint across fork shards, so the phase of every event -- unlike a
-  raw global sequence number, which shard-local streaming banks do not
+  raw global sequence number, which shard-local fused banks do not
   preserve -- is invariant under segment boundaries, shard merges, and
   backend choice. Aligning CTAs by phase also reads naturally: for
   SIMT kernels the phase axis is "how far through its work each CTA
@@ -30,7 +30,7 @@ and execution configuration the profiler supports:
 
 :class:`HeatmapAggregate` follows the ``update`` / ``merge`` /
 ``finalize`` contract of :mod:`repro.analysis.aggregates`, so heat maps
-stream through the out-of-core drain, merge across fork shards, and
+stream through fused in-flight analysis, merge across fork shards, and
 respect stride sampling and capacity exactly like every other analysis
 -- byte-identity is pinned by ``tests/test_heatmap.py``.
 """
@@ -360,7 +360,7 @@ def heatmap_analysis(profile, cell_rows: int = DEFAULT_CELL_ROWS,
 
     Feeds the whole materialized trace through one
     :class:`HeatmapAggregate` as a single segment, so the result is
-    definitionally identical to the streaming drain's.
+    definitionally identical to fused in-flight analysis'.
     """
     records = profile.memory_records
     if not isinstance(records, MemoryColumns):

@@ -175,23 +175,23 @@ def render_jit_cache(app: str, stats: Optional[dict]) -> str:
 
 
 def render_stream_stats(app: str, profiles: Sequence) -> str:
-    """Streaming-drain counters for one profiled run (--streaming-drain).
+    """Fused in-flight analysis counters for one profiled run.
 
-    One row per kernel instance that drained through the analyzer bank:
-    segments streamed, the peak number of trace rows resident during
-    the drain (the O(segment) guarantee, vs total kept rows), and the
-    rows dropped (capacity, sampling clip, corrupt segments). Without
-    any streamed launch the section renders an explicit placeholder so
-    verbose output always shows it.
+    One row per kernel instance analyzed in flight: flush windows
+    streamed, the peak number of trace rows resident at any flush (the
+    O(segment) guarantee, vs total kept rows), and the rows dropped
+    (capacity or sampling clip). Without any fused launch (the library
+    default in-RAM path, or a launch degraded to raw records) the
+    section renders an explicit placeholder so verbose output always
+    shows it.
     """
     if not any(p.stream_stats is not None for p in profiles):
         return (
-            f"Streaming drain -- {app}\n"
-            f"  (none: traces were drained in RAM; enable with "
-            f"--streaming-drain)"
+            f"In-flight analysis -- {app}\n"
+            f"  (none: traces were materialized and analyzed in RAM)"
         )
     lines = [
-        f"Streaming drain -- {app}",
+        f"In-flight analysis -- {app}",
         f"{'kernel':<20} {'segments':>9} {'peak rows':>10} "
         f"{'kept rows':>10} {'dropped':>9}",
     ]

@@ -10,10 +10,13 @@ this CLI reproduces that workflow::
     python -m repro bypass syrk --l1 16
     python -m repro ptx hotspot
 
-Beyond the artifact: ``repro serve`` drives the profiling service (a
-persistent worker pool + content-addressed result cache; see
-docs/service.md), and ``--cache-dir`` memoizes ``profile --format
-json``/``export`` results across invocations.
+``profile`` and ``export`` analyze every launch in flight (fused
+analysis: trace rows stream into the analyzer aggregates while the
+kernel runs; see docs/architecture.md). Beyond the artifact: ``repro
+serve`` drives the profiling service (a persistent worker pool +
+content-addressed result cache; see docs/service.md), and
+``--cache-dir`` memoizes ``profile --format json``/``export`` results
+across invocations.
 """
 
 from __future__ import annotations
@@ -104,32 +107,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         help="cap per-launch trace records (oldest kept, rest dropped)",
     )
     profile.add_argument(
-        "--spill-dir", default=None,
-        help="spill full trace-buffer segments to this directory "
-        "instead of growing in memory",
-    )
-    profile.add_argument(
-        "--spill-rows", type=int, default=None,
-        help="rows per spill segment (needs --spill-dir; default 65536)",
-    )
-    profile.add_argument(
-        "--streaming-drain", action="store_true",
-        help="drain traces through streaming analyzer aggregates "
-        "(O(segment) peak memory; raw records are not retained)",
-    )
-    profile.add_argument(
-        "--fused", action="store_true",
-        help="fused in-flight analysis: rows stream into the analyzer "
-        "aggregates during execution (no spill I/O, no drain pass; "
-        "byte-identical results, raw records are not retained)",
-    )
-    profile.add_argument(
-        "--drain-workers", type=int, default=None,
-        help="fork-parallel width of the kernel-exit segment drain for "
-        "spilled --streaming-drain runs (serial when sampling or a "
-        "capacity cap requires global stream order)",
-    )
-    profile.add_argument(
         "--heatmap-cell-rows", type=int, default=None,
         help="kept memory accesses per CTA per heat-map time cell "
         "(default 256; finer cells = finer time resolution)",
@@ -177,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--verbose", action="store_true",
         help="print execution internals (JIT trace-cache counters, "
-        "streaming-drain statistics)",
+        "in-flight analysis statistics)",
     )
 
     export = sub.add_parser(
@@ -289,17 +266,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         raise _UsageError("--workers must be >= 1")
     if args.sample_rate < 1:
         raise _UsageError("--sample-rate must be >= 1")
-    if args.streaming_drain and args.fused:
-        raise _UsageError(
-            "--fused and --streaming-drain are mutually exclusive: the "
-            "fused path already streams rows through the analyzers"
-        )
-    if args.drain_workers is not None and args.drain_workers < 1:
-        raise _UsageError("--drain-workers must be >= 1")
-    if args.spill_rows is not None and args.spill_dir is None:
-        raise _UsageError("--spill-rows needs --spill-dir")
-    if args.spill_rows is not None and args.spill_rows < 1:
-        raise _UsageError("--spill-rows must be >= 1")
     if args.heatmap_cell_rows is not None and args.heatmap_cell_rows < 1:
         raise _UsageError("--heatmap-cell-rows must be >= 1")
     if args.time_buckets < 1:
@@ -321,11 +287,7 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         backend=args.backend,
         parallel_workers=args.workers,
         failure_policy=args.failure_policy,
-        spill_dir=args.spill_dir,
-        spill_rows=args.spill_rows or 65536,
-        streaming_drain=args.streaming_drain,
-        fused_drain=args.fused,
-        drain_workers=args.drain_workers,
+        fused_drain=True,
         heatmap=heatmap,
         **kwargs,
     )
@@ -349,11 +311,6 @@ def _submit_config(args, modes, heatmap) -> dict:
         ("backend", args.backend),
         ("parallel_workers", args.workers),
         ("failure_policy", args.failure_policy),
-        ("spill_dir", args.spill_dir),
-        ("spill_rows", args.spill_rows),
-        ("streaming_drain", args.streaming_drain or None),
-        ("fused_drain", args.fused or None),
-        ("drain_workers", args.drain_workers),
     ):
         if value is not None:
             config[hint] = value
@@ -440,7 +397,7 @@ def _cmd_profile(args) -> int:
         print("### jit trace cache")
         print(render_jit_cache(args.app, report.jit_cache))
         print()
-        print("### streaming drain")
+        print("### in-flight analysis")
         print(render_stream_stats(args.app, profiles))
         print()
     if len(report.session.profiles) > 1:

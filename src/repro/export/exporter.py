@@ -9,13 +9,16 @@ tool's stable outward interface: downstream agents, dashboards and
 autotuners consume it instead of scraping rendered text.
 
 Determinism contract: the default document depends only on the program,
-architecture and instrumentation knobs -- *not* on how the trace was
-drained. Profiling the same app with the in-RAM drain, the streaming
-drain, fork-parallel shards or the batched backend yields byte-identical
-:func:`export_json` output (pinned by ``tests/test_export.py``).
-Run-variant observations (wall-clock, stream/drain statistics,
-degradation events) live in the opt-in ``runtime`` section, which
-``include_runtime=True`` adds at the cost of that identity.
+architecture, instrumentation knobs and execution backend -- *not* on
+how the trace was analyzed. Profiling the same app with the in-RAM
+batch analyzers, fused in-flight analysis or fork-parallel shards yields
+byte-identical :func:`export_json` output (pinned by
+``tests/test_goldens.py``). The batched backend adds a ``jit_cache``
+section (its trace-cache counters), so its document differs from the
+interpreter's by that section. Run-variant observations (wall-clock,
+in-flight analysis statistics, degradation events) live in the opt-in
+``runtime`` section, which ``include_runtime=True`` adds at the cost of
+that identity.
 
 Versioning: ``schema_version`` is ``"<major>.<minor>"``. Within a major
 version changes are strictly additive (new optional fields or sections);
@@ -206,6 +209,8 @@ def _runtime_section(report: AdvisorReport) -> dict:
         if p.stream_stats is not None
     ]
     if stream_stats:
+        # fused in-flight analysis counters; the key keeps its schema
+        # 1.0 name
         runtime["streaming_drain"] = {
             "segments_streamed": sum(
                 s["segments_streamed"] for s in stream_stats

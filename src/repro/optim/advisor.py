@@ -298,18 +298,10 @@ class CUDAAdvisor:
         failure_policy: Optional[str] = None,
         spill_dir: Optional[str] = None,
         spill_rows: int = 65536,
-        streaming_drain: bool = False,
         fused_drain: bool = False,
-        drain_workers: Optional[int] = None,
         heatmap: bool = False,
         heatmap_cell_rows: int = DEFAULT_CELL_ROWS,
     ):
-        if streaming_drain and fused_drain:
-            raise AnalysisError(
-                "streaming_drain and fused_drain are mutually exclusive: "
-                "the fused path already streams rows through the "
-                "analyzer bank in flight"
-            )
         self.arch = arch
         self.modes = tuple(modes)
         self.optimize = optimize
@@ -323,24 +315,15 @@ class CUDAAdvisor:
         self.failure_policy = failure_policy
         self.spill_dir = spill_dir
         self.spill_rows = spill_rows
-        #: stream the kernel-exit drain through per-segment analyzer
-        #: aggregates instead of materializing the trace: peak drain
-        #: memory drops to O(spill_rows) and every analysis result
-        #: stays byte-identical (see docs/performance.md). Raw records
-        #: are not retained, so leave this off when post-hoc record
-        #: inspection is needed.
-        self.streaming_drain = streaming_drain
         #: analyze rows *in flight*: buffered rows flush into the
         #: analyzer bank at segment granularity during execution, so
         #: the trace is never spilled, re-read or drained. Results stay
-        #: byte-identical to the streaming drain; launches that need
-        #: raw records (pc sampling) degrade per launch with a
+        #: byte-identical to the default in-RAM batch analyzers; raw
+        #: records are not retained, so leave this off when post-hoc
+        #: record inspection is needed. Launches that need raw records
+        #: (pc sampling) degrade per launch with a
         #: ``fused-records-unavailable`` warning.
         self.fused_drain = fused_drain
-        #: fork-parallel width of the kernel-exit segment drain for
-        #: spill workloads on the *streaming* path (no effect when no
-        #: sampling/capacity constraint forces the serial relay).
-        self.drain_workers = drain_workers
         #: build the per-allocation x time heat map (needs "memory" mode);
         #: cell_rows sets kept memory instructions per CTA per time cell.
         self.heatmap = heatmap
@@ -369,7 +352,7 @@ class CUDAAdvisor:
         return CudaRuntime(device, profiler=profiler)
 
     def _plan(self):
-        """The analyzer plan both drain modes stream rows through."""
+        """The analyzer plan fused analysis streams rows through."""
         return advisor_plan(
             self.arch.l1_line_size,
             self.modes,
@@ -400,9 +383,7 @@ class CUDAAdvisor:
             sample_rate=self.sample_rate,
             spill_dir=self.spill_dir,
             spill_rows=self.spill_rows,
-            streaming=self._plan() if self.streaming_drain else None,
             fused=self._plan() if self.fused_drain else None,
-            drain_workers=self.drain_workers,
         )
         rt = self._fresh_runtime(profiler=session)
         module = self._compile(program, instrument=True)

@@ -188,82 +188,38 @@ class _ColumnarBase:
         self._n = 0
         self._alloc = 0
 
-    def _stream_read_segments(self):
-        """Yield spilled payloads in write order, one segment at a time.
+    def _read_segments(self) -> List[object]:
+        """All spilled payloads in write order (the in-RAM drain).
 
-        Each segment file is **deleted as soon as it is read** (or
-        found corrupt), so disk usage shrinks as the drain progresses
-        instead of doubling as RAM fills. ``on_corrupt="raise"``
-        propagates :class:`~repro.errors.TraceCorruptionError`;
-        ``"drop"`` counts the segment's rows (known from the clear-text
-        header) as dropped -- per segment, as it streams -- and skips
-        it. Abandoning the generator discards the remaining files.
+        Each segment file is deleted as soon as it is read (or found
+        corrupt). ``on_corrupt="raise"`` propagates
+        :class:`~repro.errors.TraceCorruptionError` and discards the
+        remaining files; ``"drop"`` counts the segment's rows (known
+        from the clear-text header) as dropped and skips it.
         """
         segments, self._segments = self._segments, []
+        self._spilled_rows = 0
+        payloads = []
         try:
             while segments:
                 path = segments.pop(0)
                 try:
-                    payload = read_segment(path)
+                    payloads.append(read_segment(path))
                 except TraceCorruptionError as exc:
                     if self.spill is None or self.spill.on_corrupt == "raise":
                         raise
                     self.corrupt_dropped += exc.rows
                     self.dropped += exc.rows
-                    continue
                 finally:
                     discard_segment(path)
-                yield payload
         finally:
             for path in segments:
                 discard_segment(path)
-            self._spilled_rows = 0
+        return payloads
 
-    def _read_segments(self) -> List[object]:
-        """All spilled payloads in write order (the in-RAM drain)."""
-        return list(self._stream_read_segments())
-
-    # -- streaming drain ----------------------------------------------------
     def _view(self, payload):
         """Wrap one segment payload as a column view (per buffer kind)."""
         raise NotImplementedError
-
-    def stream_segments(self):
-        """Yield drained column views one spill segment at a time.
-
-        The streaming counterpart of ``drain()``: disk segments first
-        (each file deleted as soon as it is consumed), then the
-        in-memory tail; the buffer is empty afterwards. Concatenating
-        the yielded views reproduces ``drain()`` byte-identically.
-        """
-        for payload in self._stream_read_segments():
-            yield self._view(payload)
-        n = self._n
-        tail = self._spill_payload() if self._cols is not None and n else None
-        self._reset_memory()
-        self._n = 0
-        self._alloc = 0
-        if tail is not None:
-            yield self._view(tail)
-
-    def export_stream_state(self) -> dict:
-        """Detach the spill-segment paths and in-memory tail (pickleable).
-
-        Used by streaming shard workers: instead of draining the trace
-        into RAM to ship it, the worker hands over its segment *files*
-        plus the tail columns, and the parent streams them through its
-        analyzer bank. The buffer is empty afterwards; the consumer
-        owns (and deletes) the segment files.
-        """
-        paths, self._segments = self._segments, []
-        tail = None
-        if self._cols is not None and self._n:
-            tail = self._view(self._spill_payload())
-        self._reset_memory()
-        self._n = 0
-        self._alloc = 0
-        self._spilled_rows = 0
-        return {"paths": paths, "tail": tail}
 
 
 class MemoryColumns:

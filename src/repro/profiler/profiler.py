@@ -26,12 +26,7 @@ from repro.profiler.buffers import (
 from repro.reliability.spill import SpillConfig
 from repro.reliability.supervisor import TRACE_SEGMENT_CORRUPT
 from repro.profiler.codecentric import CallPathRegistry, GPUPathEntry
-from repro.profiler.streamdrain import (
-    FusedSink,
-    StreamDrain,
-    StreamedRecords,
-    parallel_segment_drain,
-)
+from repro.profiler.streamdrain import FusedSink, StreamedRecords
 from repro.profiler.records import (
     ArithRecord,
     BlockRecord,
@@ -66,11 +61,11 @@ class KernelProfile:
     #: segments (already included in ``dropped_records``).
     spilled_records: int = 0
     corrupt_records: int = 0
-    #: streaming drain only: the finalized-on-demand
+    #: fused analysis only: the finalized-on-demand
     #: :class:`~repro.analysis.aggregates.AnalyzerBank` holding every
     #: analyzer's partial aggregate (the records above are
     #: :class:`~repro.profiler.streamdrain.StreamedRecords`
-    #: placeholders), plus the drain's counters for reporting.
+    #: placeholders), plus the sink's counters for reporting.
     aggregates: object = None
     stream_stats: Optional[dict] = None
 
@@ -95,18 +90,10 @@ class HookRuntime:
         buffer_capacity: Optional[int] = None,
         sample_rate: int = 1,
         spill: Optional[SpillConfig] = None,
-        streaming=None,
         fused=None,
-        drain_workers: Optional[int] = None,
     ):
         if sample_rate < 1:
             raise ProfilerError("sample_rate must be >= 1")
-        if fused is not None and streaming is not None:
-            raise ProfilerError(
-                "fused and streaming are mutually exclusive: fused "
-                "analysis already streams rows through the bank in "
-                "flight"
-            )
         self.image = image
         self.kernel = kernel
         self.host_call_path = host_call_path
@@ -122,22 +109,14 @@ class HookRuntime:
         self.sample_rate = sample_rate
         self._capacity = buffer_capacity
         #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
-        #: when set, kernel_end streams spill segments through the
-        #: plan's analyzer bank instead of materializing the trace, and
-        #: the profile carries ``aggregates`` + StreamedRecords
-        #: placeholders. The plan itself is never pickled -- shard
-        #: workers inherit it through fork.
-        self._streaming = streaming
-        #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
         #: fused in-flight analysis -- the buffers flush into the plan's
         #: bank at segment granularity *during* execution (no spill I/O,
-        #: no drain pass; see streamdrain.FusedSink). Byte-identical to
-        #: streaming; disabled per launch when raw records are needed
-        #: (``disable_fused``).
+        #: no drain pass; see streamdrain.FusedSink) and the profile
+        #: carries ``aggregates`` + StreamedRecords placeholders.
+        #: Disabled per launch when raw records are needed
+        #: (``disable_fused``). The plan itself is never pickled --
+        #: shard workers inherit it through fork.
         self._fused = fused
-        #: fork-parallel segment drain width for streamed spill
-        #: workloads (None/1 keeps the serial relay).
-        self._drain_workers = drain_workers
         self._shard_states: List[dict] = []
 
         # -- reliability wiring (docs/reliability.md) ---------------------
@@ -171,8 +150,6 @@ class HookRuntime:
         self.arith_buffer = ColumnarArithBuffer(event_capacity, buffer_spill)
         self.call_paths = CallPathRegistry()
 
-        self._fused_bank = None
-        self._fused_drain = None
         self._fused_sink = None
         self._fused_flush_rows = (
             spill.segment_rows if spill is not None else 65536
@@ -193,17 +170,11 @@ class HookRuntime:
         self.on_complete = None  # callable(profile), set by the session
 
     def _attach_fused_sink(self) -> None:
-        """Wire the current buffers into a fresh fused bank + drain."""
-        self._fused_bank = self._fused.create_bank()
-        on_corrupt = (
-            "drop" if self._spill is None else self._spill.on_corrupt
-        )
-        self._fused_drain = StreamDrain(
-            self._fused_bank, self.sample_rate, self._capacity, on_corrupt
-        )
+        """Wire the current buffers into a fresh fused bank."""
         self._fused_sink = FusedSink(
-            self._fused_drain, self.memory_buffer, self.block_buffer,
-            self.arith_buffer, self._fused_flush_rows,
+            self._fused.create_bank(), self.memory_buffer,
+            self.block_buffer, self.arith_buffer, self._fused_flush_rows,
+            self.sample_rate, self._capacity,
         )
 
     @property
@@ -224,8 +195,6 @@ class HookRuntime:
             return
         self._fused_sink.detach()
         self._fused = None
-        self._fused_bank = None
-        self._fused_drain = None
         self._fused_sink = None
         event_capacity = (
             self._capacity if self.sample_rate == 1 else None
@@ -257,9 +226,6 @@ class HookRuntime:
     def kernel_end(self, launch_result) -> None:
         if self._fused is not None:
             self._kernel_end_fused(launch_result)
-            return
-        if self._streaming is not None:
-            self._kernel_end_streaming(launch_result)
             return
         info = self._launch_info or {}
         memory = self.memory_buffer.drain()
@@ -302,140 +268,30 @@ class HookRuntime:
         if self.on_complete is not None:
             self.on_complete(self.profile)
 
-    def _kernel_end_streaming(self, launch_result) -> None:
-        """Drain through the analyzer bank one spill segment at a time.
-
-        Peak drain memory is O(segment): disk segments (own and
-        shard-relayed) stream through the aggregates and are deleted as
-        consumed; the trace never concatenates. Stride sampling and
-        capacity are applied inside the drain with a running rank /
-        keep-first cursor so the kept row set -- and therefore every
-        aggregate -- is byte-identical to the in-RAM drain.
-        """
-        info = self._launch_info or {}
-        bank = self._streaming.create_bank()
-        on_corrupt = "drop" if self._spill is None else self._spill.on_corrupt
-        drain = StreamDrain(
-            bank, self.sample_rate, self._capacity, on_corrupt
-        )
-        # Shard states first, in SM order (matching absorb_shards), then
-        # this process's own buffers (non-empty only for serial runs).
-        shard_dropped = shard_spilled = shard_corrupt = 0
-        states, self._shard_states = self._shard_states, []
-        for state in states:
-            acct = state["accounting"]
-            shard_dropped += acct["dropped"]
-            shard_spilled += acct["spilled"]
-            shard_corrupt += acct["corrupt"]
-            if "bank" in state:
-                # Exact aggregate-to-aggregate merge (no sampling or
-                # capacity in play -- see export_shard).
-                bank.merge(state["bank"])
-                drain.stats.absorb(state["stats"])
-            else:
-                drain.feed_shard_state(state)
-        parallel = None
-        if (
-            self.sample_rate == 1
-            and self._capacity is None
-            and self._drain_workers is not None
-            and self._drain_workers >= 2
-        ):
-            # Global-stream order does not matter (no sampling phase,
-            # no keep-first cutoff), so spilled segments can drain
-            # through forked analyzer banks and merge bank-to-bank.
-            device = getattr(self.image, "device", None)
-            num_sms = getattr(getattr(device, "arch", None), "num_sms", 0)
-            if num_sms >= 2:
-                parallel = parallel_segment_drain(
-                    self._streaming, self.memory_buffer,
-                    self.block_buffer, self.arith_buffer,
-                    num_sms, self._drain_workers, on_corrupt,
-                )
-        if parallel is not None:
-            bank.merge(parallel["bank"])
-            drain.stats.absorb(parallel["stats"].as_dict())
-        else:
-            drain.feed_buffers(
-                self.memory_buffer, self.block_buffer, self.arith_buffer
-            )
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = (
-            sum(b.corrupt_dropped for b in buffers)
-            + drain.corrupt_rows
-            + shard_corrupt
-        )
-        if corrupt:
-            self._report_corruption(corrupt)
-        # Finalize results and release cursor state: the profile keeps
-        # the bank for the session, so only one launch's drain-time
-        # state is ever alive at a time.
-        bank.seal()
-        stats = drain.stats
-        self.profile = KernelProfile(
-            kernel=self.kernel,
-            host_call_path=self.host_call_path,
-            launch_site=self.launch_site,
-            grid=info.get("grid", (0, 0, 0)),
-            block=info.get("block", (0, 0, 0)),
-            num_ctas=info.get("num_ctas", 0),
-            warps_per_cta=info.get("warps_per_cta", 0),
-            memory_records=StreamedRecords("memory", stats.memory_rows),
-            block_records=StreamedRecords("block", stats.block_rows),
-            arith_records=StreamedRecords("arith", stats.arith_rows),
-            call_paths=self.call_paths,
-            functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                sum(b.dropped for b in buffers)  # includes own corrupt
-                + drain.clipped
-                + drain.corrupt_rows
-                + shard_dropped
-            ),
-            launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers) + shard_spilled,
-            corrupt_records=corrupt,
-            aggregates=bank,
-            stream_stats=stats.as_dict(),
-        )
-        if self.on_complete is not None:
-            self.on_complete(self.profile)
-
     def _kernel_end_fused(self, launch_result) -> None:
         """Seal the in-flight bank: the trace was analyzed as it ran.
 
         Own rows already streamed through the fused sink during
         execution (only a sub-segment tail remains to flush). Shard
-        states merge first in SM order -- exactly the streaming drain's
-        contract -- which is safe because a fork-parallel launch never
-        dispatches hooks in the parent, so the parent's drain cursors
-        are untouched until this point.
+        states merge first, in SM order, which is safe because a
+        fork-parallel launch never dispatches hooks in the parent, so
+        the sink's cursors are untouched until this point. Fused
+        buffers never spill, so there is no spill or corruption
+        accounting to collect.
         """
         info = self._launch_info or {}
-        bank = self._fused_bank
-        drain = self._fused_drain
-        shard_dropped = shard_spilled = shard_corrupt = 0
+        sink = self._fused_sink
         states, self._shard_states = self._shard_states, []
         for state in states:
-            acct = state["accounting"]
-            shard_dropped += acct["dropped"]
-            shard_spilled += acct["spilled"]
-            shard_corrupt += acct["corrupt"]
             if "bank" in state:
-                bank.merge(state["bank"])
-                drain.stats.absorb(state["stats"])
+                sink.bank.merge(state["bank"])
+                sink.stats.absorb(state["stats"])
             else:
-                drain.feed_shard_state(state)
-        self._fused_sink.flush()
+                sink.relay(state)
+        sink.flush()
+        sink.bank.seal()
+        stats = sink.stats
         buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = (
-            sum(b.corrupt_dropped for b in buffers)
-            + drain.corrupt_rows
-            + shard_corrupt
-        )
-        if corrupt:
-            self._report_corruption(corrupt)
-        bank.seal()
-        stats = drain.stats
         self.profile = KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
@@ -449,16 +305,9 @@ class HookRuntime:
             arith_records=StreamedRecords("arith", stats.arith_rows),
             call_paths=self.call_paths,
             functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                sum(b.dropped for b in buffers)
-                + drain.clipped
-                + drain.corrupt_rows
-                + shard_dropped
-            ),
+            dropped_records=sum(b.dropped for b in buffers) + sink.clipped,
             launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers) + shard_spilled,
-            corrupt_records=corrupt,
-            aggregates=bank,
+            aggregates=sink.bank,
             stream_stats=stats.as_dict(),
         )
         if self.on_complete is not None:
@@ -484,8 +333,9 @@ class HookRuntime:
 
         Shard buffers are uncapped: the parent enforces the global
         capacity when it absorbs the shards in SM order, so the drop set
-        matches a serial run exactly. Spill stays active (a shard's
-        segments are written and drained inside the worker).
+        matches a serial run exactly. In-RAM shards keep spill active (a
+        shard's segments are written and drained inside the worker);
+        fused shards never spill.
         """
         shard_spill = None if self._fused is not None else self._spill
         self.memory_buffer = ColumnarMemoryBuffer(None, shard_spill)
@@ -505,16 +355,12 @@ class HookRuntime:
                 # Stride phase / keep-first cutoff depend on earlier
                 # shards' row counts: materialize in RAM and relay the
                 # rows for the parent's running cursors.
-                self._fused_bank = None
-                self._fused_drain = None
                 self._fused_sink = None
 
     def export_shard(self) -> dict:
         """Pickleable trace state a shard worker sends back."""
         if self._fused is not None:
             return self._export_shard_fused()
-        if self._streaming is not None:
-            return self._export_shard_streaming()
         return {
             "memory": self.memory_buffer.drain(),
             "block": self.block_buffer.drain(),
@@ -523,73 +369,27 @@ class HookRuntime:
             "seq_total": self._seq,
         }
 
-    def _export_shard_streaming(self) -> dict:
-        """Aggregate (or relay) state a streaming shard worker ships.
-
-        With no sampling and no capacity, the kept row set of a shard
-        is exactly its trace, so the worker streams its own buffers
-        through a fresh analyzer bank and ships the *bank* -- the
-        parent merges aggregate-to-aggregate, never touching rows.
-        Otherwise (stride phase / keep-first cutoff depend on
-        predecessor shards' row counts) the worker relays its spill
-        segment **files** plus the in-memory tails, and the parent
-        streams them through its own drain with running cursors.
-        """
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        state = {
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
-        if self.sample_rate == 1 and self._capacity is None:
-            bank = self._streaming.create_bank()
-            on_corrupt = (
-                "drop" if self._spill is None else self._spill.on_corrupt
-            )
-            drain = StreamDrain(bank, 1, None, on_corrupt)
-            drain.feed_buffers(
-                self.memory_buffer, self.block_buffer, self.arith_buffer
-            )
-            state["bank"] = bank
-            state["stats"] = drain.stats.as_dict()
-        else:
-            state["memory"] = self.memory_buffer.export_stream_state()
-            state["block"] = self.block_buffer.export_stream_state()
-            state["arith"] = self.arith_buffer.export_stream_state()
-        # After the feed / detach, so worker-side corrupt drops count.
-        state["accounting"] = {
-            "dropped": sum(b.dropped for b in buffers),
-            "spilled": sum(b.spilled for b in buffers),
-            "corrupt": sum(b.corrupt_dropped for b in buffers),
-        }
-        return state
-
     def _export_shard_fused(self) -> dict:
         """State a fused shard worker ships back to the parent.
 
-        Mirrors :meth:`_export_shard_streaming`: with no sampling and
-        no capacity the worker's rows already live in its fused bank
-        (flush the tail, ship the bank); otherwise the worker
-        materialized rows in RAM and relays them as a tail-only stream
-        state for the parent's drain.
+        With no sampling and no capacity the worker's rows already live
+        in its fused bank (flush the tail, ship the bank); otherwise the
+        worker materialized its rows in RAM (it never spills) and
+        relays them as column views for the parent's
+        :meth:`FusedSink.relay`.
         """
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
         state = {
             "paths": list(self.call_paths._paths),
             "seq_total": self._seq,
         }
         if self._fused_sink is not None:
             self._fused_sink.flush()
-            state["bank"] = self._fused_bank
-            state["stats"] = self._fused_drain.stats.as_dict()
+            state["bank"] = self._fused_sink.bank
+            state["stats"] = self._fused_sink.stats.as_dict()
         else:
-            state["memory"] = self.memory_buffer.export_stream_state()
-            state["block"] = self.block_buffer.export_stream_state()
-            state["arith"] = self.arith_buffer.export_stream_state()
-        state["accounting"] = {
-            "dropped": sum(b.dropped for b in buffers),
-            "spilled": sum(b.spilled for b in buffers),
-            "corrupt": sum(b.corrupt_dropped for b in buffers),
-        }
+            state["memory"] = self.memory_buffer.detach_rows()
+            state["block"] = self.block_buffer.detach_rows()
+            state["arith"] = self.arith_buffer.detach_rows()
         return state
 
     def absorb_shards(self, shard_states) -> None:
@@ -601,12 +401,12 @@ class HookRuntime:
         parent registry in shard order -- first-encounter order across
         the concatenated stream, identical to a serial run.
         """
-        if self._streaming is not None or self._fused is not None:
-            # Streaming/fused mode defers consumption to kernel_end: stash
-            # the states in SM order, keep the call-path registry's
+        if self._fused is not None:
+            # Fused mode defers consumption to kernel_end: stash the
+            # states in SM order, keep the call-path registry's
             # first-encounter order identical to the in-RAM remap, and
             # advance the seq counter. Relayed columns keep their
-            # worker-local seqs / path ids -- the drain's running rank
+            # worker-local seqs / path ids -- the sink's running rank
             # only needs within-shard seq order, and no aggregate
             # reads call_path_id.
             for state in shard_states:

@@ -38,18 +38,13 @@ class ProfilingSession:
     :class:`~repro.reliability.spill.SpillConfig` can be passed as
     ``spill`` instead.
 
-    ``streaming`` takes an
-    :class:`~repro.analysis.aggregates.AnalyzerPlan`: each launch then
-    drains its trace *through* the plan's analyzer bank one spill
-    segment at a time (O(segment) peak memory) and the resulting
-    profiles carry ``aggregates`` instead of materialized records.
-
-    ``fused`` takes the same kind of plan but analyzes rows *during*
-    execution: buffered rows flush into the bank at segment granularity
-    and the trace is never spilled or drained at all -- byte-identical
-    results, minus the round-trip. ``drain_workers`` widens the
-    kernel-exit drain of *streaming* (spill) launches across forked
-    analyzer banks when no sampling/capacity is in play.
+    ``fused`` takes an
+    :class:`~repro.analysis.aggregates.AnalyzerPlan` and analyzes rows
+    *during* execution: buffered rows flush into the plan's analyzer
+    bank at segment granularity, the trace is never spilled or drained,
+    and the resulting profiles carry ``aggregates`` instead of
+    materialized records -- byte-identical results to the batch
+    analyzers.
     """
 
     def __init__(self, buffer_capacity: Optional[int] = None,
@@ -57,18 +52,14 @@ class ProfilingSession:
                  spill_dir: Optional[str] = None,
                  spill_rows: int = 65536,
                  spill: Optional[SpillConfig] = None,
-                 streaming=None,
-                 fused=None,
-                 drain_workers: Optional[int] = None):
+                 fused=None):
         SESSION_COUNTERS["sessions_created"] += 1
         self.buffer_capacity = buffer_capacity
         self.sample_rate = sample_rate
         if spill is None and spill_dir is not None:
             spill = SpillConfig(directory=spill_dir, segment_rows=spill_rows)
         self.spill = spill
-        self.streaming = streaming
         self.fused = fused
-        self.drain_workers = drain_workers
         self.profiles: List[KernelProfile] = []
         self.host_buffers: List[HostBuffer] = []
         self.device_allocations: List[DeviceAllocationRecord] = []
@@ -104,9 +95,7 @@ class ProfilingSession:
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,
             spill=self.spill,
-            streaming=self.streaming,
             fused=self.fused,
-            drain_workers=self.drain_workers,
         )
         hooks.on_complete = self.profiles.append
         return hooks

@@ -4,8 +4,11 @@ A **job** is one whole profiling request: "profile app X with config Y
 and hand back the canonical export document".  :class:`JobSpec` pins
 everything that *determines the result bytes* -- those fields (plus the
 module IR hash and the export schema version) form the cache key.
-Execution hints (backend, shard workers, spill knobs...) change how a
-job runs, never what it returns, so they ride along outside the key.
+Execution hints (shard workers, failure policy) change how a job runs,
+never what it returns, so they ride along outside the key. The
+execution ``backend`` is part of the spec: batched runs add a
+``jit_cache`` section to the document, so the two backends' bytes
+differ.
 
 :class:`JobHandle` is the client's view of a submitted job: ``poll()``
 for the current state, ``wait()``/``result()`` to block, ``events`` for
@@ -90,6 +93,7 @@ class JobSpec:
     heatmap_cell_rows: Optional[int] = None
     time_buckets: int = 64
     columnar: bool = False
+    backend: str = "interpreter"
 
     def cache_key(self, ir_hash: str, schema_version: str) -> str:
         """Content address: (module IR hash, app config, instrumentation
@@ -109,6 +113,7 @@ class JobSpec:
                 "heatmap_cell_rows": self.heatmap_cell_rows,
                 "time_buckets": self.time_buckets,
                 "columnar": self.columnar,
+                "backend": self.backend,
             },
             sort_keys=True,
         )

@@ -84,14 +84,14 @@ _FAULT_REASONS = {
 #: JobSpec fields settable through a submit() config dict.
 _SPEC_FIELDS = (
     "arch", "modes", "sample_rate", "buffer_capacity", "measure_overhead",
-    "heatmap", "heatmap_cell_rows", "time_buckets", "columnar",
+    "heatmap", "heatmap_cell_rows", "time_buckets", "columnar", "backend",
 )
 
 #: execution-hint keys forwarded to the worker (never part of the key).
-_HINT_FIELDS = (
-    "backend", "parallel_workers", "failure_policy", "spill_dir",
-    "spill_rows", "streaming_drain", "fused_drain", "drain_workers",
-)
+_HINT_FIELDS = ("parallel_workers", "failure_policy")
+
+#: execution backends a job may run on (``JobSpec.backend``).
+_BACKENDS = ("interpreter", "batched")
 
 
 def _canonical_kwargs(app_kwargs: Optional[dict]) -> tuple:
@@ -202,9 +202,9 @@ class ProfilingService:
         """Enqueue one profiling job; returns immediately with a handle.
 
         ``config`` may carry result-shaping knobs (``modes``, ``arch``,
-        ``sample_rate``, ``heatmap``...; these feed the cache key) and
-        execution hints (``backend``, ``streaming_drain``...; these do
-        not).  A cache hit resolves the handle before ``submit``
+        ``sample_rate``, ``heatmap``, ``backend``...; these feed the
+        cache key) and execution hints (``parallel_workers``,
+        ``failure_policy``; these do not).  A cache hit resolves the handle before ``submit``
         returns; an identical in-flight spec is coalesced instead of
         re-simulated.
         """
@@ -220,6 +220,14 @@ class ProfilingService:
             )
         if "modes" in spec_kwargs:
             spec_kwargs["modes"] = tuple(spec_kwargs["modes"])
+        backend = spec_kwargs.get("backend", "interpreter")
+        if backend is None:
+            del spec_kwargs["backend"]  # the device default
+        elif backend not in _BACKENDS:
+            raise ServiceError(
+                f"unknown backend {backend!r}: expected one of "
+                f"{', '.join(_BACKENDS)}"
+            )
         spec = JobSpec(
             app=app, app_kwargs=_canonical_kwargs(app_kwargs), **spec_kwargs
         )

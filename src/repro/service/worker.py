@@ -36,11 +36,10 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
     ``hints`` carries execution knobs that may change *how* the job
-    runs but never its payload bytes (backend, shard workers, spill,
-    streaming or fused drain) -- the export document is drain-invariant
-    by construction, which this function leans on. Jobs run **fused by
-    default** (analysis in flight, no trace round-trip); pass
-    ``streaming_drain`` or ``fused_drain: False`` to opt out.
+    runs but never its payload bytes (shard workers, failure policy).
+    Jobs always run **fused** (analysis in flight, no trace
+    round-trip): the export document is identical to the in-RAM
+    path's, and a job never needs raw records.
     """
     hints = hints or {}
     if spec.arch not in SERVICE_ARCHES:
@@ -60,16 +59,10 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         buffer_capacity=spec.buffer_capacity,
         sample_rate=spec.sample_rate,
         heatmap=spec.heatmap,
-        backend=hints.get("backend"),
+        backend=spec.backend,
         parallel_workers=hints.get("parallel_workers"),
         failure_policy=hints.get("failure_policy"),
-        spill_dir=hints.get("spill_dir"),
-        spill_rows=hints.get("spill_rows") or 65536,
-        streaming_drain=bool(hints.get("streaming_drain")),
-        fused_drain=bool(
-            hints.get("fused_drain", not hints.get("streaming_drain"))
-        ),
-        drain_workers=hints.get("drain_workers"),
+        fused_drain=True,
         **kwargs,
     )
     report = advisor.profile(build_app(spec.app, **dict(spec.app_kwargs)))

@@ -1,5 +1,7 @@
 """Tests for the CLI (the artifact's run/showoutput workflow)."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -46,9 +48,20 @@ class TestProfile:
         assert main(["profile", "nn", "--modes", "memory,quantum"]) == 2
         assert "unknown analysis mode 'quantum'" in capsys.readouterr().err
 
+    # The CLI always analyzes in flight and never spills, so the old
+    # drain-selection and spill flags are gone: each is an argparse
+    # error (exit 2), never silently accepted.
+    def _assert_removed(self, capsys, command, flag, *value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "nn", flag, *value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+
     def test_conflicting_spill_knobs_rejected(self, capsys):
-        assert main(["profile", "nn", "--spill-rows", "128"]) == 2
-        assert "--spill-rows needs --spill-dir" in capsys.readouterr().err
+        for command in ("profile", "export"):
+            self._assert_removed(capsys, command, "--spill-dir", "spill")
+            self._assert_removed(capsys, command, "--spill-rows", "128")
 
     def test_bad_sample_rate_rejected(self, capsys):
         assert main(["profile", "nn", "--sample-rate", "0"]) == 2
@@ -59,25 +72,27 @@ class TestProfile:
         assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_fused_and_streaming_drain_rejected(self, capsys):
-        assert main([
-            "profile", "nn", "--fused", "--streaming-drain",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "--fused and --streaming-drain are mutually exclusive" in err
+        for command in ("profile", "export"):
+            self._assert_removed(capsys, command, "--fused")
+            self._assert_removed(capsys, command, "--streaming-drain")
 
     def test_bad_drain_workers_rejected(self, capsys):
-        assert main(["profile", "nn", "--drain-workers", "0"]) == 2
-        assert "--drain-workers must be >= 1" in capsys.readouterr().err
+        for command in ("profile", "export"):
+            self._assert_removed(capsys, command, "--drain-workers", "2")
 
     def test_profile_fused(self, capsys):
+        # fused in-flight analysis is the CLI's only path: the report
+        # renders from the aggregates and the stats section is filled
         code = main([
-            "profile", "nn", "--fused", "--modes", "memory,blocks",
-            "--no-overhead",
+            "profile", "nn", "--modes", "memory,blocks", "--no-overhead",
+            "--verbose",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "### RD_mode" in out
         assert "### advice" in out
+        assert "(none: traces were materialized" not in out
+        assert "peak rows" in out
 
     def test_failure_policy_flag(self, capsys):
         assert main([

@@ -5,14 +5,15 @@ byte-identical ``(granule, time-cell)`` tables no matter how the trace
 reaches it:
 
 * **Property tests** (hypothesis) compare one whole-trace update
-  against random segment splits (the streaming drain), CTA-partition
-  shard merges (fork-parallel workers), and the full streaming drain
-  with stride sampling -- cells must match bit-for-bit.
+  against random segment splits, CTA-partition shard merges
+  (fork-parallel workers), and fused in-flight analysis with stride
+  sampling -- cells must match bit-for-bit.
 * **Resolution tests** pin the granule->allocation join: exact
   unique-byte counts under time re-binning, the ``(unmapped)`` row,
   and the launch-concatenating cross-launch merge.
-* **App-level tests** run an instrumented program through the in-RAM
-  and streaming drains and require identical resolved heat maps.
+* **App-level tests** pin the advisor wiring and the allocation join;
+  byte-identity of the exported heat map across the in-RAM and fused
+  paths is pinned by ``tests/test_goldens.py``.
 """
 
 import numpy as np
@@ -37,8 +38,7 @@ from repro.profiler.buffers import (
     ColumnarMemoryBuffer,
     stride_sample,
 )
-from repro.profiler.streamdrain import StreamDrain
-from repro.reliability.spill import SpillConfig
+from repro.profiler.streamdrain import FusedSink
 
 WARP = 4
 
@@ -54,8 +54,11 @@ _EVENTS = st.lists(
 )
 
 
-def _build_memory(events, spill=None):
-    buf = ColumnarMemoryBuffer(None, spill)
+def _build_memory(events):
+    return _fill_memory(ColumnarMemoryBuffer(), events)
+
+
+def _fill_memory(buf, events):
     for seq, (cta, sel, write, msel) in enumerate(events):
         addrs = (
             0x1000
@@ -119,23 +122,19 @@ class TestDrainInvariance:
     @settings(max_examples=25, deadline=None)
     @given(
         events=_EVENTS,
-        segment_rows=st.integers(1, 13),
+        flush_rows=st.integers(1, 13),
         rate=st.sampled_from([1, 2, 3]),
     )
-    def test_streaming_drain_with_sampling(
-        self, tmp_path_factory, events, segment_rows, rate
-    ):
-        spill = SpillConfig(
-            directory=str(tmp_path_factory.mktemp("seg")),
-            segment_rows=segment_rows,
-        )
-        mem = _build_memory(events, spill)
+    def test_fused_sink_with_sampling(self, events, flush_rows, rate):
+        mem = ColumnarMemoryBuffer()
         plan = advisor_plan(64, ("memory",), heatmap_cell_rows=4)
         bank = plan.create_bank()
-        StreamDrain(bank, sample_rate=rate).feed_buffers(
-            mem, ColumnarBlockBuffer(None, spill),
-            ColumnarArithBuffer(None, spill),
+        sink = FusedSink(
+            bank, mem, ColumnarBlockBuffer(), ColumnarArithBuffer(),
+            flush_rows, rate,
         )
+        _fill_memory(mem, events)
+        sink.flush()
 
         batch_cols = _build_memory(events).drain()
         kept, _ = stride_sample(
@@ -277,21 +276,6 @@ class TestRendering:
 
 
 class TestAppLevel:
-    @pytest.mark.parametrize("app_name", ["nn", "bfs"])
-    def test_in_ram_and_streaming_drains_agree(self, app_name):
-        tables = []
-        for streaming in (False, True):
-            adv = CUDAAdvisor(
-                modes=("memory", "blocks"),
-                measure_overhead=False,
-                streaming_drain=streaming,
-                heatmap=True,
-            )
-            report = adv.profile(build_app(app_name))
-            assert report.heatmap is not None
-            tables.append(report.heatmap)
-        assert _cells_equal(tables[0], tables[1])
-
     def test_heatmap_off_by_default(self):
         adv = CUDAAdvisor(modes=("memory",), measure_overhead=False)
         report = adv.profile(build_app("nn"))

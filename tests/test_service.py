@@ -48,6 +48,7 @@ class TestCacheKey:
         ("heatmap", True),
         ("time_buckets", 32),
         ("columnar", True),
+        ("backend", "batched"),
     ])
     def test_every_knob_feeds_the_key(self, field, value):
         base = JobSpec(**SYRK)
@@ -253,6 +254,47 @@ class TestServiceAPI:
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match="unknown submit"):
                 svc.submit("syrk", {"colour": "red"})
+
+    @pytest.mark.parametrize("hint", [
+        "spill_dir", "spill_rows", "streaming_drain", "fused_drain",
+        "drain_workers",
+    ])
+    def test_removed_drain_hints_rejected(self, hint):
+        # jobs always analyze in flight: there is no drain to pick
+        with ProfilingService(workers=0) as svc:
+            with pytest.raises(ServiceError, match=hint):
+                svc.submit("syrk", {hint: 1})
+
+    def test_unknown_backend_rejected(self):
+        with ProfilingService(workers=0) as svc:
+            with pytest.raises(ServiceError, match="warp-drive"):
+                svc.submit("syrk", {"backend": "warp-drive"})
+
+    def test_backends_never_share_a_cache_entry(self, tmp_path):
+        # A batched export carries a jit_cache section, so the backend
+        # is part of the spec: each backend gets its own key, and each
+        # cached payload is exactly what a fresh run of that spec
+        # produces.
+        with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
+            handles = {
+                backend: svc.submit(
+                    "syrk", {"backend": backend}, app_kwargs=SYRK_KW
+                )
+                for backend in ("interpreter", "batched")
+            }
+            svc.wait(timeout=120)
+        assert handles["interpreter"].key != handles["batched"].key
+        assert handles["interpreter"].result().payload != (
+            handles["batched"].result().payload
+        )
+        for backend, handle in handles.items():
+            fresh = run_job(JobSpec(**SYRK, backend=backend))
+            assert handle.result().payload == fresh["payload"]
+        # the device default and an explicit "interpreter" are one spec
+        with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
+            default = svc.submit("syrk", app_kwargs=SYRK_KW)
+            assert default.key == handles["interpreter"].key
+            assert default.result().source == CACHE_HIT
 
     def test_heatmap_needs_memory_mode(self):
         with ProfilingService(workers=0) as svc:
