@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.reuse_distance import _cta_row_segments
 from repro.errors import AnalysisError
 from repro.profiler.buffers import MemoryColumns
 from repro.profiler.records import MemoryOp
@@ -53,6 +52,11 @@ DEFAULT_GRANULE = 256
 
 #: Default kept memory instructions per CTA per time cell.
 DEFAULT_CELL_ROWS = 256
+
+#: Trace rows per vectorized update pass: bounds the transient working
+#: set (lane and byte expansions, the keys x granule_bytes scatter
+#: matrix) however long the segment being fed is.
+_UPDATE_CHUNK = 256
 
 
 class _Cell:
@@ -102,75 +106,85 @@ class HeatmapAggregate:
 
     # -- the SegmentAggregate contract --------------------------------------
     def update(self, cols: MemoryColumns) -> None:
-        granule = self.granule_bytes
-        nbits = granule // 8
-        for rows in _cta_row_segments(cols.cta):
-            cta = int(cols.cta[rows[0]])
-            base = self._phase.get(cta, 0)
-            n = len(rows)
-            self._phase[cta] = base + n
-            cells = (base + np.arange(n, dtype=np.int64)) // self.cell_rows
-            mask = cols.mask[rows]
-            addrs = cols.addresses[rows]
-            widths = np.maximum(cols.bits[rows].astype(np.int64) >> 3, 1)
-            is_write = cols.op[rows] != int(MemoryOp.LOAD)
-            lane_cell = np.broadcast_to(cells[:, None], mask.shape)[mask]
-            lane_addr = addrs[mask]
-            lane_width = np.broadcast_to(widths[:, None], mask.shape)[mask]
-            lane_write = np.broadcast_to(is_write[:, None], mask.shape)[mask]
-            if not lane_addr.size:
-                continue
-            self._count(lane_addr, lane_cell, lane_write)
-            self._mark_bytes(lane_addr, lane_cell, lane_width, nbits)
+        for start in range(0, len(cols), _UPDATE_CHUNK):
+            rows = slice(start, start + _UPDATE_CHUNK)
+            self._update_chunk(
+                cols.cta[rows], cols.addresses[rows], cols.mask[rows],
+                cols.bits[rows], cols.op[rows],
+            )
 
-    def _count(self, lane_addr, lane_cell, lane_write) -> None:
-        """Accumulate lane-level read/write counts per (granule, cell)."""
-        keys = np.stack([lane_addr // self.granule_bytes, lane_cell], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        k = len(uniq)
-        writes = np.bincount(inverse[lane_write], minlength=k)
-        totals = np.bincount(inverse, minlength=k)
-        nbits = self.granule_bytes // 8
-        for j in range(k):
-            key = (int(uniq[j, 0]), int(uniq[j, 1]))
+    def _update_chunk(self, cta, addrs, mask, bits, op) -> None:
+        """Bin one chunk of rows (trace order) in one vectorized pass.
+
+        Every active lane is expanded to the bytes it touches (an access
+        whose last byte crosses a granule boundary marks bytes in both
+        granules); byte keys ``(granule, cell)`` are deduplicated by one
+        1-D ``np.unique``, their offsets scattered into a
+        ``keys x granule_bytes`` matrix and packed into bitmaps. A lane's
+        read/write count goes to the key of its first byte.
+        """
+        cells = self._phases(cta) // self.cell_rows
+        row = np.nonzero(mask)[0]
+        if not row.size:
+            return
+        width = np.maximum(bits.astype(np.int64) >> 3, 1)[row]
+        first = np.cumsum(width) - width
+        byte_lane = np.repeat(np.arange(row.size), width)
+        pos = addrs[mask][byte_lane] + (
+            np.arange(byte_lane.size) - first[byte_lane]
+        )
+        granule = self.granule_bytes
+        byte_granule = pos >> (granule.bit_length() - 1)
+        byte_cell = cells[row][byte_lane]
+
+        shift = int(cells.max()).bit_length()
+        granules = None
+        if (int(byte_granule.min()) < 0
+                or int(byte_granule.max()) >> (63 - shift)):
+            # the packed key would wrap: pack granule ranks instead (below
+            # the chunk's byte count, so exact for any reachable phase)
+            granules, byte_granule = np.unique(
+                byte_granule, return_inverse=True)
+        keys, inverse = np.unique(
+            (byte_granule << shift) | byte_cell, return_inverse=True)
+        touched = np.zeros((keys.size, granule), dtype=bool)
+        touched[inverse, pos & (granule - 1)] = True
+        bitmaps = np.packbits(touched, axis=1, bitorder="little")
+        lane_key = inverse[first]
+        totals = np.bincount(lane_key, minlength=keys.size)
+        writes = np.bincount(
+            lane_key[(op != int(MemoryOp.LOAD))[row]], minlength=keys.size)
+
+        key_granule = keys >> shift
+        if granules is not None:
+            key_granule = granules[key_granule]
+        nbits = granule // 8
+        for key, total, write, bitmap in zip(
+            zip(key_granule.tolist(), (keys & ((1 << shift) - 1)).tolist()),
+            totals.tolist(), writes.tolist(), bitmaps,
+        ):
             cell = self._cells.get(key)
             if cell is None:
                 cell = self._cells[key] = _Cell(nbits)
-            cell.writes += int(writes[j])
-            cell.reads += int(totals[j] - writes[j])
+            cell.reads += total - write
+            cell.writes += write
+            np.bitwise_or(cell.bits, bitmap, out=cell.bits)
 
-    def _mark_bytes(self, lane_addr, lane_cell, lane_width, nbits) -> None:
-        """Set the bitmap bit of every byte each lane access touches.
-
-        Expanded one byte-offset at a time (widths are <= 16), so the
-        temporary arrays stay O(lanes) per step; an access whose last
-        byte crosses a granule boundary marks bytes in both granules.
-        """
-        positions: List[np.ndarray] = []
-        cells: List[np.ndarray] = []
-        for k in range(int(lane_width.max())):
-            sel = lane_width > k
-            positions.append(lane_addr[sel] + k)
-            cells.append(lane_cell[sel])
-        pos = np.concatenate(positions)
-        cell = np.concatenate(cells)
-        keys = np.stack([pos // self.granule_bytes, cell], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(np.bincount(inverse))[:-1]
-        groups = np.split((pos % self.granule_bytes)[order], bounds)
-        bitval = np.left_shift(
-            np.uint8(1), np.arange(8, dtype=np.uint8)
-        )
-        for j in range(len(uniq)):
-            key = (int(uniq[j, 0]), int(uniq[j, 1]))
-            target = self._cells.get(key)
-            if target is None:
-                target = self._cells[key] = _Cell(nbits)
-            bits = groups[j]
-            np.bitwise_or.at(target.bits, bits >> 3, bitval[bits & 7])
+    def _phases(self, cta) -> np.ndarray:
+        """Each row's kept-row phase within its CTA; advances the cursors."""
+        order = np.argsort(cta, kind="stable")
+        ordered = cta[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+        counts = np.diff(starts, append=ordered.size)
+        bases = []
+        for c, n in zip(ordered[starts].tolist(), counts.tolist()):
+            base = self._phase.get(c, 0)
+            self._phase[c] = base + n
+            bases.append(base)
+        phase = np.empty(ordered.size, dtype=np.int64)
+        phase[order] = (np.repeat(bases, counts)
+                        + np.arange(ordered.size) - np.repeat(starts, counts))
+        return phase
 
     def merge(self, other: "HeatmapAggregate") -> None:
         if (other.cell_rows != self.cell_rows

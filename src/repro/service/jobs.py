@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.heatmap import DEFAULT_CELL_ROWS
 from repro.errors import ReproError
 
 # -- job states --------------------------------------------------------------
@@ -94,6 +95,12 @@ class JobSpec:
     time_buckets: int = 64
     columnar: bool = False
     backend: str = "interpreter"
+
+    def __post_init__(self):
+        # spelling out the default binning is the same job as leaving
+        # it unset: one spec, one cache key, one coalescing slot
+        if self.heatmap_cell_rows == DEFAULT_CELL_ROWS:
+            object.__setattr__(self, "heatmap_cell_rows", None)
 
     def cache_key(self, ir_hash: str, schema_version: str) -> str:
         """Content address: (module IR hash, app config, instrumentation

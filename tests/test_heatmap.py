@@ -8,6 +8,10 @@ reaches it:
   against random segment splits, CTA-partition shard merges
   (fork-parallel workers), and fused in-flight analysis with stride
   sampling -- cells must match bit-for-bit.
+* **Oracle tests** (hypothesis) compare the vectorized aggregate with
+  an independent pure-Python per-lane, per-byte reference, across
+  access widths, granule-crossing accesses, large addresses and tiny
+  update chunks (so phase cursors carry across chunk boundaries).
 * **Resolution tests** pin the granule->allocation join: exact
   unique-byte counts under time re-binning, the ``(unmapped)`` row,
   and the launch-concatenating cross-launch merge.
@@ -16,11 +20,14 @@ reaches it:
   paths is pinned by ``tests/test_goldens.py``.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import heatmap
 from repro.analysis.aggregates import advisor_plan
 from repro.analysis.heatmap import (
     DEFAULT_GRANULE,
@@ -155,6 +162,106 @@ class TestDrainInvariance:
         d.update(cols)
         with pytest.raises(AnalysisError):
             c.merge(d)
+
+
+def _oracle_cells(rows, cell_rows, granule):
+    """Pure-Python reference: ``(granule, cell) -> [reads, writes, bytes]``.
+
+    Walks the trace row by row and lane by lane: a CTA's k-th row lands
+    in time cell ``k // cell_rows``; each active lane counts once in the
+    granule of its address and marks every byte it touches.
+    """
+    phase = {}
+    cells = {}
+    for cta, addrs, mask, bits, write in rows:
+        k = phase.get(cta, 0)
+        phase[cta] = k + 1
+        t = k // cell_rows
+        for addr, active in zip(addrs, mask):
+            if not active:
+                continue
+            entry = cells.setdefault((addr // granule, t), [0, 0, set()])
+            entry[1 if write else 0] += 1
+            for byte in range(addr, addr + max(bits // 8, 1)):
+                entry = cells.setdefault(
+                    (byte // granule, t), [0, 0, set()])
+                entry[2].add(byte % granule)
+    return cells
+
+
+def _table_as_oracle(table):
+    return {
+        key: [
+            cell.reads, cell.writes,
+            set(np.flatnonzero(
+                np.unpackbits(cell.bits, bitorder="little")).tolist()),
+        ]
+        for key, cell in table.cells.items()
+    }
+
+
+def _columns(rows):
+    buf = ColumnarMemoryBuffer(None)
+    for seq, (cta, addrs, mask, bits, write) in enumerate(rows):
+        buf.append(
+            seq=seq, cta=cta, warp_in_cta=0,
+            addrs=np.array(addrs, np.int64), mask=np.array(mask, bool),
+            bits=bits, line=1, col=0, op=2 if write else 1,
+            call_path_id=0,
+        )
+    return buf.drain()
+
+
+#: one trace row: (cta, base address, lane stride, mask, bits, write);
+#: bases cluster just below granule boundaries so wide accesses cross.
+_ORACLE_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.one_of(
+            st.integers(0, 2 ** 40),
+            st.integers(1, 2 ** 32).map(lambda g: g * 256 - 7),
+            st.integers(0, 600),
+        ),
+        st.sampled_from([0, 1, 4, 13, 256]),
+        st.lists(st.booleans(), min_size=WARP, max_size=WARP),
+        st.sampled_from([8, 16, 32, 64, 128]),
+        st.booleans(),
+    ).map(lambda r: (
+        r[0], [r[1] + lane * r[2] for lane in range(WARP)], r[3], r[4], r[5]
+    )),
+    max_size=40,
+)
+
+
+class TestOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=_ORACLE_ROWS,
+        cell_rows=st.integers(1, 5),
+        granule=st.sampled_from([8, 64, DEFAULT_GRANULE]),
+        chunk=st.integers(1, 3),
+    )
+    def test_matches_per_lane_reference(self, rows, cell_rows, granule,
+                                        chunk):
+        agg = HeatmapAggregate(cell_rows=cell_rows, granule_bytes=granule)
+        with mock.patch.object(heatmap, "_UPDATE_CHUNK", chunk):
+            if rows:
+                agg.update(_columns(rows))
+        assert _table_as_oracle(agg.finalize()) == (
+            _oracle_cells(rows, cell_rows, granule)
+        )
+
+    def test_keys_past_63_bits_stay_exact(self):
+        # granules near 2**54 with time cells past 2**9 cannot pack into
+        # one int64 key; the aggregate must not wrap them
+        far = 2 ** 62 - 3
+        rows = [(0, [far, 64, far - 256, 0], [True] * WARP, 64, i % 2 == 0)
+                for i in range(1030)]
+        agg = HeatmapAggregate(cell_rows=1)
+        agg.update(_columns(rows))
+        assert _table_as_oracle(agg.finalize()) == (
+            _oracle_cells(rows, 1, DEFAULT_GRANULE)
+        )
 
 
 class TestResolution:

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.analysis.heatmap import DEFAULT_CELL_ROWS
 from repro.errors import ReproError
 from repro.export import SCHEMA_VERSION, export_json
 from repro.reliability import FaultInjector
@@ -55,6 +56,20 @@ class TestCacheKey:
         changed = JobSpec(**{**SYRK, field: value})
         assert base.cache_key("ir", SCHEMA_VERSION) != (
             changed.cache_key("ir", SCHEMA_VERSION)
+        )
+
+    def test_default_cell_rows_spelled_out_is_one_key(self):
+        unset = JobSpec(**SYRK, heatmap=True)
+        spelled = JobSpec(
+            **SYRK, heatmap=True, heatmap_cell_rows=DEFAULT_CELL_ROWS
+        )
+        assert spelled == unset
+        assert spelled.cache_key("ir", SCHEMA_VERSION) == (
+            unset.cache_key("ir", SCHEMA_VERSION)
+        )
+        other = JobSpec(**SYRK, heatmap=True, heatmap_cell_rows=64)
+        assert other.cache_key("ir", SCHEMA_VERSION) != (
+            unset.cache_key("ir", SCHEMA_VERSION)
         )
 
     def test_ir_hash_stable_across_service_instances(self):
@@ -295,6 +310,20 @@ class TestServiceAPI:
             default = svc.submit("syrk", app_kwargs=SYRK_KW)
             assert default.key == handles["interpreter"].key
             assert default.result().source == CACHE_HIT
+
+    def test_default_cell_rows_spelled_out_hits_the_cache(self, tmp_path):
+        config = {"modes": ("memory",), "heatmap": True}
+        with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
+            cold = svc.submit("syrk", config, app_kwargs=SYRK_KW)
+            cold_payload = cold.result().payload
+        with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
+            warm = svc.submit(
+                "syrk", {**config, "heatmap_cell_rows": DEFAULT_CELL_ROWS},
+                app_kwargs=SYRK_KW,
+            )
+            assert warm.key == cold.key
+            assert warm.result().source == CACHE_HIT
+            assert warm.result().payload == cold_payload
 
     def test_heatmap_needs_memory_mode(self):
         with ProfilingService(workers=0) as svc:
