@@ -30,7 +30,12 @@ from repro.gpu.arch import GPUArchitecture, KEPLER_K40C, PASCAL_P100
 from repro.gpu.timing import TimingParams
 from repro.optim.advisor import AdvisorReport, CUDAAdvisor
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: Where rendered tables/figures go; ``REPRO_RESULTS_DIR`` redirects them
+#: (``tools/regen_goldens.py --results`` compares a fresh run against the
+#: committed files this way).
+RESULTS_DIR = os.environ.get("REPRO_RESULTS_DIR") or os.path.join(
+    os.path.dirname(__file__), "results"
+)
 
 #: Figure 6/7's "cache-bypassing favorable applications" (Section 4.2-D).
 BYPASS_APPS = ("bfs", "hotspot", "srad_v2", "syrk", "syr2k")
