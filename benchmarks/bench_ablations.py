@@ -22,7 +22,11 @@ from repro.analysis.reuse_distance import (
     reuse_distance_analysis,
     reuse_distances_of_trace,
 )
-from repro.analysis.reuse_distance import _trace_events  # ablation-only
+# ablation-only: the raw per-CTA event streams behind the histograms
+from repro.analysis.reuse_distance import (
+    _column_flat_events,
+    _cta_row_segments,
+)
 from repro.apps import build_app
 from repro.frontend.dsl import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
@@ -124,12 +128,13 @@ def test_ablation_trimmed_mean_eq1(benchmark):
     profile = report.session.profiles[0]
 
     def distances():
-        events_by_cta = [
-            _trace_events(records, ReuseDistanceModel.CACHE_LINE, 128)
-            for records in profile.memory_records_by_cta().values()
-        ]
+        columns = profile.memory_records
         out = []
-        for events in events_by_cta:
+        for rows in _cta_row_segments(columns.cta):
+            lines, writes = _column_flat_events(
+                columns, rows, ReuseDistanceModel.CACHE_LINE, 128
+            )
+            events = list(zip(lines.tolist(), writes.tolist()))
             out.extend(
                 d for d in reuse_distances_of_trace(events)
                 if d != INFINITE
@@ -160,7 +165,7 @@ def test_cache_size_prediction_curves(benchmark):
     (capacity-sensitive, matching "cache capacity likely affects the
     effectiveness of L1 level optimization schemes")."""
     from repro.analysis.cache_model import (
-        hit_rate_curve,
+        StackDistanceSummary,
         profile_stack_distances,
     )
 
@@ -168,12 +173,10 @@ def test_cache_size_prediction_curves(benchmark):
         curves = {}
         for app in ("hotspot", "syrk", "bicg"):
             report = profiled_report(app, modes=("memory",))
-            distances = []
+            summary = StackDistanceSummary(line_size=128)
             for profile in report.session.profiles:
-                distances.extend(profile_stack_distances(profile, 128))
-            curves[app] = hit_rate_curve(
-                distances, [2 ** k for k in range(3, 12)], 128
-            )
+                summary.merge(profile_stack_distances(profile, 128))
+            curves[app] = summary.curve([2 ** k for k in range(3, 12)])
         return curves
 
     curves = benchmark.pedantic(build, rounds=1, iterations=1)

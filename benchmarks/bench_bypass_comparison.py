@@ -48,8 +48,9 @@ def _run_cycles(app, module):
 
 def _vertical_cycles(app_name):
     """Plan per-site bypassing from the profile, apply, measure."""
+    # keep the raw records for the cache-line site-reuse pass below
     advisor = CUDAAdvisor(arch=KEPLER_16_SCALED, modes=("memory",),
-                          measure_overhead=False)
+                          measure_overhead=False, fused_drain=False)
     app = build_app(app_name)
     report = advisor.profile(app)
 

@@ -28,15 +28,6 @@ Usage::
                         falls below R (the CI regression guard; e.g.
                         --floor 0.95 means "no app may run more than 5%
                         slower than the interpreter")
-    --fused             measure analysis wall time instead of raw
-                        simulator speed: for each FUSED_APPS entry,
-                        time execute+analyze end-to-end under the
-                        in-RAM batch path and the fused in-flight
-                        path, and record per-app ``vs_inram`` speedups
-                        in a ``fused`` section of the results file. With
-                        --floor R, exit nonzero if any app's fused
-                        ``vs_inram`` speedup falls below R (the fused
-                        CI perf gate)
     --rss               measure analysis peak RSS instead of speed:
                         each configuration runs in a forked child and
                         reports its instrumentation-attributable
@@ -71,13 +62,6 @@ from typing import Dict, List, Optional, Sequence
 # All pipeline imports happen here, in the parent, so --rss fork
 # children inherit them copy-on-write and a child's ru_maxrss delta
 # measures the run, not the import of numpy.
-from repro.analysis import (
-    ReuseDistanceModel,
-    arithmetic_analysis,
-    branch_divergence_analysis,
-    memory_divergence_analysis,
-    reuse_distance_analysis,
-)
 from repro.analysis.aggregates import advisor_plan
 from repro.apps import APP_NAMES, build_app
 from repro.frontend.dsl import compile_kernels
@@ -148,22 +132,10 @@ RSS_APPS: Dict[str, dict] = {
     },
 }
 
-#: --fused comparison inputs: large enough that analysis dominates the
-#: run (the regime the fused path exists for), small enough for CI.
-#: Every app here must clear the CI --floor (1.5x vs the in-RAM batch
-#: path). Simulation-dominated apps gain less and are deliberately not
-#: gated: hotspot measures ~1.4x at any input scale because its wall
-#: time is the interpreter, not the analyzers.
-FUSED_APPS: Dict[str, dict] = {
-    "syrk": {"n": 40, "m": 40},
-    "syr2k": {"n": 32, "m": 32},
-    "bfs": {"num_nodes": 8192},
-}
-
-#: Cache-line size handed to the analyzers in --rss / --fused runs.
+#: Cache-line size handed to the analyzers in --rss runs.
 RSS_LINE_SIZE = 128
 
-#: Fused flush size (rows) for --rss / --fused runs: big enough that
+#: Fused flush size (rows) for --rss runs: big enough that
 #: per-flush overhead is not the bottleneck, small enough that
 #: O(segment) is visibly smaller than the full trace. A fused session
 #: takes its flush granularity from the spill config's segment size and
@@ -303,7 +275,7 @@ def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
     """Peak-RSS delta (KB) of one configuration, run in a forked child.
 
     ``mode`` is ``plain`` (uninstrumented), ``inram`` (instrumented,
-    batch analyses over the materialized trace) or ``fused``
+    the trace materialized, then analyzed) or ``fused``
     (instrumented, rows analyzed in flight by an :func:`advisor_plan`
     analyzer bank). The child records its
     ``ru_maxrss`` before and after the run; since maxrss is a
@@ -355,7 +327,7 @@ def run_rss_suite(repeat: int = 1) -> dict:
 
     For each :data:`RSS_APPS` entry this measures, best-of-``repeat``:
 
-    - ``attr_inram_small_kb``: in-RAM trace + batch analyses at the
+    - ``attr_inram_small_kb``: in-RAM trace + its analyses at the
       *current* (registry-default) input, minus an uninstrumented run
       at the same input,
     - ``attr_fused_scaled_kb``: fused in-flight analysis at the >=4x
@@ -422,94 +394,12 @@ def _analysis_session(mode: str) -> ProfilingSession:
 
 
 def _analyze(session: ProfilingSession, mode: str) -> None:
-    """Run every analysis of ``session`` (batch or from the aggregates)."""
+    """Run every advisor analysis of ``session``: finalize the in-flight
+    banks, or feed each kept trace through a fresh bank first."""
+    plan = advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES)
     for profile in session.profiles:
-        if mode == "fused":
-            profile.aggregates.results()
-            continue
-        reuse_distance_analysis(
-            profile, ReuseDistanceModel.ELEMENT, RSS_LINE_SIZE
-        )
-        reuse_distance_analysis(
-            profile, ReuseDistanceModel.CACHE_LINE, RSS_LINE_SIZE
-        )
-        memory_divergence_analysis(profile, RSS_LINE_SIZE)
-        branch_divergence_analysis(profile)
-        arithmetic_analysis(profile)
-
-
-def _analysis_run(app_name: str, app_kwargs: dict, mode: str) -> float:
-    """Wall seconds for one execute+analyze run under ``mode``.
-
-    ``inram`` materializes the trace in RAM and runs the batch
-    analyses over it afterwards (the classic pipeline); ``fused`` feeds
-    an :func:`advisor_plan` bank in flight, so no trace is ever
-    materialized or spilled. Both produce byte-identical analyzer
-    results; only where the work happens -- and therefore the wall
-    time -- differs, which is exactly what this measures: the timed
-    region covers the app run *and* the analyses.
-    """
-    app = build_app(app_name, **app_kwargs)
-    module = compile_kernels(list(app.kernels), app_name)
-    optimization_pipeline().run(module)
-    instrumentation_pipeline(INSTRUMENT_MODES).run(module)
-    session = _analysis_session(mode)
-    device = Device(KEPLER_K40C)
-    rt = CudaRuntime(device, profiler=session)
-    image = device.load_module(module)
-    state = app.prepare(rt)
-
-    start = time.perf_counter()
-    app.run(rt, image, state)
-    _analyze(session, mode)
-    return time.perf_counter() - start
-
-
-def run_fused_suite(repeat: int = 1) -> dict:
-    """Execute+analyze wall time: in-RAM batch vs fused in-flight.
-
-    Per :data:`FUSED_APPS` entry, the trimmed-mean-of-``repeat`` wall
-    time of each pipeline shape plus the ``vs_inram`` speedup ratio of
-    the fused path. The results are comparable because both paths
-    compute byte-identical analyzer output.
-    """
-    per_app: Dict[str, dict] = {}
-    for name, kwargs in FUSED_APPS.items():
-        times: Dict[str, float] = {}
-        for mode in ("inram", "fused"):
-            samples = [
-                _analysis_run(name, kwargs, mode)
-                for _ in range(max(1, repeat))
-            ]
-            times[mode] = _trimmed(samples)
-        per_app[name] = {
-            "kwargs": kwargs,
-            "inram_s": round(times["inram"], 4),
-            "fused_s": round(times["fused"], 4),
-            "vs_inram": round(times["inram"] / times["fused"], 3)
-            if times["fused"] else None,
-        }
-        print(
-            f"{name:>10}: in-RAM {times['inram']:7.3f}s   "
-            f"fused {times['fused']:7.3f}s   "
-            f"{per_app[name]['vs_inram']:.2f}x vs in-RAM"
-        )
-    total = {
-        mode: sum(app[f"{mode}_s"] for app in per_app.values())
-        for mode in ("inram", "fused")
-    }
-    aggregate = {
-        "inram_s": round(total["inram"], 4),
-        "fused_s": round(total["fused"], 4),
-        "vs_inram": round(total["inram"] / total["fused"], 3)
-        if total["fused"] else None,
-    }
-    print(
-        f"{'TOTAL':>10}: in-RAM {total['inram']:7.3f}s   "
-        f"fused {total['fused']:7.3f}s   "
-        f"{aggregate['vs_inram']:.2f}x vs in-RAM"
-    )
-    return {"apps": per_app, "aggregate": aggregate}
+        bank = profile.aggregates if mode == "fused" else plan.analyze(profile)
+        bank.results()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -532,66 +422,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="fail (exit 1) if any app's instrumented "
                         "vs_interpreter speedup drops below this ratio "
                         "(needs a non-interpreter --backend and a prior "
-                        "interpreter run of the same suite); with "
-                        "--fused, gates each app's fused vs_inram "
-                        "speedup instead")
-    parser.add_argument("--fused", action="store_true",
-                        help="measure execute+analyze wall time on the "
-                        "FUSED_APPS inputs: in-RAM batch vs fused "
-                        "in-flight analysis; records a 'fused' section "
-                        "in the results file")
+                        "interpreter run of the same suite)")
     parser.add_argument("--rss", action="store_true",
                         help="measure attributable analysis peak RSS on "
                         "the paper-scale RSS_APPS inputs instead of "
                         "speed; exit 1 if fused analysis breaches its "
                         "ceiling or the in-RAM path's small-input RSS")
     args = parser.parse_args(argv)
-    if (args.floor is not None and args.backend == "interpreter"
-            and not args.fused):
-        parser.error("--floor needs a non-interpreter --backend or --fused")
-    if args.rss and (args.floor is not None or args.update_baseline
-                     or args.fused):
-        parser.error("--rss is standalone; drop "
-                     "--floor/--update-baseline/--fused")
-    if args.fused and args.update_baseline:
-        parser.error("--fused is standalone; drop --update-baseline")
-
-    if args.fused:
-        fused = run_fused_suite(repeat=args.repeat)
-        fused["config"] = {
-            "flush_rows": RSS_FLUSH_ROWS,
-            "line_size": RSS_LINE_SIZE,
-            "modes": INSTRUMENT_MODES,
-            "repeat": args.repeat,
-            "python": sys.version.split()[0],
-        }
-        existing_fused: dict = {}
-        if os.path.exists(RESULT_FILE):
-            with open(RESULT_FILE) as f:
-                existing_fused = json.load(f)
-        existing_fused["fused"] = fused
-        os.makedirs(RESULTS_DIR, exist_ok=True)
-        with open(RESULT_FILE, "w") as f:
-            json.dump(existing_fused, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"wrote {RESULT_FILE}")
-        if args.floor is not None:
-            slow = {
-                name: app["vs_inram"]
-                for name, app in fused["apps"].items()
-                if app["vs_inram"] is not None
-                and app["vs_inram"] < args.floor
-            }
-            if slow:
-                print(f"--floor {args.floor}: fused apps below the "
-                      f"per-app vs_inram floor: " + ", ".join(
-                          f"{name} ({ratio:.3f}x)"
-                          for name, ratio in sorted(slow.items())
-                      ), file=sys.stderr)
-                return 1
-            print(f"--floor {args.floor}: every app's fused path at or "
-                  f"above the floor vs the in-RAM batch path")
-        return 0
+    if args.floor is not None and args.backend == "interpreter":
+        parser.error("--floor needs a non-interpreter --backend")
+    if args.rss and (args.floor is not None or args.update_baseline):
+        parser.error("--rss is standalone; drop --floor/--update-baseline")
 
     if args.rss:
         rss = run_rss_suite(repeat=args.repeat)

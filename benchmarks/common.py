@@ -67,11 +67,17 @@ def profiled_report(
     modes: Sequence[str] = ("memory", "blocks"),
     measure_overhead: bool = False,
 ) -> AdvisorReport:
-    """Profile one Table 2 app (cached per configuration)."""
+    """Profile one Table 2 app (cached per configuration).
+
+    The raw records are kept (``fused_drain=False``): the figure scripts
+    re-analyze them with other parameters (line sizes, write-restart,
+    per-site views) and walk them for the debugging views.
+    """
     key = (app_name, arch.name, arch.l1_size, tuple(modes), measure_overhead)
     if key not in _REPORT_CACHE:
         advisor = CUDAAdvisor(
-            arch=arch, modes=modes, measure_overhead=measure_overhead
+            arch=arch, modes=modes, measure_overhead=measure_overhead,
+            fused_drain=False,
         )
         _REPORT_CACHE[key] = advisor.profile(build_app(app_name))
     return _REPORT_CACHE[key]

@@ -19,8 +19,9 @@ from repro.profiler.codecentric import format_code_centric_view
 
 
 def main():
+    # fused_drain=False keeps the raw records the views below walk
     advisor = CUDAAdvisor(arch=KEPLER_K40C, modes=("memory", "blocks"),
-                          measure_overhead=False)
+                          measure_overhead=False, fused_drain=False)
     report = advisor.profile(build_app("bfs", num_nodes=1024))
     session = report.session
 

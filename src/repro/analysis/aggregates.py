@@ -1,23 +1,30 @@
-"""Streaming per-segment analyzer aggregates (fused in-flight analysis).
+"""Streaming per-segment analyzer aggregates: the one analysis implementation.
 
 The paper's analyzers are *online* consumers: reuse distance,
 divergence and cache behaviour are computed incrementally as
 instrumentation callbacks fire, never holding a full trace. This module
-restores that property for the columnar pipeline: each analysis becomes
+restores that property for the columnar pipeline: each analysis is
 a :class:`SegmentAggregate` with an ``update(segment_columns)`` /
 ``merge(other)`` / ``finalize()`` contract, and the fused sink
 (:mod:`repro.profiler.streamdrain`) pushes each flushed buffer segment
 through an :class:`AnalyzerBank` of them while the kernel runs -- peak
-trace memory is O(segment), not O(trace).
+trace memory is O(segment), not O(trace). A profile that kept its raw
+records (``CUDAAdvisor(fused_drain=False)``) is analyzed by feeding
+those records through the same aggregates once
+(:meth:`AnalyzerPlan.analyze`, :func:`analyze_records`); every public
+profile-level analysis function does exactly that.
 
-Results are **byte-identical** to running the batch analyzers over a
-fully materialized trace (pinned by ``tests/test_fused_drain.py``):
+Results do not depend on segmentation: any split of the trace into
+segments, and any merge of disjoint shards, gives the same bytes as one
+segment holding the whole trace (pinned against the per-record
+reference analyses of ``tests/analysis_oracle.py`` by
+``tests/test_fused_drain.py``):
 
 * Per-CTA analyses (reuse distance, stack distance, site reuse) carry
   per-CTA cursor state across segment boundaries -- a CTA's events
   appear in trace order within every segment, so concatenating its
-  per-segment slices reproduces the exact per-CTA stream the batch
-  path regroups. The reuse cursor answers a whole segment at once with
+  per-segment slices reproduces the exact per-CTA stream the paper
+  regroups. The reuse cursor answers a whole segment at once with
   an offline dominance count (:func:`_prefix_rank_gt`) instead of a
   per-event Fenwick walk, carrying only each distinct element's last
   global position -- O(distinct elements) state, no per-event Python
@@ -27,7 +34,8 @@ fully materialized trace (pinned by ``tests/test_fused_drain.py``):
   accumulation order cannot change them.
 * Dict-ordered results (per-site tables) record a canonical
   first-encounter key per site and sort at ``finalize()``, reproducing
-  the batch insertion order exactly -- including across shard merges.
+  whole-trace first-encounter order exactly -- including across shard
+  merges.
 
 ``merge()`` combines aggregates computed over *disjoint CTA/row
 partitions* (fork-parallel shards): shard partials merge
@@ -376,7 +384,8 @@ class SegmentAggregate:
     segments accordingly. ``update`` sees each kept segment exactly
     once, in trace order; ``merge`` combines a peer computed over a
     disjoint CTA partition (fork-parallel shards, in shard order);
-    ``finalize`` returns the batch-identical analysis result.
+    ``finalize`` returns the analysis result, the same however the
+    trace was segmented.
     """
 
     stream = "memory"
@@ -436,8 +445,8 @@ class ReuseDistanceAggregate(SegmentAggregate):
 class SiteReuseAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.reuse_distance.site_reuse_analysis`.
 
-    The batch result is a dict in first-encounter order: CTAs ascending,
-    then first read position within the first CTA that reads the site.
+    The result is a dict in first-encounter order: CTAs ascending, then
+    first read position within the first CTA that reads the site.
     Each site records its minimal ``(cta, read_position)`` key and
     ``finalize`` sorts by it, reproducing that order exactly.
     """
@@ -514,11 +523,11 @@ class SiteReuseAggregate(SegmentAggregate):
 class StackDistanceAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.cache_model.profile_stack_distances`.
 
-    The batch path returns the raw sample list; out of core that would
-    defeat the point, so this aggregate folds the samples into a
-    :class:`~repro.analysis.cache_model.StackDistanceSummary` -- an
-    exact distance->count table that reproduces the same
-    :class:`~repro.analysis.cache_model.HitRateCurve` float-for-float.
+    Rather than the raw sample list, this aggregate folds the samples
+    into a :class:`~repro.analysis.cache_model.StackDistanceSummary` --
+    an exact distance->count table whose ``curve()`` equals
+    :func:`~repro.analysis.cache_model.hit_rate_curve` over the raw
+    samples float-for-float.
     """
 
     stream = "memory"
@@ -704,10 +713,7 @@ class ArithmeticAggregate(SegmentAggregate):
             by_line[line] += n
 
     def merge(self, other: "ArithmeticAggregate") -> None:
-        self.profile.lane_flops += other.profile.lane_flops
-        self.profile.lane_intops += other.profile.lane_intops
-        self.profile.by_opcode.update(other.profile.by_opcode)
-        self.profile.by_line.update(other.profile.by_line)
+        self.profile.merge(other.profile)
 
     def finalize(self) -> ArithmeticProfile:
         return self.profile
@@ -803,6 +809,33 @@ class AnalyzerPlan:
         return AnalyzerBank(
             {name: make() for name, make in self.factories.items()}
         )
+
+    def analyze(self, profile) -> AnalyzerBank:
+        """A fresh bank fed once with one profile's kept records, sealed.
+
+        Each stream's records go in as a single segment, so the results
+        equal those of fused analysis over the same launch.
+        """
+        bank = self.create_bank()
+        streams = {agg.stream for agg in bank.aggregates.values()}
+        for stream, update in (
+            ("memory", bank.update_memory),
+            ("block", bank.update_block),
+            ("arith", bank.update_arith),
+        ):
+            if stream in streams:
+                records = getattr(profile, f"{stream}_records")
+                if len(records):
+                    update(records)
+        bank.seal()
+        return bank
+
+
+def analyze_records(profile, aggregate: SegmentAggregate):
+    """Feed one profile's kept records through ``aggregate``; its result."""
+    return AnalyzerPlan({"result": lambda: aggregate}).analyze(
+        profile
+    ).result("result")
 
 
 def advisor_plan(

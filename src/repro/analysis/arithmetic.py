@@ -33,6 +33,12 @@ class ArithmeticProfile:
         total = self.lane_operations
         return self.lane_flops / total if total else 0.0
 
+    def merge(self, other: "ArithmeticProfile") -> None:
+        self.lane_flops += other.lane_flops
+        self.lane_intops += other.lane_intops
+        self.by_opcode.update(other.by_opcode)
+        self.by_line.update(other.by_line)
+
     def arithmetic_intensity(self, bytes_accessed: int) -> float:
         """Lane operations per byte of instrumented global traffic."""
         if bytes_accessed <= 0:
@@ -42,16 +48,9 @@ class ArithmeticProfile:
 
 def arithmetic_analysis(profile) -> ArithmeticProfile:
     """Run over one :class:`KernelProfile` (requires "arith" mode)."""
-    result = ArithmeticProfile()
-    for record in profile.arith_records:
-        lanes = record.active_lanes
-        if record.is_float:
-            result.lane_flops += lanes
-        else:
-            result.lane_intops += lanes
-        result.by_opcode[record.opcode] += lanes
-        result.by_line[record.line] += lanes
-    return result
+    from repro.analysis.aggregates import ArithmeticAggregate, analyze_records
+
+    return analyze_records(profile, ArithmeticAggregate())
 
 
 def bytes_accessed(profile) -> int:

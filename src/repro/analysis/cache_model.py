@@ -30,14 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.reuse_distance import (
-    _Fenwick,
-    _column_event_streams,
-    INFINITE,
-    ReuseDistanceModel,
-)
-from repro.profiler.buffers import MemoryColumns
-from repro.profiler.records import MemoryAccessRecord, MemoryOp
+from repro.analysis.reuse_distance import _Fenwick, INFINITE
 
 
 def stack_distances(events: Sequence[Tuple[int, bool]]) -> List[int]:
@@ -120,21 +113,26 @@ class HitRateCurve:
 class StackDistanceSummary:
     """Exact stack-distance histogram: distance -> number of reads.
 
-    Fused analysis' compact replacement for the raw sample list
-    (:class:`~repro.analysis.aggregates.StackDistanceAggregate` emits
-    one): it holds every finite distance with its multiplicity plus the
-    ∞ count, which is all :func:`hit_rate_curve` ever consumes -- so
-    the derived curve is float-for-float identical to the in-RAM path,
-    at O(distinct distances) memory instead of O(reads).
+    What :class:`~repro.analysis.aggregates.StackDistanceAggregate`
+    emits instead of the raw sample list: every finite distance with
+    its multiplicity plus the ∞ count, which is all a hit-rate curve
+    consumes -- :meth:`curve` is float-for-float identical to
+    :func:`hit_rate_curve` over the raw samples, at O(distinct
+    distances) memory instead of O(reads).
     """
 
-    counts: Counter  # finite stack distance -> read count
+    #: finite stack distance -> number of reads
+    counts: Counter = field(default_factory=Counter)
     infinite: int = 0
     line_size: int = 128
 
     @property
     def reads(self) -> int:
         return self.infinite + sum(self.counts.values())
+
+    def merge(self, other: "StackDistanceSummary") -> None:
+        self.counts.update(other.counts)
+        self.infinite += other.infinite
 
     def curve(self, capacities: Sequence[int],
               line_size: Optional[int] = None) -> HitRateCurve:
@@ -163,13 +161,11 @@ def hit_rate_curve(
     capacities: Sequence[int],
     line_size: int = 128,
 ) -> HitRateCurve:
-    """Evaluate every candidate capacity from precomputed distances.
+    """Evaluate every candidate capacity from raw distance samples.
 
-    Accepts either an iterable of raw distance samples or a
-    :class:`StackDistanceSummary` (fused analysis' histogram).
+    (:meth:`StackDistanceSummary.curve` is the same mapping over the
+    histogram :func:`profile_stack_distances` returns.)
     """
-    if isinstance(distance_samples, StackDistanceSummary):
-        return distance_samples.curve(capacities, line_size)
     capacities = sorted(capacities)
     counts = [0] * len(capacities)
     reads = 0
@@ -192,26 +188,15 @@ def hit_rate_curve(
 
 def profile_stack_distances(
     profile, line_size: int = 128
-) -> List[int]:
-    """Per-CTA line-granular stack distances for one kernel profile."""
-    samples: List[int] = []
-    records = profile.memory_records
-    if isinstance(records, MemoryColumns):
-        for lines, writes in _column_event_streams(
-            records, ReuseDistanceModel.CACHE_LINE, line_size
-        ):
-            samples.extend(
-                stack_distances(list(zip(lines.tolist(), writes.tolist())))
-            )
-        return samples
-    for cta, cta_records in sorted(profile.memory_records_by_cta().items()):
-        events: List[Tuple[int, bool]] = []
-        for record in cta_records:
-            is_write = record.op in (MemoryOp.STORE, MemoryOp.ATOMIC)
-            for addr in record.active_addresses():
-                events.append((int(addr) // line_size, is_write))
-        samples.extend(stack_distances(events))
-    return samples
+) -> StackDistanceSummary:
+    """Per-CTA line-granular stack distances for one kernel profile,
+    as an exact distance -> read-count histogram."""
+    from repro.analysis.aggregates import (
+        StackDistanceAggregate,
+        analyze_records,
+    )
+
+    return analyze_records(profile, StackDistanceAggregate(line_size))
 
 
 @dataclass
@@ -240,8 +225,7 @@ def recommend_l1_size(
     """The architect's question: how much L1 does this kernel want?"""
     if capacities is None:
         capacities = [2 ** k for k in range(4, 13)]  # 16 .. 4096 lines
-    distances = profile_stack_distances(profile, line_size)
-    curve = hit_rate_curve(distances, capacities, line_size)
+    curve = profile_stack_distances(profile, line_size).curve(capacities)
     target = curve.max_rate - tolerance
     chosen = curve.capacities[-1]
     achieved = curve.max_rate

@@ -74,7 +74,9 @@ class BranchDivergenceProfile:
 
 def branch_divergence_analysis(profile) -> BranchDivergenceProfile:
     """Run over one :class:`KernelProfile` (requires "blocks" mode)."""
-    result = BranchDivergenceProfile()
-    for record in profile.block_records:
-        result.add(record)
-    return result
+    from repro.analysis.aggregates import (
+        BranchDivergenceAggregate,
+        analyze_records,
+    )
+
+    return analyze_records(profile, BranchDivergenceAggregate())

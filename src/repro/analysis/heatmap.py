@@ -349,37 +349,14 @@ class MemoryHeatmap:
         return sum(row.accesses for row in self.rows)
 
 
-def _columns_from_records(records) -> MemoryColumns:
-    """Materialize columns from a plain record list (hand-built tests)."""
-    n = len(records)
-    warp = len(records[0].mask) if n else 1
-    cols = MemoryColumns(
-        np.array([r.seq for r in records], dtype=np.int64),
-        np.array([r.cta for r in records], dtype=np.int32),
-        np.array([r.warp_in_cta for r in records], dtype=np.int32),
-        np.array([r.bits for r in records], dtype=np.int32),
-        np.array([r.line for r in records], dtype=np.int32),
-        np.array([r.col for r in records], dtype=np.int32),
-        np.array([int(r.op) for r in records], dtype=np.int8),
-        np.array([r.call_path_id for r in records], dtype=np.int64),
-        np.array([r.addresses for r in records], dtype=np.int64).reshape(n, warp),
-        np.array([r.mask for r in records], dtype=bool).reshape(n, warp),
-    )
-    return cols
-
-
 def heatmap_analysis(profile, cell_rows: int = DEFAULT_CELL_ROWS,
                      granule_bytes: int = DEFAULT_GRANULE) -> HeatmapTable:
-    """Batch heat map of one :class:`KernelProfile` (in-RAM drain).
+    """Heat map of one :class:`KernelProfile`'s kept records.
 
-    Feeds the whole materialized trace through one
-    :class:`HeatmapAggregate` as a single segment, so the result is
-    definitionally identical to fused in-flight analysis'.
+    Feeds the trace through one :class:`HeatmapAggregate` as a single
+    segment, so the result is definitionally identical to fused
+    in-flight analysis'.
     """
-    records = profile.memory_records
-    if not isinstance(records, MemoryColumns):
-        records = _columns_from_records(list(records))
-    aggregate = HeatmapAggregate(cell_rows, granule_bytes)
-    if len(records):
-        aggregate.update(records)
-    return aggregate.finalize()
+    from repro.analysis.aggregates import analyze_records
+
+    return analyze_records(profile, HeatmapAggregate(cell_rows, granule_bytes))

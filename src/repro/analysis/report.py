@@ -180,10 +180,10 @@ def render_stream_stats(app: str, profiles: Sequence) -> str:
     One row per kernel instance analyzed in flight: flush windows
     streamed, the peak number of trace rows resident at any flush (the
     O(segment) guarantee, vs total kept rows), and the rows dropped
-    (capacity or sampling clip). Without any fused launch (the library
-    default in-RAM path, or a launch degraded to raw records) the
-    section renders an explicit placeholder so verbose output always
-    shows it.
+    (capacity or sampling clip). Without any fused launch
+    (``CUDAAdvisor(fused_drain=False)``, or every launch degraded to
+    raw records) the section renders an explicit placeholder so verbose
+    output always shows it.
     """
     if not any(p.stream_stats is not None for p in profiles):
         return (

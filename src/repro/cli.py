@@ -287,7 +287,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         backend=args.backend,
         parallel_workers=args.workers,
         failure_policy=args.failure_policy,
-        fused_drain=True,
         heatmap=heatmap,
         **kwargs,
     )

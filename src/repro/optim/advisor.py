@@ -17,27 +17,27 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.analysis.aggregates import advisor_plan
-from repro.analysis.arithmetic import ArithmeticProfile, arithmetic_analysis
-from repro.analysis.divergence_branch import (
-    BranchDivergenceProfile,
-    branch_divergence_analysis,
-)
-from repro.analysis.divergence_memory import (
-    MemoryDivergenceProfile,
-    memory_divergence_analysis,
-)
+from repro.analysis.arithmetic import ArithmeticProfile
+from repro.analysis.divergence_branch import BranchDivergenceProfile
+from repro.analysis.divergence_memory import MemoryDivergenceProfile
 from repro.analysis.heatmap import (
     DEFAULT_CELL_ROWS,
     HeatmapTable,
     MemoryHeatmap,
-    heatmap_analysis,
 )
 from repro.analysis.overhead import OverheadReport, overhead_report
 from repro.analysis.reuse_distance import (
     ReuseDistanceHistogram,
     ReuseDistanceModel,
+)
+# benchmarks/e2e/spans.py times these five by their names in this module.
+from repro.analysis import (  # noqa: F401
+    arithmetic_analysis,
+    branch_divergence_analysis,
+    memory_divergence_analysis,
     reuse_distance_analysis,
 )
+from repro.analysis.heatmap import heatmap_analysis  # noqa: F401
 from repro.frontend.dsl import KernelSource, compile_kernels
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40C
 from repro.gpu.device import Device, LaunchResult
@@ -296,9 +296,7 @@ class CUDAAdvisor:
         backend: Optional[str] = None,
         parallel_workers: Optional[int] = None,
         failure_policy: Optional[str] = None,
-        spill_dir: Optional[str] = None,
-        spill_rows: int = 65536,
-        fused_drain: bool = False,
+        fused_drain: bool = True,
         heatmap: bool = False,
         heatmap_cell_rows: int = DEFAULT_CELL_ROWS,
     ):
@@ -313,15 +311,14 @@ class CUDAAdvisor:
         self.backend = backend
         self.parallel_workers = parallel_workers
         self.failure_policy = failure_policy
-        self.spill_dir = spill_dir
-        self.spill_rows = spill_rows
         #: analyze rows *in flight*: buffered rows flush into the
         #: analyzer bank at segment granularity during execution, so
-        #: the trace is never spilled, re-read or drained. Results stay
-        #: byte-identical to the default in-RAM batch analyzers; raw
-        #: records are not retained, so leave this off when post-hoc
-        #: record inspection is needed. Launches that need raw records
-        #: (pc sampling) degrade per launch with a
+        #: the trace is never materialized. ``fused_drain=False`` keeps
+        #: the raw records on every profile instead (for re-analysis
+        #: with other parameters, record inspection and pc sampling)
+        #: and feeds them through the same aggregates once the run
+        #: ends; the results are byte-identical. Launches that need raw
+        #: records (pc sampling) degrade per launch with a
         #: ``fused-records-unavailable`` warning.
         self.fused_drain = fused_drain
         #: build the per-allocation x time heat map (needs "memory" mode);
@@ -352,7 +349,7 @@ class CUDAAdvisor:
         return CudaRuntime(device, profiler=profiler)
 
     def _plan(self):
-        """The analyzer plan fused analysis streams rows through."""
+        """The analyzer plan every profile's rows stream through."""
         return advisor_plan(
             self.arch.l1_line_size,
             self.modes,
@@ -381,8 +378,6 @@ class CUDAAdvisor:
         session = ProfilingSession(
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,
-            spill_dir=self.spill_dir,
-            spill_rows=self.spill_rows,
             fused=self._plan() if self.fused_drain else None,
         )
         rt = self._fresh_runtime(profiler=session)
@@ -411,40 +406,34 @@ class CUDAAdvisor:
 
     def _analyze(self, report: AdvisorReport, program: GPUProgram) -> None:
         session = report.session
-        if "memory" in self.modes and session.profiles:
-            report.reuse_element = self._merged_reuse(
-                session, ReuseDistanceModel.ELEMENT
-            )
-            report.reuse_cache_line = self._merged_reuse(
-                session, ReuseDistanceModel.CACHE_LINE
-            )
-            merged_md = MemoryDivergenceProfile(line_size=self.arch.l1_line_size)
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    merged_md.merge(
-                        profile.aggregates.result("memory_divergence")
-                    )
-                else:
-                    merged_md.merge(
-                        memory_divergence_analysis(
-                            profile, self.arch.l1_line_size
-                        )
-                    )
-            report.memory_divergence = merged_md
+        plan = self._plan()
+        banks = [
+            plan.analyze(p) if p.aggregates is None else p.aggregates
+            for p in session.profiles
+        ]
 
+        def merged(into, name: str):
+            for bank in banks:
+                into.merge(bank.result(name))
+            return into
+
+        if "memory" in self.modes and banks:
+            report.reuse_element = merged(
+                ReuseDistanceHistogram(model=ReuseDistanceModel.ELEMENT),
+                "reuse_element",
+            )
+            report.reuse_cache_line = merged(
+                ReuseDistanceHistogram(model=ReuseDistanceModel.CACHE_LINE),
+                "reuse_cache_line",
+            )
+            report.memory_divergence = merged(
+                MemoryDivergenceProfile(line_size=self.arch.l1_line_size),
+                "memory_divergence",
+            )
             if self.heatmap:
-                merged_hm = HeatmapTable(cell_rows=self.heatmap_cell_rows)
-                for profile in session.profiles:
-                    if profile.aggregates is not None:
-                        merged_hm.merge(profile.aggregates.result("heatmap"))
-                    else:
-                        merged_hm.merge(
-                            heatmap_analysis(
-                                profile, cell_rows=self.heatmap_cell_rows
-                            )
-                        )
-                report.heatmap = merged_hm
-
+                report.heatmap = merged(
+                    HeatmapTable(cell_rows=self.heatmap_cell_rows), "heatmap"
+                )
             num_ctas = max(p.num_ctas for p in session.profiles)
             report.bypass_prediction = predict_optimal_warps(
                 self.arch,
@@ -453,28 +442,12 @@ class CUDAAdvisor:
                 num_ctas=num_ctas,
                 warps_per_cta=program.warps_per_cta,
             )
-        if "blocks" in self.modes and session.profiles:
-            merged_bd = BranchDivergenceProfile()
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    merged_bd.merge(
-                        profile.aggregates.result("branch_divergence")
-                    )
-                else:
-                    merged_bd.merge(branch_divergence_analysis(profile))
-            report.branch_divergence = merged_bd
-        if "arith" in self.modes and session.profiles:
-            merged = ArithmeticProfile()
-            for profile in session.profiles:
-                if profile.aggregates is not None:
-                    one = profile.aggregates.result("arithmetic")
-                else:
-                    one = arithmetic_analysis(profile)
-                merged.lane_flops += one.lane_flops
-                merged.lane_intops += one.lane_intops
-                merged.by_opcode.update(one.by_opcode)
-                merged.by_line.update(one.by_line)
-            report.arithmetic = merged
+        if "blocks" in self.modes and banks:
+            report.branch_divergence = merged(
+                BranchDivergenceProfile(), "branch_divergence"
+            )
+        if "arith" in self.modes and banks:
+            report.arithmetic = merged(ArithmeticProfile(), "arithmetic")
         if self.measure_overhead and report.baseline_results:
             report.overhead = overhead_report(
                 report.program,
@@ -483,26 +456,6 @@ class CUDAAdvisor:
                 report.baseline_results,
                 report.instrumented_results,
             )
-
-    def _merged_reuse(
-        self, session: ProfilingSession, model: ReuseDistanceModel
-    ) -> ReuseDistanceHistogram:
-        merged = ReuseDistanceHistogram(model=model)
-        name = (
-            "reuse_element"
-            if model is ReuseDistanceModel.ELEMENT
-            else "reuse_cache_line"
-        )
-        for profile in session.profiles:
-            if profile.aggregates is not None:
-                merged.merge(profile.aggregates.result(name))
-            else:
-                merged.merge(
-                    reuse_distance_analysis(
-                        profile, model=model, line_size=self.arch.l1_line_size
-                    )
-                )
-        return merged
 
     # -- the Figure 6/7 experiment ------------------------------------------------------
     def evaluate_bypass(

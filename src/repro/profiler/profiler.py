@@ -46,9 +46,9 @@ class KernelProfile:
     block: Tuple[int, int, int]
     num_ctas: int
     warps_per_cta: int
-    #: Sequence of records; the fast path stores MemoryColumns /
-    #: BlockColumns / ArithColumns (lazy record views over numpy
-    #: columns), hand-built profiles may use plain lists.
+    #: Kept records are MemoryColumns / BlockColumns / ArithColumns
+    #: (lazy record views over numpy columns), the form the analyzers
+    #: consume; a fused profile holds StreamedRecords placeholders.
     memory_records: Sequence[MemoryAccessRecord]
     block_records: Sequence[BlockRecord]
     arith_records: Sequence[ArithRecord]

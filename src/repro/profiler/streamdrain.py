@@ -10,7 +10,7 @@ the whole launch. The resulting profile carries the bank as
 records.
 
 Two cross-flush concerns are handled here so results stay
-byte-identical to the in-RAM batch analyzers:
+byte-identical to analyzing the fully materialized trace:
 
 * **Stride sampling** (``sample_rate > 1``) ranks memory and arith
   events jointly by sequence number. All three buffers share one
@@ -46,7 +46,8 @@ class StreamedRecords:
     The kept-row count survives (``len()`` keeps buffer accounting,
     statistics and benchmarks working); the records themselves were
     streamed through the analyzer bank and never materialized, so
-    element access raises with a pointer at ``profile.aggregates``.
+    element and column access raise with a pointer at
+    ``profile.aggregates``.
     """
 
     __slots__ = ("kind", "rows")
@@ -62,11 +63,17 @@ class StreamedRecords:
         raise ProfilerError(
             f"the {self.kind} trace was analyzed in flight and is not "
             f"materialized; read results from profile.aggregates, or "
-            f"profile without fused analysis (the default in-RAM path) "
-            f"to keep raw records"
+            f"profile with CUDAAdvisor(fused_drain=False) to keep raw "
+            f"records"
         )
 
     def __getitem__(self, i):
+        self._gone()
+
+    def __getattr__(self, name):
+        # column access (``records.cta`` ...) by an analysis of this profile
+        if name.startswith("_"):
+            raise AttributeError(name)
         self._gone()
 
     def __iter__(self):

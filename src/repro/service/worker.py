@@ -37,9 +37,8 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
 
     ``hints`` carries execution knobs that may change *how* the job
     runs but never its payload bytes (shard workers, failure policy).
-    Jobs always run **fused** (analysis in flight, no trace
-    round-trip): the export document is identical to the in-RAM
-    path's, and a job never needs raw records.
+    Jobs run with the advisor's default fused analysis (in flight, no
+    trace round-trip): a job never needs raw records.
     """
     hints = hints or {}
     if spec.arch not in SERVICE_ARCHES:
@@ -62,7 +61,6 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         backend=spec.backend,
         parallel_workers=hints.get("parallel_workers"),
         failure_policy=hints.get("failure_policy"),
-        fused_drain=True,
         **kwargs,
     )
     report = advisor.profile(build_app(spec.app, **dict(spec.app_kwargs)))

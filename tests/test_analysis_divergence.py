@@ -15,6 +15,7 @@ from repro.analysis.divergence_memory import (
     memory_divergence_analysis,
 )
 from repro.profiler.records import BlockRecord, MemoryAccessRecord, MemoryOp
+from tests.analysis_oracle import columns_profile
 
 
 def _mem_record(addrs, seq=0, bits=32, line=7, col=3):
@@ -36,26 +37,24 @@ def _block_record(active, resident=32, name="k:entry", seq=0):
     )
 
 
-class _FakeProfile:
-    def __init__(self, memory_records=(), block_records=()):
-        self.memory_records = list(memory_records)
-        self.block_records = list(block_records)
-
-
 class TestMemoryDivergence:
     def test_coalesced_counts_one_line(self):
-        profile = _FakeProfile([_mem_record([4096 + 4 * i for i in range(32)])])
+        profile = columns_profile(
+            [_mem_record([4096 + 4 * i for i in range(32)])]
+        )
         md = memory_divergence_analysis(profile, line_size=128)
         assert md.distribution == {1: 1.0}
         assert md.divergence_degree == 1.0
 
     def test_divergent_counts_32_lines(self):
-        profile = _FakeProfile([_mem_record([4096 + 128 * i for i in range(32)])])
+        profile = columns_profile(
+            [_mem_record([4096 + 128 * i for i in range(32)])]
+        )
         md = memory_divergence_analysis(profile, line_size=128)
         assert md.distribution == {32: 1.0}
 
     def test_degree_is_weighted_average(self):
-        profile = _FakeProfile([
+        profile = columns_profile([
             _mem_record([4096] * 32),
             _mem_record([4096 + 128 * i for i in range(32)]),
         ])
@@ -65,8 +64,8 @@ class TestMemoryDivergence:
     def test_same_trace_two_architectures(self):
         """One trace yields both Kepler and Pascal views (128B vs 32B)."""
         records = [_mem_record([4096 + 4 * i for i in range(32)])]
-        kepler = memory_divergence_analysis(_FakeProfile(records), 128)
-        pascal = memory_divergence_analysis(_FakeProfile(records), 32)
+        kepler = memory_divergence_analysis(columns_profile(records), 128)
+        pascal = memory_divergence_analysis(columns_profile(records), 32)
         assert kepler.distribution == {1: 1.0}
         assert pascal.distribution == {4: 1.0}
 
@@ -75,7 +74,7 @@ class TestMemoryDivergence:
             _mem_record([4096 + 128 * i for i in range(32)], line=33, col=9),
             _mem_record([4096] * 32, line=12, col=1),
         ]
-        sites = divergent_sites(_FakeProfile(records), line_size=128)
+        sites = divergent_sites(columns_profile(records), line_size=128)
         assert (33, 9) in sites
         assert (12, 1) not in sites
 
@@ -101,7 +100,7 @@ class TestMemoryDivergence:
 class TestBranchDivergence:
     def test_full_mask_not_divergent(self):
         bd = branch_divergence_analysis(
-            _FakeProfile(block_records=[_block_record(32)])
+            columns_profile(block=[_block_record(32)])
         )
         assert bd.total_blocks == 1
         assert bd.divergent_blocks == 0
@@ -109,7 +108,7 @@ class TestBranchDivergence:
 
     def test_partial_mask_divergent(self):
         bd = branch_divergence_analysis(
-            _FakeProfile(block_records=[_block_record(13)])
+            columns_profile(block=[_block_record(13)])
         )
         assert bd.divergent_blocks == 1
         assert bd.divergence_percent == 100.0
@@ -118,13 +117,13 @@ class TestBranchDivergence:
         """A 16-thread CTA's full warp has 16 resident lanes: executing
         all 16 is NOT divergence (nw's 1-warp CTAs rely on this)."""
         bd = branch_divergence_analysis(
-            _FakeProfile(block_records=[_block_record(16, resident=16)])
+            columns_profile(block=[_block_record(16, resident=16)])
         )
         assert bd.divergent_blocks == 0
 
     def test_table3_percentages(self):
         records = [_block_record(32)] * 3 + [_block_record(5)]
-        bd = branch_divergence_analysis(_FakeProfile(block_records=records))
+        bd = branch_divergence_analysis(columns_profile(block=records))
         assert bd.divergence_percent == pytest.approx(25.0)
 
     def test_worst_blocks_ranking(self):
@@ -133,7 +132,7 @@ class TestBranchDivergence:
             + [_block_record(7, name="k:mild")]
             + [_block_record(32, name="k:clean")] * 4
         )
-        bd = branch_divergence_analysis(_FakeProfile(block_records=records))
+        bd = branch_divergence_analysis(columns_profile(block=records))
         worst = bd.worst_blocks(2)
         assert worst[0][0] == "k:hot"
         assert worst[0][1].divergent == 3
@@ -141,10 +140,10 @@ class TestBranchDivergence:
 
     def test_merge(self):
         a = branch_divergence_analysis(
-            _FakeProfile(block_records=[_block_record(32, name="k:a")])
+            columns_profile(block=[_block_record(32, name="k:a")])
         )
         b = branch_divergence_analysis(
-            _FakeProfile(block_records=[_block_record(3, name="k:a")])
+            columns_profile(block=[_block_record(3, name="k:a")])
         )
         a.merge(b)
         assert a.total_blocks == 2

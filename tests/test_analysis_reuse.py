@@ -15,6 +15,7 @@ from repro.analysis.reuse_distance import (
     reuse_distances_of_trace,
 )
 from repro.profiler.records import MemoryAccessRecord, MemoryOp
+from tests.analysis_oracle import columns_profile
 
 
 def naive_reuse_distances(events, write_restart=True, reads_only=True):
@@ -149,17 +150,6 @@ def _record(seq, cta, addrs, op=MemoryOp.LOAD, bits=32):
     )
 
 
-class _FakeProfile:
-    def __init__(self, records):
-        self.memory_records = records
-
-    def memory_records_by_cta(self):
-        grouped = {}
-        for r in self.memory_records:
-            grouped.setdefault(r.cta, []).append(r)
-        return grouped
-
-
 class TestProfileLevelAnalysis:
     def test_per_cta_regrouping(self):
         """Accesses of different CTAs are independent streams: an address
@@ -169,7 +159,7 @@ class TestProfileLevelAnalysis:
             _record(1, cta=1, addrs=[4096]),
             _record(2, cta=0, addrs=[4096]),
         ]
-        hist = reuse_distance_analysis(_FakeProfile(records))
+        hist = reuse_distance_analysis(columns_profile(records))
         assert hist.infinite == 2 + 32 - 32  # one ∞ per CTA... see below
         # Explicitly: cta0 sees [a, a] -> [inf, 0]; cta1 sees [a] -> [inf].
         assert hist.bucket_counts[0] == 1  # the distance-0 reuse
@@ -183,10 +173,10 @@ class TestProfileLevelAnalysis:
             _record(1, cta=0, addrs=[4100]),
         ]
         element = reuse_distance_analysis(
-            _FakeProfile(records), model=ReuseDistanceModel.ELEMENT
+            columns_profile(records), model=ReuseDistanceModel.ELEMENT
         )
         line = reuse_distance_analysis(
-            _FakeProfile(records), model=ReuseDistanceModel.CACHE_LINE,
+            columns_profile(records), model=ReuseDistanceModel.CACHE_LINE,
             line_size=128,
         )
         assert element.infinite == 2
@@ -197,7 +187,7 @@ class TestProfileLevelAnalysis:
         # One warp access touching [a, b, a]: lanes serialize in lane
         # order, so the second a has distance 1 (b intervenes).
         records = [_record(0, cta=0, addrs=[4096, 8192, 4096])]
-        hist = reuse_distance_analysis(_FakeProfile(records))
+        hist = reuse_distance_analysis(columns_profile(records))
         assert hist.bucket_counts[1] == 1  # bucket "1-2"
 
     def test_stores_restart_but_do_not_sample(self):
@@ -206,7 +196,7 @@ class TestProfileLevelAnalysis:
             _record(1, cta=0, addrs=[4096], op=MemoryOp.STORE),
             _record(2, cta=0, addrs=[4096]),
         ]
-        hist = reuse_distance_analysis(_FakeProfile(records))
+        hist = reuse_distance_analysis(columns_profile(records))
         # Two reads sampled; both ∞ (first touch, killed-by-write).
         assert hist.samples == 2
         assert hist.infinite == 2

@@ -6,7 +6,7 @@
   JSON and compare key metrics against the source ``AdvisorReport``.
 * **Determinism**: the opt-in ``runtime`` section is the only part of
   the document allowed to vary between runs; byte-identity across the
-  in-RAM and fused paths is pinned by ``tests/test_goldens.py``.
+  fused and kept-records paths is pinned by ``tests/test_goldens.py``.
 * **CLI**: ``repro export`` writes a validating document,
   ``repro profile --format json`` emits the same document shape, the
   legacy ``--json`` summary still works, and ``--verbose`` always

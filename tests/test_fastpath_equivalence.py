@@ -5,9 +5,9 @@ consumer.
 Four properties are pinned here:
 
 * **Columnar vs. record analyses** -- running the analyzers over the
-  drained column views must give numerically identical results to
-  running them over the same trace materialized as classic record
-  lists (which exercises the per-record fallback paths).
+  drained column views must give numerically identical results to the
+  per-record reference analyses (``tests/analysis_oracle.py``) over the
+  same trace materialized as classic records.
 * **Parallel vs. serial launch** -- with ``Device.parallel_workers``
   set, drained traces, call-path registries, and hardware statistics
   must be byte-identical to a serial run.
@@ -39,6 +39,7 @@ from repro.host import CudaRuntime
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
 from repro.profiler.buffers import MemoryColumns
+from tests import analysis_oracle as oracle
 
 
 @kernel
@@ -71,21 +72,6 @@ def _profile_session(app_name, app_kwargs, workers=None, backend=None,
     return session
 
 
-class _RecordListProfile:
-    """The same profile with plain record lists (fallback paths)."""
-
-    def __init__(self, profile):
-        self.memory_records = list(profile.memory_records)
-        self.block_records = list(profile.block_records)
-        self.arith_records = list(profile.arith_records)
-
-    def memory_records_by_cta(self):
-        grouped = {}
-        for record in self.memory_records:
-            grouped.setdefault(record.cta, []).append(record)
-        return grouped
-
-
 def _memory_record_equal(a, b):
     return (
         a.seq == b.seq
@@ -106,36 +92,37 @@ class TestColumnarVsRecordAnalyses:
     def test_reuse_histograms_identical(self, app_name, app_kwargs):
         for profile in _profile_session(app_name, app_kwargs).profiles:
             assert isinstance(profile.memory_records, MemoryColumns)
-            rows = _RecordListProfile(profile)
+            records = list(profile.memory_records)
             for model in ReuseDistanceModel:
-                fast = reuse_distance_analysis(profile, model=model)
-                slow = reuse_distance_analysis(rows, model=model)
-                assert fast.frequencies == slow.frequencies
-                assert fast.samples == slow.samples
-                assert fast.finite_sum == slow.finite_sum
-                fast_sites = site_reuse_analysis(profile, model=model)
-                slow_sites = site_reuse_analysis(rows, model=model)
-                assert list(fast_sites) == list(slow_sites)
-                for site, hist in fast_sites.items():
-                    assert hist.frequencies == slow_sites[site].frequencies
+                oracle.assert_hist_equal(
+                    oracle.reuse_histogram(records, model),
+                    reuse_distance_analysis(profile, model=model),
+                )
+                oracle.assert_sites_equal(
+                    oracle.site_reuse(records, model),
+                    site_reuse_analysis(profile, model=model),
+                )
 
     def test_divergence_distributions_identical(self, app_name, app_kwargs):
         for profile in _profile_session(app_name, app_kwargs).profiles:
-            rows = _RecordListProfile(profile)
+            records = list(profile.memory_records)
             for line_size in (128, 32):
                 fast = memory_divergence_analysis(profile, line_size)
-                slow = memory_divergence_analysis(rows, line_size)
+                slow = oracle.memory_divergence(records, line_size)
                 assert fast.distribution == slow.distribution
                 assert fast.divergence_degree == slow.divergence_degree
-                assert divergent_sites(profile, line_size) == divergent_sites(
-                    rows, line_size
+                assert divergent_sites(profile, line_size) == (
+                    oracle.divergent_sites(records, line_size)
                 )
 
     def test_stack_distances_identical(self, app_name, app_kwargs):
         for profile in _profile_session(app_name, app_kwargs).profiles:
-            rows = _RecordListProfile(profile)
-            assert profile_stack_distances(profile) == profile_stack_distances(
-                rows
+            summary = profile_stack_distances(profile)
+            counts, infinite = oracle.stack_counts(
+                oracle.stack_distance_samples(list(profile.memory_records))
+            )
+            assert (dict(summary.counts), summary.infinite) == (
+                dict(counts), infinite
             )
 
 

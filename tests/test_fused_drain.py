@@ -1,19 +1,21 @@
 """Fused in-flight analysis: byte-identity without the trace round-trip.
 
 The fused path (``FusedSink`` + the analyzer bank) must reproduce the
-batch analyzers exactly while never materializing or spilling a trace:
+per-record reference analyses (``tests/analysis_oracle.py``) exactly
+while never materializing or spilling a trace:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith event streams through fused buffers at tiny flush
   granularities (down to one row), through per-shard banks merged in
   shard order, and through shard relays, comparing every aggregate of
-  the full plan against the batch analyzers -- including
-  stride-sampling phases and keep-first capacity across flush and
-  shard boundaries.
+  the full plan against the oracle over the materialized trace --
+  including stride-sampling phases and keep-first capacity across
+  flush and shard boundaries.
 * **App-level tests** run instrumented programs twice (fused vs
   in-RAM) across serial / batched / fork-parallel configurations and
-  assert identical analyses and accounting -- and that the fused spill
-  directory stays empty.
+  assert identical accounting, with the fused bank matching the oracle
+  over the in-RAM trace -- and that the fused spill directory stays
+  empty.
 * **Degradation**: a launch that needs raw records (pc sampling)
   disables fused mode with a ``fused-records-unavailable`` warning and
   materializes the trace like a classic run.
@@ -28,21 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.aggregates import full_plan
-from repro.analysis.arithmetic import arithmetic_analysis
-from repro.analysis.cache_model import (
-    StackDistanceSummary,
-    hit_rate_curve,
-    profile_stack_distances,
-)
-from repro.analysis.divergence_branch import branch_divergence_analysis
-from repro.analysis.divergence_memory import (
-    divergent_sites,
-    memory_divergence_analysis,
-)
+from repro.analysis.cache_model import StackDistanceSummary, hit_rate_curve
 from repro.analysis.reuse_distance import (
     ReuseDistanceModel,
     reuse_distance_analysis,
-    site_reuse_analysis,
 )
 from repro.apps import build_app
 from repro.errors import LaunchDegradedWarning, ProfilerError
@@ -63,10 +54,12 @@ from repro.profiler.buffers import (
 )
 from repro.profiler.pc_sampling import PCSampler
 from repro.profiler.profiler import HookRuntime
+from repro.profiler.records import MemoryOp
 from repro.profiler.session import ProfilingSession
 from repro.profiler.streamdrain import FusedSink, StreamedRecords
 from repro.reliability.faultinject import FaultInjector
 from repro.reliability.supervisor import FUSED_RECORDS_UNAVAILABLE
+from tests import analysis_oracle as oracle
 from tests.conftest import KERNELS
 
 WARP = 4
@@ -103,7 +96,8 @@ def _append_event(event, seq, mem, block, arith):
         mem.append(
             seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
             bits=32, line=sel % 5, col=sel % 3,
-            op=1 if flag else 0, call_path_id=0,
+            op=int(MemoryOp.LOAD if flag else MemoryOp.STORE),
+            call_path_id=0,
         )
     elif stream == "block":
         block.append(
@@ -138,56 +132,42 @@ def _batch_profile(events):
     )
 
 
-def _assert_hist_equal(a, b, what=""):
-    assert a.frequencies == b.frequencies, what
-    assert (a.samples, a.infinite, a.finite_sum, a.finite_count) == (
-        b.samples, b.infinite, b.finite_sum, b.finite_count
-    ), what
-
-
-def _assert_bank_matches_batch(bank, profile):
-    """Every full-plan aggregate == its batch analyzer, byte for byte."""
+def _assert_bank_matches_oracle(bank, profile):
+    """Every full-plan aggregate == the per-record oracle, byte for byte."""
+    memory = profile.memory_records
     for name, model in (
         ("reuse_element", ReuseDistanceModel.ELEMENT),
         ("reuse_cache_line", ReuseDistanceModel.CACHE_LINE),
     ):
-        _assert_hist_equal(
-            reuse_distance_analysis(profile, model, LINE_SIZE),
+        oracle.assert_hist_equal(
+            oracle.reuse_histogram(memory, model, LINE_SIZE),
             bank.result(name),
             name,
         )
-        sites = site_reuse_analysis(profile, model, LINE_SIZE)
-        streamed = bank.result(f"site_{name}")
-        assert list(sites.keys()) == list(streamed.keys())  # dict ORDER too
-        for key in sites:
-            _assert_hist_equal(sites[key], streamed[key], f"site {key}")
-    md = memory_divergence_analysis(profile, LINE_SIZE)
+        oracle.assert_sites_equal(
+            oracle.site_reuse(memory, model, LINE_SIZE),
+            bank.result(f"site_{name}"),
+            name,
+        )
+    md = oracle.memory_divergence(memory, LINE_SIZE)
     assert dict(md.counts) == dict(bank.result("memory_divergence").counts)
-    assert divergent_sites(profile, LINE_SIZE) == bank.result(
+    assert oracle.divergent_sites(memory, LINE_SIZE) == bank.result(
         "divergent_sites"
     )
-    bd = branch_divergence_analysis(profile)
-    sd = bank.result("branch_divergence")
-    assert (bd.total_blocks, bd.divergent_blocks) == (
-        sd.total_blocks, sd.divergent_blocks
+    oracle.assert_branch_equal(
+        oracle.branch_divergence(profile.block_records),
+        bank.result("branch_divergence"),
     )
-    assert list(bd.per_block.keys()) == list(sd.per_block.keys())
-    for name in bd.per_block:
-        a, b = bd.per_block[name], sd.per_block[name]
-        assert (a.executions, a.divergent, a.line) == (
-            b.executions, b.divergent, b.line
-        )
-    ar = arithmetic_analysis(profile)
-    sr = bank.result("arithmetic")
-    assert (ar.lane_flops, ar.lane_intops) == (sr.lane_flops, sr.lane_intops)
-    assert dict(ar.by_opcode) == dict(sr.by_opcode)
-    assert dict(ar.by_line) == dict(sr.by_line)
+    oracle.assert_arith_equal(
+        oracle.arithmetic(profile.arith_records), bank.result("arithmetic")
+    )
     summary = bank.result("stack_distance")
     assert isinstance(summary, StackDistanceSummary)
-    batch_curve = hit_rate_curve(
-        profile_stack_distances(profile, LINE_SIZE), CAPACITIES, LINE_SIZE
-    )
-    stream_curve = hit_rate_curve(summary, CAPACITIES, LINE_SIZE)
+    samples = oracle.stack_distance_samples(memory, LINE_SIZE)
+    counts, infinite = oracle.stack_counts(samples)
+    assert (dict(summary.counts), summary.infinite) == (dict(counts), infinite)
+    batch_curve = hit_rate_curve(samples, CAPACITIES, LINE_SIZE)
+    stream_curve = summary.curve(CAPACITIES)
     assert batch_curve.hit_rates == stream_curve.hit_rates  # float-identical
     assert batch_curve.reads == stream_curve.reads
 
@@ -208,7 +188,7 @@ def _assert_sessions_match(in_ram, fused):
         assert len(batch.arith_records) == len(stream.arith_records)
         assert batch.dropped_records == stream.dropped_records
         assert batch.corrupt_records == stream.corrupt_records
-        _assert_bank_matches_batch(stream.aggregates, batch)
+        _assert_bank_matches_oracle(stream.aggregates, batch)
 
 
 
@@ -257,7 +237,7 @@ class TestFusedSinkProperty:
         self, events, flush_rows
     ):
         bank, _ = _fused_buffers(events, flush_rows)
-        _assert_bank_matches_batch(bank, _batch_profile(events))
+        _assert_bank_matches_oracle(bank, _batch_profile(events))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -274,7 +254,7 @@ class TestFusedSinkProperty:
         # path computes over the whole merged stream at once.
         bank, sink = _fused_buffers(events, flush_rows, rate, capacity)
         kept, clipped = _batch_sampled(events, rate, capacity)
-        _assert_bank_matches_batch(bank, kept)
+        _assert_bank_matches_oracle(bank, kept)
         assert sink.clipped == clipped
         assert sink.stats.memory_rows == len(kept.memory_records)
         assert sink.stats.arith_rows == len(kept.arith_records)
@@ -287,13 +267,12 @@ class TestFusedSinkProperty:
     ):
         # Each shard fuses into its own bank (local seqs, like
         # reset_for_shard), the banks merge in shard order, and the
-        # result must equal the batch analyzers over the
-        # shard-concatenated trace -- what absorb_shards builds in the
-        # in-RAM path.
+        # result must equal the oracle over the shard-concatenated
+        # trace -- what absorb_shards builds in the in-RAM path.
         shards = _shards(events)
         merged, _ = _fused_buffers(shards[0], flush_rows)
         merged.merge(_fused_buffers(shards[1], flush_rows)[0])
-        _assert_bank_matches_batch(
+        _assert_bank_matches_oracle(
             merged, _batch_profile(shards[0] + shards[1])
         )
 
@@ -325,7 +304,7 @@ class TestFusedSinkProperty:
             })
         sink.flush()
         kept, clipped = _batch_sampled(shards[0] + shards[1], rate, capacity)
-        _assert_bank_matches_batch(bank, kept)
+        _assert_bank_matches_oracle(bank, kept)
         assert sink.clipped == clipped
 
 
@@ -441,6 +420,17 @@ class TestStreamedRecords:
             list(records)
         with pytest.raises(ProfilerError):
             profile.memory_records_by_cta()
+
+    def test_reanalysis_error_names_the_records_option(self):
+        # re-analyzing a fused profile points at the knob that keeps
+        # the raw records
+        session, _ = _session(APPS[0], fused=True)
+        profile = session.profiles[0]
+        with pytest.raises(ProfilerError,
+                           match=r"CUDAAdvisor\(fused_drain=False\)"):
+            reuse_distance_analysis(profile)
+        with pytest.raises(ProfilerError, match="fused_drain=False"):
+            profile.memory_records[0]
 
     def test_stream_stats_attached(self, tmp_path):
         session, _ = _session(

@@ -3,9 +3,11 @@
 ``tests/goldens/`` holds the canonical ``export_json`` document (no
 ``runtime`` section) of every registry app on Kepler and Pascal,
 generated by ``tools/regen_goldens.py`` at the inputs and advisor knobs
-recorded in ``manifest.json``. Each case is re-profiled on both
-analysis paths -- the default in-RAM batch analyzers and fused
-in-flight analysis -- and must match the file byte for byte.
+recorded in ``manifest.json``. Each case is re-profiled with the
+advisor's default, with fused in-flight analysis spelled out (as
+explicit callers pass it) and with the raw records kept and analyzed
+after the run (``fused_drain=False``), and must match the file byte for
+byte.
 """
 
 import json
@@ -27,7 +29,11 @@ CASES = [
     for app in MANIFEST["inputs"]
     for arch in MANIFEST["arches"]
 ]
-PATHS = {"default": {}, "fused": {"fused_drain": True}}
+PATHS = {
+    "default": {},
+    "fused": {"fused_drain": True},
+    "records": {"fused_drain": False},
+}
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))

@@ -16,8 +16,8 @@ reaches it:
   unique-byte counts under time re-binning, the ``(unmapped)`` row,
   and the launch-concatenating cross-launch merge.
 * **App-level tests** pin the advisor wiring and the allocation join;
-  byte-identity of the exported heat map across the in-RAM and fused
-  paths is pinned by ``tests/test_goldens.py``.
+  byte-identity of the exported heat map with and without kept
+  records is pinned by ``tests/test_goldens.py``.
 """
 
 from unittest import mock
@@ -405,11 +405,14 @@ class TestAppLevel:
         assert heat.total_accesses > 0
 
     def test_batch_helper_matches_aggregate_path(self):
-        adv = CUDAAdvisor(
-            modes=("memory",), measure_overhead=False, heatmap=True
+        # heatmap_analysis over kept records == the fused report's map
+        config = dict(modes=("memory",), measure_overhead=False,
+                      heatmap=True)
+        fused = CUDAAdvisor(**config).profile(build_app("nn"))
+        kept = CUDAAdvisor(fused_drain=False, **config).profile(
+            build_app("nn")
         )
-        report = adv.profile(build_app("nn"))
         rebuilt = HeatmapTable()
-        for profile in report.session.profiles:
+        for profile in kept.session.profiles:
             rebuilt.merge(heatmap_analysis(profile))
-        assert _cells_equal(report.heatmap, rebuilt)
+        assert _cells_equal(fused.heatmap, rebuilt)
