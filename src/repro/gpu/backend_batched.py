@@ -635,14 +635,13 @@ def _iter_bits(bits: int):
 class _RowIt:
     """Per-row view for ``_model_global`` when rows span CTAs (a gang):
     supplies the row's own ctx (transaction counter, L1 bypass config)
-    with the machine's line size and L2 latency."""
+    with the machine's line size."""
 
-    __slots__ = ("ctx", "line_size", "l2_latency")
+    __slots__ = ("ctx", "line_size")
 
-    def __init__(self, ctx, line_size, l2_latency):
+    def __init__(self, ctx, line_size):
         self.ctx = ctx
         self.line_size = line_size
-        self.l2_latency = l2_latency
 
 
 class BatchedCTA:
@@ -686,12 +685,10 @@ class BatchedCTA:
         ws = warps[0].warp_size
         self.warp_size = ws
         self.line_size = device.arch.l1_line_size
-        self.l2_latency = device.arch.l2_latency
         self._row_its = (
-            [_RowIt(c, self.line_size, self.l2_latency) for c in ctxs]
+            [_RowIt(c, self.line_size) for c in ctxs]
             if self.gang else [self] * W
         )
-        self._issue_cycles = device.arch.issue_cycles
         self._spec = spec if spec is not None else {}
         self._intrin_cache: Dict[object, object] = {}
         self._sel_cache: Dict[int, np.ndarray] = {}
@@ -1482,7 +1479,6 @@ class BatchedCTA:
         bit = 1 << w
         ctx = self.ctxs[w]
         timing = ctx.timing
-        issue = self._issue_cycles
         consumed = 0
         wl = self._wlog[w]
         log = self._log
@@ -1522,13 +1518,13 @@ class BatchedCTA:
                     over = budget - steps + 1
                     if kind == _BATCH:
                         warp.instructions_executed += over
-                        timing.cycles += over * issue
+                        timing.issue(over)
                     raise ExecutionError(
                         "kernel exceeded the step budget (infinite loop?)"
                     )
                 if kind == _BATCH:
                     warp.instructions_executed += take
-                    timing.cycles += take * issue
+                    timing.issue(take)
                 steps += take
                 consumed += take
                 if take < avail:
@@ -1542,7 +1538,7 @@ class BatchedCTA:
                     return steps
             elif kind == _EXTRA:
                 warp.instructions_executed += 1
-                timing.cycles += issue
+                timing.issue()
                 for meth, args in ev[2]:
                     getattr(timing, meth)(int(args[w]))
                 steps += 1
@@ -1555,7 +1551,7 @@ class BatchedCTA:
             elif kind == _MEM:
                 _, _, lines_by_w, mode, is_write, post = ev
                 warp.instructions_executed += 1
-                timing.cycles += issue
+                timing.issue()
                 _model_global_lines(self._row_its[w], warp, lines_by_w[w],
                                     mode, is_write)
                 if post:
@@ -1573,7 +1569,7 @@ class BatchedCTA:
             elif kind == _HOOK:
                 _, _, name, args, am2d, nact, plan = ev
                 warp.instructions_executed += 1
-                timing.cycles += issue
+                timing.issue()
                 na = nact[w]
                 hook_call(na)
                 if plan is None:
@@ -1593,7 +1589,7 @@ class BatchedCTA:
                     )
             else:  # _BARRIER
                 warp.instructions_executed += 1
-                timing.cycles += issue
+                timing.issue()
                 cursor[w] = i + 1
                 warp.status = WarpStatus.AT_BARRIER
                 return steps

@@ -13,7 +13,7 @@ tracks outstanding misses for the timing model's congestion estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -49,8 +49,9 @@ class CacheStats:
 class SetAssociativeCache:
     """LRU set-associative cache over line addresses.
 
-    ``access`` takes a *line address* (byte address // line size is done
-    by the coalescer) and returns ``True`` on hit.
+    ``access_lines`` takes one warp instruction's *line addresses* (byte
+    address // line size is done by the coalescer) in order and returns
+    the ones that missed.
     """
 
     def __init__(self, size: int, line_size: int, assoc: int):
@@ -61,47 +62,48 @@ class SetAssociativeCache:
         num_lines = size // line_size
         self.assoc = min(assoc, num_lines)
         self.num_sets = max(1, num_lines // self.assoc)
-        # Per set: list of line tags in LRU order (front = LRU, back = MRU).
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per set: an insertion-ordered dict of resident line tags in LRU
+        # order (first key = LRU, last key = MRU); values are unused.
+        self._sets: List[Dict[int, None]] = [{} for _ in range(self.num_sets)]
         self.stats = CacheStats()
-        self._tick = 0
 
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr % self.num_sets
+    def access_lines(self, lines: Sequence[int], is_write: bool) -> List[int]:
+        """Cached accesses to ``lines`` in order; returns the misses.
 
-    def read(self, line_addr: int, bypass: bool = False) -> bool:
-        """A read transaction; returns hit?"""
-        if bypass:
-            self.stats.bypassed += 1
-            return False
-        ways = self._sets[self._set_index(line_addr)]
-        if line_addr in ways:
-            ways.remove(line_addr)
-            ways.append(line_addr)
-            self.stats.read_hits += 1
-            return True
-        self.stats.read_misses += 1
-        ways.append(line_addr)
-        if len(ways) > self.assoc:
-            ways.pop(0)
-            self.stats.evictions += 1
-        return False
-
-    def write(self, line_addr: int, bypass: bool = False) -> bool:
-        """A write transaction (write-evict / no-allocate); returns hit?"""
-        if bypass:
-            self.stats.bypassed += 1
-            return False
-        ways = self._sets[self._set_index(line_addr)]
-        if line_addr in ways:
-            ways.remove(line_addr)  # write-evict
-            self.stats.write_hits += 1
-            return True
-        self.stats.write_misses += 1
-        return False
+        A read hit moves the line to MRU and a read miss allocates it,
+        evicting the set's LRU line when the set is full. A write hit
+        evicts the line (write-evict) and a write miss does not
+        allocate. Bypassing accesses never reach this method.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        missed: List[int] = []
+        stats = self.stats
+        if is_write:
+            for line in lines:
+                # a hit pops the line (write-evict); a miss allocates nothing
+                if sets[line % num_sets].pop(line, True):
+                    missed.append(line)
+            stats.write_misses += len(missed)
+            stats.write_hits += len(lines) - len(missed)
+            return missed
+        assoc = self.assoc
+        evictions = 0
+        for line in lines:
+            ways = sets[line % num_sets]
+            if ways.pop(line, True):  # resident lines map to None
+                missed.append(line)
+                if len(ways) >= assoc:
+                    del ways[next(iter(ways))]
+                    evictions += 1
+            ways[line] = None  # (re)insert as MRU
+        stats.read_misses += len(missed)
+        stats.read_hits += len(lines) - len(missed)
+        stats.evictions += evictions
+        return missed
 
     def contains(self, line_addr: int) -> bool:
-        return line_addr in self._sets[self._set_index(line_addr)]
+        return line_addr in self._sets[line_addr % self.num_sets]
 
     def flush(self) -> None:
         for ways in self._sets:
@@ -125,32 +127,46 @@ class MSHRFile:
 
     def __init__(self, entries: int):
         self.entries = entries
-        self._ready_at: Dict[int, float] = {}  # line -> fill-complete time
+        # line -> fill-complete time, in insertion order. Each launch
+        # builds fresh MSHRs, the SM clock never runs backwards and the
+        # latency is constant, so the fill times are non-decreasing in
+        # insertion order and the retired entries are always a prefix.
+        self._ready_at: Dict[int, float] = {}
         self.allocation_failures = 0
         self.merges = 0
         self.requests = 0
 
-    def request(self, line_addr: int, now: float, latency: float) -> bool:
-        """Register a miss at SM time ``now``; False on allocation failure."""
-        self.requests += 1
-        if line_addr in self._ready_at:
-            if self._ready_at[line_addr] > now:
-                self.merges += 1
-                return True
-            del self._ready_at[line_addr]
-        self._retire(now)
-        if len(self._ready_at) >= self.entries:
-            self.allocation_failures += 1
-            return False
-        self._ready_at[line_addr] = now + latency
-        return True
+    def request_lines(self, missed: Sequence[int], timing, latency: float,
+                      stall: float) -> None:
+        """Register one warp instruction's misses in order.
 
-    def _retire(self, now: float) -> None:
-        if len(self._ready_at) < self.entries:
-            return
-        done = [line for line, t in self._ready_at.items() if t <= now]
-        for line in done:
-            del self._ready_at[line]
+        Each request happens at the SM time ``timing.cycles`` it reads;
+        an allocation failure adds ``stall`` to ``timing.cycles`` before
+        the next request is made.
+        """
+        ready_at = self._ready_at
+        entries = self.entries
+        self.requests += len(missed)
+        for line in missed:
+            now = timing.cycles
+            ready = ready_at.get(line)
+            if ready is not None:
+                if ready > now:
+                    self.merges += 1
+                    continue
+                del ready_at[line]
+            if len(ready_at) >= entries:
+                # Retire the filled entries: a prefix, see __init__.
+                while ready_at:
+                    first = next(iter(ready_at))
+                    if ready_at[first] > now:
+                        break
+                    del ready_at[first]
+                if len(ready_at) >= entries:
+                    self.allocation_failures += 1
+                    timing.cycles += stall
+                    continue
+            ready_at[line] = now + latency
 
     @property
     def occupancy(self) -> int:

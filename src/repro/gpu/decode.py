@@ -45,6 +45,7 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.gpu.coalescing import coalesce_lines
 from repro.gpu.simt import StackEntry
+from repro.gpu.timing import model_global_lines
 from repro.gpu.vecops import (
     _apply_binop,
     _apply_math,
@@ -185,34 +186,22 @@ def _model_global_lines(it, warp, lines, mode: int, is_write: bool) -> None:
 
     Split out so the batched backend can coalesce a whole batch's
     address matrix once at record time and replay each warp with its
-    precomputed line list.
+    precomputed line list. A threshold-sweep launch records the access
+    on the SM's tape instead (see ``repro.gpu.timing.TimingTape``).
     """
+    ctx = it.ctx
+    ctx.transactions += len(lines)
+    if ctx.tape is not None:
+        ctx.tape.global_lines(warp.warp_in_cta, lines, mode, is_write)
+        return
     if mode == 1:
         bypass = True
     elif mode == 0:
         bypass = False
     else:  # dynamic: horizontal bypass past the launch threshold
-        threshold = it.ctx.l1_warps_per_cta
+        threshold = ctx.l1_warps_per_cta
         bypass = threshold is not None and warp.warp_in_cta >= threshold
-    ctx = it.ctx
-    l1 = ctx.l1
-    timing = ctx.timing
-    hits = misses = bypassed = 0
-    for line in lines:
-        if is_write:
-            hit = l1.write(line, bypass)
-        else:
-            hit = l1.read(line, bypass)
-        if bypass:
-            bypassed += 1
-        elif hit:
-            hits += 1
-        else:
-            misses += 1
-            if not ctx.mshr.request(line, timing.cycles, it.l2_latency):
-                timing.mshr_failure()
-    timing.global_transactions(hits, misses, bypassed)
-    ctx.transactions += len(lines)
+    model_global_lines(ctx.l1, ctx.mshr, ctx.timing, lines, bypass, is_write)
 
 
 def _do_branch(frame, entry, target, moves, mask, warp_size) -> None:

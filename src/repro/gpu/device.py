@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from repro.gpu.interpreter import BarrierReached, WarpInterpreter
 from repro.gpu.jit_cache import JitTraceCache
 from repro.gpu.memory import Allocation, GlobalMemory, LocalMemory, SharedMemory
 from repro.gpu.simt import Warp, WarpStatus
-from repro.gpu.timing import SMTimingModel, TimingParams
+from repro.gpu.timing import SMTimingModel, TimingParams, TimingTape
 from repro.ir.cfg import immediate_post_dominators
 from repro.reliability.shards import (
     CRASH,
@@ -220,6 +220,9 @@ class LaunchResult:
     wall_seconds: float
     num_ctas: int
     warps_per_cta: int
+    #: a threshold-sweep launch's cycles at every requested
+    #: ``l1_warps_per_cta`` threshold (None for a single-threshold launch)
+    cycles_by_threshold: Optional[Dict[Optional[int], float]] = None
 
     @property
     def l1_hit_rate(self) -> float:
@@ -238,6 +241,7 @@ class _CTAContext:
         self.l1 = sm.l1
         self.mshr = sm.mshr
         self.timing = sm.timing
+        self.tape = sm.tape
         self.hooks = hooks
         self.l1_warps_per_cta = l1_warps_per_cta
         self.cta_linear = cta_linear
@@ -250,15 +254,45 @@ class _CTAContext:
 
 
 class _SM:
-    """One streaming multiprocessor: an L1, MSHRs, a timing model."""
+    """One streaming multiprocessor: an L1, MSHRs, a timing model.
 
-    def __init__(self, arch: GPUArchitecture, params: TimingParams):
+    Given ``thresholds`` (a threshold-sweep launch), execution records
+    the SM's cost events on ``tape`` instead, and :meth:`replay_tape`
+    charges them once per threshold.
+    """
+
+    def __init__(self, arch: GPUArchitecture, params: TimingParams,
+                 thresholds: Optional[Tuple[Optional[int], ...]] = None):
         self.arch = arch
-        self.l1 = SetAssociativeCache(arch.l1_size, arch.l1_line_size, arch.l1_assoc)
-        self.mshr = MSHRFile(arch.mshr_entries)
-        self.timing = SMTimingModel(arch, params)
+        self.params = params
+        self.thresholds = thresholds
+        self._fresh_timing()
+        self.tape = None if thresholds is None else TimingTape()
+        if self.tape is not None:
+            self.timing = self.tape
+        self.cycles_by_threshold: Optional[Dict[Optional[int], float]] = None
         self.pending: List[_CTAContext] = []
         self.resident: List[_CTAContext] = []
+
+    def _fresh_timing(self) -> None:
+        arch = self.arch
+        self.l1 = SetAssociativeCache(arch.l1_size, arch.l1_line_size, arch.l1_assoc)
+        self.mshr = MSHRFile(arch.mshr_entries)
+        self.timing = SMTimingModel(arch, self.params)
+
+    def replay_tape(self) -> None:
+        """Charge the recorded events once per threshold, in order.
+
+        The SM keeps the last threshold's L1, MSHRs and timing, so its
+        cycles and cache statistics are those of a launch at that
+        threshold alone.
+        """
+        tape, self.tape = self.tape, None
+        self.cycles_by_threshold = {}
+        for threshold in self.thresholds:
+            self._fresh_timing()
+            tape.replay(self.timing, self.l1, self.mshr, threshold)
+            self.cycles_by_threshold[threshold] = self.timing.cycles
 
 
 class _NullHookRuntime:
@@ -328,6 +362,19 @@ def _shard_entry(shard_index: int, attempt: int, conn) -> None:
 
 
 Dim = Union[int, Tuple[int, ...]]
+#: one bypass threshold, or the tuple of a threshold-sweep launch
+L1Thresholds = Union[None, int, Tuple[Optional[int], ...]]
+
+
+def _max_by_threshold(
+    parts: Iterable[Optional[Dict[Optional[int], float]]],
+) -> Optional[Dict[Optional[int], float]]:
+    """Per-threshold max over SMs or shards (a launch ends with its
+    slowest SM); None for a single-threshold launch."""
+    parts = list(parts)
+    if parts[0] is None:
+        return None
+    return {k: max(part[k] for part in parts) for k in parts[0]}
 
 
 def _as_dim3(value: Dim) -> Tuple[int, int, int]:
@@ -355,6 +402,8 @@ class Device:
         #: ``scheduler_quantum`` instructions) before rotating -- the
         #: greedy-then-oldest policy of real SMs, which lets warps drift
         #: apart. "rr" rotates after every instruction (lock-step).
+        #: Neither reads cycles: threshold-sweep launches replay one
+        #: execution's timing per threshold (docs/architecture.md).
         self.scheduler = "gto"
         self.scheduler_quantum = 48  # max instructions per warp per visit
         self.max_steps = 200_000_000
@@ -444,7 +493,7 @@ class Device:
         block: Dim,
         args: Sequence[object],
         hooks=None,
-        l1_warps_per_cta: Optional[int] = None,
+        l1_warps_per_cta: Union[None, int, Sequence[Optional[int]]] = None,
         pc_sampler=None,
     ) -> LaunchResult:
         """Run one kernel to completion.
@@ -452,6 +501,17 @@ class Device:
         ``l1_warps_per_cta`` activates the horizontal-bypass threshold for
         loads/stores carrying the ``dyn`` cache operator (Listing 5 of the
         paper): warps with index >= threshold bypass L1.
+
+        A *sequence* of thresholds makes a threshold-sweep launch: the
+        kernel executes once, each SM records its cost events, and the
+        events are replayed through a fresh L1, MSHR file and timing
+        model per threshold (the threshold only changes timing, never
+        execution). ``result.cycles_by_threshold`` maps every threshold
+        to the cycles a launch at that threshold alone would take; the
+        result's ``cycles``, ``cache`` and ``transactions`` are those of
+        a launch at the last threshold. Trace, memory and instruction
+        counts are those of any single launch.
+
         ``pc_sampler`` attaches a :class:`~repro.profiler.pc_sampling.
         PCSampler` (the sparse hardware-sampling baseline).
 
@@ -462,6 +522,11 @@ class Device:
         fall back to serial execution).
         """
         start = time.perf_counter()
+        if not (l1_warps_per_cta is None
+                or isinstance(l1_warps_per_cta, (int, np.integer))):
+            l1_warps_per_cta = tuple(l1_warps_per_cta)
+            if not l1_warps_per_cta:
+                raise LaunchError("a threshold sweep needs a threshold")
         if self.backend not in ("interpreter", "batched"):
             raise LaunchError(
                 f"unknown execution backend {self.backend!r}: expected "
@@ -559,7 +624,7 @@ class Device:
         block3: Tuple[int, int, int],
         bound_args: List[object],
         hooks,
-        l1_warps_per_cta: Optional[int],
+        l1_warps_per_cta: L1Thresholds,
         pc_sampler,
         warps_per_cta: int,
         sm_indices: Optional[Sequence[int]],
@@ -568,13 +633,18 @@ class Device:
 
         ``sm_indices`` restricts construction to a shard of SMs; CTA
         linear ids and global warp ids still advance over skipped CTAs,
-        so a shard's warps are indistinguishable from a full build.
+        so a shard's warps are indistinguishable from a full build. A
+        tuple ``l1_warps_per_cta`` builds threshold-sweep SMs.
         """
         decoded = image.decoded[kernel_name]
         warp_size = self.arch.warp_size
         num_sms = self.arch.num_sms
         wanted = range(num_sms) if sm_indices is None else sm_indices
-        sms = {i: _SM(self.arch, self.timing_params) for i in wanted}
+        thresholds = None
+        if isinstance(l1_warps_per_cta, tuple):
+            thresholds, l1_warps_per_cta = l1_warps_per_cta, None
+        sms = {i: _SM(self.arch, self.timing_params, thresholds)
+               for i in wanted}
         global_warp_id = 0
         cta_linear = 0
         for cz in range(grid3[2]):
@@ -633,6 +703,9 @@ class Device:
             grid=grid3,
             block=block3,
             cycles=max(sm.timing.cycles for sm in sms.values()),
+            cycles_by_threshold=_max_by_threshold(
+                sm.cycles_by_threshold for sm in sms.values()
+            ),
             instructions=total_steps,
             transactions=sum(
                 c.transactions for sm in sms.values() for c in sm.resident
@@ -692,7 +765,7 @@ class Device:
         block3: Tuple[int, int, int],
         bound_args: List[object],
         hooks,
-        l1_warps_per_cta: Optional[int],
+        l1_warps_per_cta: L1Thresholds,
         warps_per_cta: int,
         num_ctas: int,
         start: float,
@@ -785,6 +858,9 @@ class Device:
             grid=grid3,
             block=block3,
             cycles=max(r["cycles"] for r in shard_results),
+            cycles_by_threshold=_max_by_threshold(
+                r["cycles_by_threshold"] for r in shard_results
+            ),
             instructions=sum(r["steps"] for r in shard_results),
             transactions=sum(r["transactions"] for r in shard_results),
             cache=cache,
@@ -807,7 +883,7 @@ class Device:
         block3: Tuple[int, int, int],
         bound_args: List[object],
         hooks,
-        l1_warps_per_cta: Optional[int],
+        l1_warps_per_cta: L1Thresholds,
         warps_per_cta: int,
         sm_indices: Sequence[int],
         base_mem: np.ndarray,
@@ -839,7 +915,7 @@ class Device:
         block3: Tuple[int, int, int],
         bound_args: List[object],
         hooks,
-        l1_warps_per_cta: Optional[int],
+        l1_warps_per_cta: L1Thresholds,
         warps_per_cta: int,
         sm_indices: Sequence[int],
         base_mem: np.ndarray,
@@ -873,6 +949,9 @@ class Device:
         return {
             "steps": steps,
             "cycles": max(sm.timing.cycles for sm in sms.values()),
+            "cycles_by_threshold": _max_by_threshold(
+                sm.cycles_by_threshold for sm in sms.values()
+            ),
             "transactions": sum(
                 c.transactions for sm in sms.values() for c in sm.resident
             ),
@@ -923,10 +1002,18 @@ class Device:
     def _run_sm_any(
         self, sm: _SM, image: DeviceModuleImage, total_budget: int
     ) -> int:
-        """Run one SM on the backend resolved for the current launch."""
+        """Run one SM on the backend resolved for the current launch.
+
+        A threshold-sweep SM replays its tape as soon as it finishes:
+        every cost event of an SM is charged while that SM runs.
+        """
         if self._launch_backend == "batched":
-            return run_sm_batched(self, sm, image, total_budget)
-        return self._run_sm(sm, image, total_budget)
+            steps = run_sm_batched(self, sm, image, total_budget)
+        else:
+            steps = self._run_sm(sm, image, total_budget)
+        if sm.tape is not None:
+            sm.replay_tape()
+        return steps
 
     def _visit_warp(
         self,

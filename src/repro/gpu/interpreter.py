@@ -56,7 +56,6 @@ class WarpInterpreter:
         # Hot-loop caches: attribute chains resolved once per CTA.
         self.warp_size = arch.warp_size
         self.line_size = arch.l1_line_size
-        self.l2_latency = arch.l2_latency
         self.timing = exec_ctx.timing
         self.pc_sampler = exec_ctx.pc_sampler
 

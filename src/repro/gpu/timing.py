@@ -12,6 +12,7 @@ Cost sources:
   latency divided by a latency-hiding factor that grows with co-resident
   warps (the reason GPUs tolerate misses at all)
 * MSHR allocation failures: an extra congestion stall
+  (``TimingParams.mshr_fail_stall``, charged by ``MSHRFile``)
 * shared-memory access: small constant
 * instrumentation hooks: a call constant plus per-active-lane cost plus
   an atomic-serialization term -- the paper's three overhead sources
@@ -21,8 +22,10 @@ Cost sources:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.gpu.arch import GPUArchitecture
+from repro.gpu.cache import MSHRFile, SetAssociativeCache
 
 
 @dataclass
@@ -54,8 +57,9 @@ class SMTimingModel:
         self._hide = min(hide, self.params.max_latency_hiding)
 
     # -- cost events -----------------------------------------------------------
-    def issue(self) -> None:
-        self.cycles += self.arch.issue_cycles
+    def issue(self, count: int = 1) -> None:
+        """``count`` warp instructions issued back to back."""
+        self.cycles += count * self.arch.issue_cycles
 
     def global_transactions(self, hits: int, misses: int, bypasses: int) -> None:
         # L1 misses and L1-bypassing (.cg) accesses both hit L2; the
@@ -63,9 +67,6 @@ class SMTimingModel:
         # earns and the MSHR allocation-failure stalls it risks.
         self.cycles += hits * (self.arch.l1_hit_latency / self._hide)
         self.cycles += (misses + bypasses) * (self.arch.l2_latency / self._hide)
-
-    def mshr_failure(self, count: int = 1) -> None:
-        self.cycles += count * self.params.mshr_fail_stall
 
     def shared_access(self, bank_conflict_degree: int = 1) -> None:
         """An N-way bank conflict replays the access N times."""
@@ -83,3 +84,80 @@ class SMTimingModel:
             + lanes * p.hook_lane_cycles
             + lanes * p.hook_atomic_cycles
         )
+
+
+def model_global_lines(l1: SetAssociativeCache, mshr: MSHRFile,
+                       timing: SMTimingModel, lines: Sequence[int],
+                       bypass: bool, is_write: bool) -> None:
+    """One global-memory warp instruction through L1 + MSHRs + timing.
+
+    ``lines`` are the instruction's coalesced cache lines in order. The
+    one cost model of global memory: live launches and tape replays
+    both call it.
+    """
+    if bypass:
+        l1.stats.bypassed += len(lines)
+        timing.global_transactions(0, 0, len(lines))
+        return
+    missed = l1.access_lines(lines, is_write)
+    if missed:
+        mshr.request_lines(missed, timing, timing.arch.l2_latency,
+                           timing.params.mshr_fail_stall)
+    timing.global_transactions(len(lines) - len(missed), len(missed), 0)
+
+
+class TimingTape:
+    """Records one SM's cost events in call order, for replay.
+
+    A drop-in for :class:`SMTimingModel` during a threshold-sweep
+    launch: execution runs once, and :meth:`replay` re-charges the same
+    events through a fresh L1, MSHR file and timing model for each
+    bypass threshold. Only arguments are stored, so a replay makes the
+    same float operations in the same order as a live launch: an ``int``
+    entry is ``issue(n)``, a 2-tuple ``(SMTimingModel method, arg)`` is
+    any other timing event and a 4-tuple ``(warp_in_cta, lines, mode,
+    is_write)`` is one global-memory warp instruction. Consecutive
+    issues are never merged: cycles carry fractions, so ``c + 1 + 1``
+    need not equal ``c + 2``.
+    """
+
+    def __init__(self):
+        self.events: List[object] = []
+
+    def issue(self, count: int = 1) -> None:
+        self.events.append(count)
+
+    def set_resident_warps(self, warps: int) -> None:
+        self.events.append((SMTimingModel.set_resident_warps, warps))
+
+    def shared_access(self, bank_conflict_degree: int = 1) -> None:
+        self.events.append((SMTimingModel.shared_access, bank_conflict_degree))
+
+    def atomic(self, lanes: int) -> None:
+        self.events.append((SMTimingModel.atomic, lanes))
+
+    def hook_call(self, lanes: int) -> None:
+        self.events.append((SMTimingModel.hook_call, lanes))
+
+    def global_lines(self, warp_in_cta: int, lines: Sequence[int], mode: int,
+                     is_write: bool) -> None:
+        self.events.append((warp_in_cta, lines, mode, is_write))
+
+    def replay(self, timing: SMTimingModel, l1: SetAssociativeCache,
+               mshr: MSHRFile, threshold: Optional[int]) -> None:
+        """Charge every recorded event to ``timing`` at ``threshold``."""
+        issue_cycles = timing.arch.issue_cycles
+        for event in self.events:
+            if type(event) is int:
+                timing.cycles += event * issue_cycles
+            elif len(event) == 2:
+                event[0](timing, event[1])
+            else:
+                warp_in_cta, lines, mode, is_write = event
+                if mode == 1:
+                    bypass = True
+                elif mode == 0:
+                    bypass = False
+                else:  # dynamic: horizontal bypass past the threshold
+                    bypass = threshold is not None and warp_in_cta >= threshold
+                model_global_lines(l1, mshr, timing, lines, bypass, is_write)

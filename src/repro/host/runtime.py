@@ -157,7 +157,7 @@ class CudaRuntime:
         grid,
         block,
         args: Sequence[object],
-        l1_warps_per_cta: Optional[int] = None,
+        l1_warps_per_cta: Union[None, int, Sequence[int]] = None,
     ) -> LaunchResult:
         hooks = None
         if self.profiler is not None:

@@ -13,7 +13,7 @@ experiment (baseline vs oracle vs Eq.(1) prediction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
 from repro.analysis.aggregates import advisor_plan
@@ -53,14 +53,14 @@ from repro.profiler.session import ProfilingSession
 class GPUProgram:
     """A CUDA application: kernels plus host-side driver code.
 
-    Subclasses (the ten Table 2 benchmarks live in :mod:`repro.apps`)
-    provide:
+    Subclasses (the Table 2 benchmarks in :mod:`repro.apps`) provide:
 
     * ``name`` and ``kernels`` (a list of ``@kernel`` functions);
-    * ``prepare(rt)`` -- allocate/copy inputs through the runtime,
-      returning opaque state;
+    * ``prepare(rt)`` -- allocate/copy inputs via ``rt``; returns state;
     * ``run(rt, image, state, l1_warps_per_cta=None)`` -- launch the
-      kernels, returning the list of LaunchResults;
+      kernels, returning the LaunchResults. With a sequence of bypass
+      thresholds it executes once; ``result.cycles_by_threshold`` maps
+      each to its cycles, and ``cycles``/``cache`` are the last one's;
     * optionally ``check(rt, state)`` -- validate outputs.
     """
 
@@ -71,7 +71,7 @@ class GPUProgram:
     def prepare(self, rt: CudaRuntime):
         raise NotImplementedError
 
-    def run(self, rt, image, state, l1_warps_per_cta: Optional[int] = None):
+    def run(self, rt, image, state, l1_warps_per_cta=None):
         raise NotImplementedError
 
     def check(self, rt: CudaRuntime, state) -> bool:
@@ -476,19 +476,22 @@ class CUDAAdvisor:
                     "bypass evaluation needs the 'memory' analysis mode"
                 )
         module = self._compile(program, instrument=False, bypass=True)
-
-        def run_with_threshold(k: Optional[int]) -> float:
-            rt = self._fresh_runtime()
-            image = rt.device.load_module(module)
-            state = program.prepare(rt)
-            results = program.run(rt, image, state, l1_warps_per_cta=k)
-            if not program.check(rt, state):
-                raise AnalysisError(
-                    f"{program.name}: bypassing changed program output"
-                )
-            return sum(r.cycles for r in results)
-
+        # One functional run: every launch sweeps all thresholds, since
+        # a threshold only changes timing (see Device.launch).
+        thresholds = tuple(range(1, program.warps_per_cta + 1))
+        rt = self._fresh_runtime()
+        image = rt.device.load_module(module)
+        state = program.prepare(rt)
+        results = program.run(rt, image, state, l1_warps_per_cta=thresholds)
+        if not program.check(rt, state):
+            raise AnalysisError(
+                f"{program.name}: bypassing changed program output"
+            )
+        cycles = {
+            k: sum(r.cycles_by_threshold[k] for r in results)
+            for k in thresholds
+        }
         search = oracle_bypass_search(
-            run_with_threshold, warps_per_cta=program.warps_per_cta
+            cycles.__getitem__, warps_per_cta=program.warps_per_cta
         )
         return search, prediction

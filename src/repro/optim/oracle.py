@@ -2,10 +2,11 @@
 
 Adaptive horizontal bypassing [Li et al., SC'15] pre-executes a sampling
 period, exhaustively trying every number of warps-per-CTA allowed to use
-L1, then locks in the fastest. The oracle here does the same: run the
-bypass-transformed program once per threshold k in {1..warps_per_cta}
+L1, then locks in the fastest. The oracle here does the same: time the
+bypass-transformed program at every threshold k in {1..warps_per_cta}
 (k = warps_per_cta is the no-bypass baseline) and report the cycle
-counts of all configurations.
+counts of all configurations. ``CUDAAdvisor.evaluate_bypass`` executes
+the program once and replays its timing events per threshold.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ def oracle_bypass_search(
 ) -> BypassSearchResult:
     """Exhaustive search over L1-warp thresholds.
 
-    ``run_with_threshold(k)`` executes the app with ``l1_warps_per_cta=k``
-    and returns total cycles; ``k = warps_per_cta`` must behave as the
+    ``run_with_threshold(k)`` returns the app's total cycles with
+    ``l1_warps_per_cta=k``; ``k = warps_per_cta`` must behave as the
     no-bypass baseline (the dynamic cache operator degenerates to .ca).
     """
     result = BypassSearchResult(warps_per_cta=warps_per_cta)

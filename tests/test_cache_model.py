@@ -58,10 +58,9 @@ class TestTheoremDifferential:
         assert cache.num_sets == 1  # fully associative
         distances = iter(stack_distances(trace))
         for line, is_write in trace:
-            if is_write:
-                cache.write(line)
-            else:
-                hit = cache.read(line)
+            missed = cache.access_lines([line], is_write)
+            if not is_write:
+                hit = not missed
                 d = next(distances)
                 expected = d != INFINITE and d < capacity
                 assert hit == expected
@@ -79,7 +78,7 @@ class TestTheoremDifferential:
         for capacity, predicted in zip(curve.capacities, curve.hit_rates):
             cache = SetAssociativeCache(capacity * 64, 64, capacity)
             for line in trace:
-                cache.read(line)
+                cache.access_lines([line], False)
             simulated = cache.stats.read_hit_rate
             assert predicted == pytest.approx(simulated, abs=1e-12)
 

@@ -1,68 +1,92 @@
 """Tests for the L1 cache model and MSHR file, including the GPU
 write-evict / write-no-allocate semantics the reuse-distance analysis
-leans on, plus hypothesis properties against a brute-force LRU model."""
+leans on, plus hypothesis properties against a brute-force LRU model.
+``tests/test_memory_model_lines.py`` checks the line-list methods
+against a per-line reference on random streams."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gpu.arch import KEPLER_K40C
 from repro.gpu.cache import CacheStats, MSHRFile, SetAssociativeCache
 from repro.gpu.coalescing import coalesce, divergence_degree
+from repro.gpu.timing import SMTimingModel, model_global_lines
+
+
+def _read(cache, line):
+    """One read; True on hit."""
+    return not cache.access_lines([line], False)
+
+
+def _write(cache, line):
+    """One write; True on hit (which evicts)."""
+    return not cache.access_lines([line], True)
+
+
+def _request(mshr, line, now, latency):
+    """One MSHR request at SM time ``now``; False on allocation failure."""
+    clock = SimpleNamespace(cycles=float(now))
+    mshr.request_lines([line], clock, latency, stall=1)
+    return clock.cycles == now
 
 
 class TestCacheBasics:
     def test_cold_miss_then_hit(self):
         c = SetAssociativeCache(1024, 128, 4)
-        assert not c.read(0)
-        assert c.read(0)
+        assert not _read(c, 0)
+        assert _read(c, 0)
         assert c.stats.read_hits == 1
         assert c.stats.read_misses == 1
 
     def test_lru_eviction_order(self):
         # 2 lines capacity in one set: direct test of LRU.
         c = SetAssociativeCache(256, 128, 2)  # 2 lines, 1 set
-        c.read(0)
-        c.read(1)
-        c.read(0)  # 0 becomes MRU
-        c.read(2)  # evicts 1 (LRU)
+        _read(c, 0)
+        _read(c, 1)
+        _read(c, 0)  # 0 becomes MRU
+        _read(c, 2)  # evicts 1 (LRU)
         assert c.contains(0)
         assert not c.contains(1)
 
     def test_write_evict(self):
         c = SetAssociativeCache(1024, 128, 4)
-        c.read(5)
+        _read(c, 5)
         assert c.contains(5)
-        assert c.write(5)  # write hit evicts
+        assert _write(c, 5)  # write hit evicts
         assert not c.contains(5)
         assert c.stats.write_hits == 1
 
     def test_write_no_allocate(self):
         c = SetAssociativeCache(1024, 128, 4)
-        assert not c.write(9)
+        assert not _write(c, 9)
         assert not c.contains(9)
         assert c.stats.write_misses == 1
 
     def test_bypass_leaves_no_trace(self):
         c = SetAssociativeCache(1024, 128, 4)
-        c.read(3, bypass=True)
+        timing = SMTimingModel(KEPLER_K40C)
+        model_global_lines(c, MSHRFile(4), timing, [3], bypass=True,
+                           is_write=False)
         assert not c.contains(3)
         assert c.stats.bypassed == 1
         assert c.stats.reads == 0
 
     def test_set_mapping(self):
         c = SetAssociativeCache(1024, 128, 1)  # 8 sets, direct-mapped
-        c.read(0)
-        c.read(8)  # same set (8 % 8 == 0): evicts 0
+        _read(c, 0)
+        _read(c, 8)  # same set (8 % 8 == 0): evicts 0
         assert not c.contains(0)
-        c.read(1)  # different set: both coexist
+        _read(c, 1)  # different set: both coexist
         assert c.contains(1)
         assert c.contains(8)
 
     def test_flush(self):
         c = SetAssociativeCache(1024, 128, 4)
-        for i in range(8):
-            c.read(i)
+        c.access_lines(list(range(8)), False)
         c.flush()
         assert c.resident_lines == 0
 
@@ -101,7 +125,7 @@ class TestFullyAssociativeProperty:
                 expected_hit = distance < capacity
             else:
                 expected_hit = False
-            got_hit = cache.read(line)
+            got_hit = _read(cache, line)
             assert got_hit == expected_hit
             if line in stack:
                 stack.remove(line)
@@ -113,31 +137,31 @@ class TestFullyAssociativeProperty:
 class TestMSHR:
     def test_merge_outstanding(self):
         m = MSHRFile(4)
-        assert m.request(1, now=0, latency=100)
-        assert m.request(1, now=10, latency=100)
+        assert _request(m, 1, now=0, latency=100)
+        assert _request(m, 1, now=10, latency=100)
         assert m.merges == 1
         assert m.occupancy == 1
 
     def test_allocation_failure_when_full(self):
         m = MSHRFile(2)
-        assert m.request(1, now=0, latency=100)
-        assert m.request(2, now=0, latency=100)
-        assert not m.request(3, now=0, latency=100)
+        assert _request(m, 1, now=0, latency=100)
+        assert _request(m, 2, now=0, latency=100)
+        assert not _request(m, 3, now=0, latency=100)
         assert m.allocation_failures == 1
 
     def test_entries_retire_over_time(self):
         m = MSHRFile(2)
-        m.request(1, now=0, latency=100)
-        m.request(2, now=0, latency=100)
+        _request(m, 1, now=0, latency=100)
+        _request(m, 2, now=0, latency=100)
         # At t=150 both fills returned: new allocations succeed.
-        assert m.request(3, now=150, latency=100)
-        assert m.request(4, now=150, latency=100)
+        assert _request(m, 3, now=150, latency=100)
+        assert _request(m, 4, now=150, latency=100)
         assert m.allocation_failures == 0
 
     def test_failure_rate(self):
         m = MSHRFile(1)
-        m.request(1, now=0, latency=100)
-        m.request(2, now=1, latency=100)
+        _request(m, 1, now=0, latency=100)
+        _request(m, 2, now=1, latency=100)
         assert m.failure_rate == pytest.approx(0.5)
 
 

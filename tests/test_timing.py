@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gpu.arch import KEPLER_K40C
+from repro.gpu.cache import MSHRFile
 from repro.gpu.timing import SMTimingModel, TimingParams
 
 
@@ -57,7 +58,10 @@ class TestCostStructure:
 
     def test_mshr_failure_stall(self):
         m = _model(mshr_fail_stall=60)
-        m.mshr_failure(3)
+        mshr = MSHRFile(1)
+        mshr.request_lines([1, 2, 3, 4], m, latency=1000,
+                           stall=m.params.mshr_fail_stall)
+        assert mshr.allocation_failures == 3
         assert m.cycles == pytest.approx(180)
 
     def test_bank_conflicts_multiply_shared_cost(self):

@@ -62,6 +62,8 @@ RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 RESULT_SCRIPTS = {
     "bench_fig04_reuse_distance.py": ("fig04_*.txt",),
     "bench_fig05_memory_divergence.py": ("fig05_*.txt",),
+    "bench_fig06_bypass_kepler.py": ("fig06_*.txt",),
+    "bench_fig07_bypass_pascal.py": ("fig07_*.txt",),
     "bench_table3_branch_divergence.py": ("table3_*.txt",),
     "bench_fig08_fig09_debugging.py": ("fig08_*.txt", "fig09_*.txt"),
     "bench_ablations.py": ("ablation_*.txt",),
@@ -71,10 +73,6 @@ RESULT_SCRIPTS = {
 
 #: Committed result files the check does not regenerate, and why.
 RESULTS_LEFT_OUT = {
-    "fig06_bypass_kepler.txt": "oracle bypass search over every warp "
-                               "threshold: too slow for the check",
-    "fig07_bypass_pascal.txt": "oracle bypass search over every warp "
-                               "threshold: too slow for the check",
     "BENCH_simulator.json": "wall-clock timings, different on every run",
 }
 
