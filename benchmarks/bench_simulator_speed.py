@@ -70,7 +70,6 @@ from repro.gpu.device import Device
 from repro.host.runtime import CudaRuntime
 from repro.passes.pipeline import instrumentation_pipeline, optimization_pipeline
 from repro.profiler.session import ProfilingSession
-from repro.reliability.spill import SpillConfig
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
 RESULT_FILE = os.path.join(RESULTS_DIR, "BENCH_simulator.json")
@@ -137,9 +136,7 @@ RSS_LINE_SIZE = 128
 
 #: Fused flush size (rows) for --rss runs: big enough that
 #: per-flush overhead is not the bottleneck, small enough that
-#: O(segment) is visibly smaller than the full trace. A fused session
-#: takes its flush granularity from the spill config's segment size and
-#: never writes a segment file.
+#: O(segment) is visibly smaller than the full trace.
 RSS_FLUSH_ROWS = 2048
 
 
@@ -388,7 +385,7 @@ def _analysis_session(mode: str) -> ProfilingSession:
     if mode == "inram":
         return ProfilingSession()
     return ProfilingSession(
-        spill=SpillConfig(segment_rows=RSS_FLUSH_ROWS),
+        flush_rows=RSS_FLUSH_ROWS,
         fused=advisor_plan(RSS_LINE_SIZE, INSTRUMENT_MODES),
     )
 

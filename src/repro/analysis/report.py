@@ -68,16 +68,14 @@ def render_branch_table(
 
 
 def render_buffer_accounting(app: str, profiles: Sequence) -> str:
-    """Per-launch trace-buffer accounting (drops, spill, corruption).
+    """Per-launch trace-buffer accounting (kept and dropped rows).
 
-    Only meaningful when a launch overflowed its buffer capacity or
-    spilled segments to disk (see docs/reliability.md); the CLI prints
-    it only in that case.
+    Only meaningful when a launch overflowed its buffer capacity; the
+    CLI prints it only in that case.
     """
     lines = [
         f"Trace buffers -- {app}",
-        f"{'kernel':<20} {'kept':>10} {'dropped':>9} "
-        f"{'spilled':>9} {'corrupt':>9}",
+        f"{'kernel':<20} {'kept':>10} {'dropped':>9}",
     ]
     for p in profiles:
         kept = (
@@ -85,8 +83,7 @@ def render_buffer_accounting(app: str, profiles: Sequence) -> str:
             + len(p.arith_records)
         )
         lines.append(
-            f"{p.kernel:<20} {kept:>10} {p.dropped_records:>9} "
-            f"{p.spilled_records:>9} {p.corrupt_records:>9}"
+            f"{p.kernel:<20} {kept:>10} {p.dropped_records:>9}"
         )
     return "\n".join(lines)
 

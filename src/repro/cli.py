@@ -385,7 +385,7 @@ def _cmd_profile(args) -> int:
         print(report.overhead.render())
         print()
     profiles = report.session.profiles
-    if any(p.dropped_records or p.spilled_records for p in profiles):
+    if any(p.dropped_records for p in profiles):
         print("### trace buffers")
         print(render_buffer_accounting(args.app, profiles))
         print()

@@ -81,15 +81,6 @@ class ProfilerError(ReproError):
     """The profiler could not collect or attribute data."""
 
 
-class TraceCorruptionError(ProfilerError):
-    """A spilled trace segment failed its integrity check at drain time."""
-
-    def __init__(self, message: str, path: str = "", rows: int = 0):
-        super().__init__(message)
-        self.path = path
-        self.rows = rows
-
-
 class LaunchDegradedWarning(RuntimeWarning):
     """A launch lost a requested fast path and fell back to a slower one.
 

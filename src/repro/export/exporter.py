@@ -54,8 +54,10 @@ def _kernel_entry(profile) -> dict:
             "arith": len(profile.arith_records),
         },
         "dropped_records": profile.dropped_records,
-        "spilled_records": profile.spilled_records,
-        "corrupt_records": profile.corrupt_records,
+        # Always 0: the trace is never spilled to disk. Schema 1.0
+        # requires both keys; they go at the next major schema bump.
+        "spilled_records": 0,
+        "corrupt_records": 0,
     }
 
 
@@ -196,12 +198,9 @@ def _runtime_section(report: AdvisorReport) -> dict:
             "dropped_records": sum(
                 p.dropped_records for p in session.profiles
             ),
-            "spilled_records": sum(
-                p.spilled_records for p in session.profiles
-            ),
-            "corrupt_records": sum(
-                p.corrupt_records for p in session.profiles
-            ),
+            # constant 0, kept for schema 1.0 (see _kernel_entry)
+            "spilled_records": 0,
+            "corrupt_records": 0,
         },
     }
     stream_stats = [

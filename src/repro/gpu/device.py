@@ -42,7 +42,6 @@ from repro.reliability.shards import (
 )
 from repro.reliability.supervisor import (
     FORK_UNAVAILABLE,
-    FUSED_RECORDS_UNAVAILABLE,
     PC_SAMPLING_BATCHED,
     PC_SAMPLING_PARALLEL,
     SHARD_TIMEOUT,
@@ -542,18 +541,9 @@ class Device:
                 backend=backend,
             )
             backend = "interpreter"
-        if pc_sampler is not None and getattr(hooks, "fused", False):
-            # Sample attribution needs the raw trace records; this
-            # launch materializes its trace like a non-fused run.
-            self.supervisor.degrade(
-                FUSED_RECORDS_UNAVAILABLE,
-                kernel_name,
-                "pc sampling needs raw trace records: fused in-flight "
-                "analysis is disabled for this launch and the trace is "
-                "materialized",
-                backend=backend,
-            )
-            hooks.disable_fused()
+        if pc_sampler is not None and hooks is not None:
+            # Sample attribution reads the raw trace records.
+            hooks.keep_records()
         self._launch_backend = backend
         self._launch_spec = (
             self.jit_cache.specialize(image, kernel_name)

@@ -1,7 +1,7 @@
 """Crash-safe file publication: temp-file + ``os.replace``.
 
 Every artifact this tool publishes under a well-known name -- export
-documents, spill segments, cache entries, benchmark results -- goes
+documents, cache entries, benchmark results -- goes
 through :func:`atomic_write_bytes`.  The payload is written to a
 temporary file in the *same directory* as the target (``os.replace``
 is only atomic within one filesystem), flushed and fsynced, and then

@@ -191,14 +191,12 @@ class AdvisorReport:
                 "time_cells": self.heatmap.time_cells,
                 "occupied_cells": len(self.heatmap.cells),
             }
+        # Rows the keep-first buffer capacity discarded: the trace is
+        # never written out, so nothing else can be lost.
         dropped = sum(p.dropped_records for p in self.session.profiles)
-        spilled = sum(p.spilled_records for p in self.session.profiles)
-        corrupt = sum(p.corrupt_records for p in self.session.profiles)
-        if dropped or spilled or corrupt:
+        if dropped:
             out["trace_buffers"] = {
                 "dropped_records": dropped,
-                "spilled_records": spilled,
-                "corrupt_records": corrupt,
             }
         stream_stats = [
             p.stream_stats
@@ -315,11 +313,11 @@ class CUDAAdvisor:
         #: analyzer bank at segment granularity during execution, so
         #: the trace is never materialized. ``fused_drain=False`` keeps
         #: the raw records on every profile instead (for re-analysis
-        #: with other parameters, record inspection and pc sampling)
-        #: and feeds them through the same aggregates once the run
-        #: ends; the results are byte-identical. Launches that need raw
-        #: records (pc sampling) degrade per launch with a
-        #: ``fused-records-unavailable`` warning.
+        #: with other parameters and record inspection) and feeds them
+        #: through the same aggregates once the run ends; the results
+        #: are byte-identical. Launches that need raw records (pc
+        #: sampling) keep them as well as feeding the bank, so their
+        #: profiles carry both.
         self.fused_drain = fused_drain
         #: build the per-allocation x time heat map (needs "memory" mode);
         #: cell_rows sets kept memory instructions per CTA per time cell.
@@ -374,7 +372,9 @@ class CUDAAdvisor:
                     f"{program.name}: baseline run failed validation"
                 )
 
-        # Instrumented run.
+        # Instrumented run. Every launch drains through one FusedSink:
+        # into the plan's bank in flight (fused_drain=True), or into kept
+        # records that _analyze feeds through the same plan afterwards.
         session = ProfilingSession(
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,

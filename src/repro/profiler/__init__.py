@@ -4,9 +4,10 @@ Collection happens *inside* instrumented kernels: the engine's hook
 calls (``Record``, ``passBasicBlock``, ``RecordArith``, ``cupr.push`` /
 ``cupr.pop``) dispatch into a per-launch :class:`HookRuntime`, which
 packs arguments together with CTA/warp IDs into trace entries in a
-device-resident buffer. At kernel exit the buffer is "copied back" into
-a :class:`KernelProfile` (the data-marshaling step of the paper) and
-attribution runs:
+device-resident buffer. Each time the buffer fills, and at kernel exit,
+its rows are "copied back" (the data-marshaling step of the paper)
+through one sink into the analyzer bank and/or the kept records of a
+:class:`KernelProfile`, and attribution runs:
 
 * **code-centric** -- warp shadow stacks (fed by the mandatory call
   instrumentation) give the GPU call path of every event, concatenated
@@ -22,7 +23,6 @@ from repro.profiler.records import (
     MemoryAccessRecord,
     MemoryOp,
 )
-from repro.profiler.buffers import DeviceTraceBuffer
 from repro.profiler.profiler import HookRuntime, KernelProfile
 from repro.profiler.codecentric import CallPathRegistry, format_code_centric_view
 from repro.profiler.datacentric import DataCentricMap, DataObjectView
@@ -35,7 +35,6 @@ __all__ = [
     "CallPathRegistry",
     "DataCentricMap",
     "DataObjectView",
-    "DeviceTraceBuffer",
     "HookRuntime",
     "KernelProfile",
     "MemoryAccessRecord",

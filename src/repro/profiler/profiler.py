@@ -2,14 +2,17 @@
 
 One :class:`HookRuntime` exists per kernel launch (the paper's "online
 component ... invoked at the end of each kernel instance"). During the
-launch it receives every hook call from the interpreter; at kernel exit
-(`kernel_end`) it drains the device trace buffers into an immutable
+launch it receives every hook call from the interpreter and appends
+trace rows to the device trace buffers; one
+:class:`~repro.profiler.streamdrain.FusedSink` moves them out as they
+fill, into the session's analyzer bank and/or the kept records. At
+kernel exit (`kernel_end`) the sink's outputs become an immutable
 :class:`KernelProfile` that the analyzers consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,18 +23,13 @@ from repro.profiler.buffers import (
     ColumnarArithBuffer,
     ColumnarBlockBuffer,
     ColumnarMemoryBuffer,
-    clip_to_capacity,
-    stride_sample,
 )
-from repro.reliability.spill import SpillConfig
-from repro.reliability.supervisor import TRACE_SEGMENT_CORRUPT
 from repro.profiler.codecentric import CallPathRegistry, GPUPathEntry
-from repro.profiler.streamdrain import FusedSink, StreamedRecords
+from repro.profiler.streamdrain import DEFAULT_FLUSH_ROWS, FusedSink
 from repro.profiler.records import (
     ArithRecord,
     BlockRecord,
     MemoryAccessRecord,
-    MemoryOp,
 )
 
 
@@ -48,7 +46,8 @@ class KernelProfile:
     warps_per_cta: int
     #: Kept records are MemoryColumns / BlockColumns / ArithColumns
     #: (lazy record views over numpy columns), the form the analyzers
-    #: consume; a fused profile holds StreamedRecords placeholders.
+    #: consume; a profile analyzed in flight without kept records holds
+    #: StreamedRecords placeholders.
     memory_records: Sequence[MemoryAccessRecord]
     block_records: Sequence[BlockRecord]
     arith_records: Sequence[ArithRecord]
@@ -56,16 +55,10 @@ class KernelProfile:
     functions_by_id: list
     dropped_records: int
     launch_result: object = None  # LaunchResult, attached at kernel_end
-    #: rows that overflowed to disk spill segments during the launch
-    #: (lossless; see docs/reliability.md) and rows lost to corrupted
-    #: segments (already included in ``dropped_records``).
-    spilled_records: int = 0
-    corrupt_records: int = 0
     #: fused analysis only: the finalized-on-demand
     #: :class:`~repro.analysis.aggregates.AnalyzerBank` holding every
-    #: analyzer's partial aggregate (the records above are
-    #: :class:`~repro.profiler.streamdrain.StreamedRecords`
-    #: placeholders), plus the sink's counters for reporting.
+    #: analyzer's partial aggregate, plus the sink's counters for
+    #: reporting.
     aggregates: object = None
     stream_stats: Optional[dict] = None
 
@@ -89,7 +82,7 @@ class HookRuntime:
         launch_site: str,
         buffer_capacity: Optional[int] = None,
         sample_rate: int = 1,
-        spill: Optional[SpillConfig] = None,
+        flush_rows: int = DEFAULT_FLUSH_ROWS,
         fused=None,
     ):
         if sample_rate < 1:
@@ -101,61 +94,36 @@ class HookRuntime:
         #: record every Nth memory/arith event (the paper's Section 5
         #: overhead-reduction direction); call-path and block events are
         #: never sampled (the shadow stacks must stay exact). Sampling
-        #: is a drain-time stride filter over the merged trace (see
-        #: :func:`repro.profiler.buffers.stride_sample`), so sampled
-        #: launches still use the parallel/batched fast paths; the
-        #: memory/arith buffers run uncapped during the launch and the
-        #: capacity is applied to the filtered rows at kernel_end.
+        #: and the keep-first capacity are applied by the sink to each
+        #: flushed window of the merged trace, so sampled launches still
+        #: use the parallel/batched fast paths.
         self.sample_rate = sample_rate
         self._capacity = buffer_capacity
         #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
-        #: fused in-flight analysis -- the buffers flush into the plan's
-        #: bank at segment granularity *during* execution (no spill I/O,
-        #: no drain pass; see streamdrain.FusedSink) and the profile
-        #: carries ``aggregates`` + StreamedRecords placeholders.
-        #: Disabled per launch when raw records are needed
-        #: (``disable_fused``). The plan itself is never pickled --
-        #: shard workers inherit it through fork.
-        self._fused = fused
+        #: with a plan, kept rows feed the plan's bank *during*
+        #: execution and the profile carries ``aggregates``; without
+        #: one, the kept rows become the profile's records. The plan
+        #: itself is never pickled -- shard workers inherit it through
+        #: fork.
+        self._plan = fused
         self._shard_states: List[dict] = []
 
-        # -- reliability wiring (docs/reliability.md) ---------------------
-        # The device's failure policy picks the drain-time behaviour for
-        # corrupted spill segments, and its fault injector can force a
-        # tiny spill-segment size (the buffer_overflow injection point)
-        # so overflow handling is exercised without a huge trace.
-        device = getattr(image, "device", None)
-        policy = getattr(device, "failure_policy", "degrade")
-        injector = getattr(device, "fault_injector", None)
+        # The fault injector's buffer_overflow point forces a tiny
+        # flush size, so mid-launch flushing is exercised without a
+        # huge trace (docs/reliability.md).
+        injector = getattr(getattr(image, "device", None),
+                           "fault_injector", None)
         if injector is not None:
             params = injector.fire("buffer_overflow", kernel=kernel)
             if params is not None:
-                spill = SpillConfig(
-                    directory=spill.directory if spill else None,
-                    segment_rows=int(params.get("segment_rows", 256)),
-                )
-        if spill is not None:
-            spill.on_corrupt = "raise" if policy == "strict" else "drop"
-            spill.injector = injector
-        self._spill = spill
+                flush_rows = int(params.get("segment_rows", 256))
+        self._flush_rows = flush_rows
 
-        event_capacity = buffer_capacity if sample_rate == 1 else None
-        # Fused launches never spill: rows leave the buffers through the
-        # sink before a segment could hit disk. The buffer_overflow
-        # injection's tiny segment size still applies -- as the flush
-        # granularity -- so overflow handling stays exercised.
-        buffer_spill = None if fused is not None else spill
-        self.memory_buffer = ColumnarMemoryBuffer(event_capacity, buffer_spill)
-        self.block_buffer = ColumnarBlockBuffer(buffer_capacity, buffer_spill)
-        self.arith_buffer = ColumnarArithBuffer(event_capacity, buffer_spill)
         self.call_paths = CallPathRegistry()
-
-        self._fused_sink = None
-        self._fused_flush_rows = (
-            spill.segment_rows if spill is not None else 65536
+        self._attach_sink(
+            None if fused is None else fused.create_bank(),
+            fused is None, sample_rate, buffer_capacity,
         )
-        if fused is not None:
-            self._attach_fused_sink()
 
         self._seq = 0
         self._launch_info: Optional[dict] = None
@@ -169,39 +137,24 @@ class HookRuntime:
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
 
-    def _attach_fused_sink(self) -> None:
-        """Wire the current buffers into a fresh fused bank."""
-        self._fused_sink = FusedSink(
-            self._fused.create_bank(), self.memory_buffer,
-            self.block_buffer, self.arith_buffer, self._fused_flush_rows,
-            self.sample_rate, self._capacity,
+    def _attach_sink(self, bank, keep: bool, sample_rate: int,
+                     capacity: Optional[int]) -> None:
+        """Fresh trace buffers wired into a fresh sink."""
+        self.memory_buffer = ColumnarMemoryBuffer()
+        self.block_buffer = ColumnarBlockBuffer()
+        self.arith_buffer = ColumnarArithBuffer()
+        self._sink = FusedSink(
+            bank, self.memory_buffer, self.block_buffer, self.arith_buffer,
+            self._flush_rows, sample_rate, capacity, keep,
         )
 
-    @property
-    def fused(self) -> bool:
-        """Whether this launch analyzes rows in flight (no raw trace)."""
-        return self._fused is not None
+    def keep_records(self) -> None:
+        """Keep this launch's raw trace records (call before launch).
 
-    def disable_fused(self) -> None:
-        """Back out of fused mode before any hook fires.
-
-        Called by ``Device.launch`` (after degrading with
-        ``FUSED_RECORDS_UNAVAILABLE``) when the launch needs raw trace
-        records -- e.g. pc sampling. The buffers are still empty, so
-        they are rebuilt with the classic capacity/spill wiring and the
-        launch materializes its trace exactly as a non-fused run.
+        ``Device.launch`` calls this for launches whose consumers need
+        the records, e.g. pc sampling; a bank, if any, is still fed.
         """
-        if self._fused is None:
-            return
-        self._fused_sink.detach()
-        self._fused = None
-        self._fused_sink = None
-        event_capacity = (
-            self._capacity if self.sample_rate == 1 else None
-        )
-        self.memory_buffer = ColumnarMemoryBuffer(event_capacity, self._spill)
-        self.block_buffer = ColumnarBlockBuffer(self._capacity, self._spill)
-        self.arith_buffer = ColumnarArithBuffer(event_capacity, self._spill)
+        self._sink.keep_records()
 
     # -- interpreter-facing API -----------------------------------------------------
     def kernel_begin(self, launch_info: dict) -> None:
@@ -224,74 +177,19 @@ class HookRuntime:
             raise ProfilerError(f"unknown hook @{name}")
 
     def kernel_end(self, launch_result) -> None:
-        if self._fused is not None:
-            self._kernel_end_fused(launch_result)
-            return
-        info = self._launch_info or {}
-        memory = self.memory_buffer.drain()
-        arith = self.arith_buffer.drain()
-        block = self.block_buffer.drain()
-        clipped = 0
-        if self.sample_rate > 1:
-            memory, arith = stride_sample(memory, arith, self.sample_rate)
-            memory, n = clip_to_capacity(memory, self._capacity)
-            clipped += n
-            arith, n = clip_to_capacity(arith, self._capacity)
-            clipped += n
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
-        corrupt = sum(b.corrupt_dropped for b in buffers)
-        if corrupt:
-            self._report_corruption(corrupt)
-        self.profile = KernelProfile(
-            kernel=self.kernel,
-            host_call_path=self.host_call_path,
-            launch_site=self.launch_site,
-            grid=info.get("grid", (0, 0, 0)),
-            block=info.get("block", (0, 0, 0)),
-            num_ctas=info.get("num_ctas", 0),
-            warps_per_cta=info.get("warps_per_cta", 0),
-            memory_records=memory,
-            block_records=block,
-            arith_records=arith,
-            call_paths=self.call_paths,
-            functions_by_id=self.image.functions_by_id,
-            dropped_records=(
-                self.memory_buffer.dropped
-                + self.block_buffer.dropped
-                + self.arith_buffer.dropped
-                + clipped
-            ),
-            launch_result=launch_result,
-            spilled_records=sum(b.spilled for b in buffers),
-            corrupt_records=corrupt,
-        )
-        if self.on_complete is not None:
-            self.on_complete(self.profile)
+        """Seal the launch's trace into its :class:`KernelProfile`.
 
-    def _kernel_end_fused(self, launch_result) -> None:
-        """Seal the in-flight bank: the trace was analyzed as it ran.
-
-        Own rows already streamed through the fused sink during
-        execution (only a sub-segment tail remains to flush). Shard
-        states merge first, in SM order, which is safe because a
-        fork-parallel launch never dispatches hooks in the parent, so
-        the sink's cursors are untouched until this point. Fused
-        buffers never spill, so there is no spill or corruption
-        accounting to collect.
+        Own rows already left the buffers through the sink during
+        execution (only a sub-flush tail remains). Shard states merge
+        first, in SM order, which is safe because a fork-parallel launch
+        never dispatches hooks in the parent, so the sink's cursors are
+        untouched until this point.
         """
         info = self._launch_info or {}
-        sink = self._fused_sink
+        sink = self._sink
         states, self._shard_states = self._shard_states, []
         for state in states:
-            if "bank" in state:
-                sink.bank.merge(state["bank"])
-                sink.stats.absorb(state["stats"])
-            else:
-                sink.relay(state)
-        sink.flush()
-        sink.bank.seal()
-        stats = sink.stats
-        buffers = (self.memory_buffer, self.block_buffer, self.arith_buffer)
+            sink.absorb(state)
         self.profile = KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
@@ -300,137 +198,65 @@ class HookRuntime:
             block=info.get("block", (0, 0, 0)),
             num_ctas=info.get("num_ctas", 0),
             warps_per_cta=info.get("warps_per_cta", 0),
-            memory_records=StreamedRecords("memory", stats.memory_rows),
-            block_records=StreamedRecords("block", stats.block_rows),
-            arith_records=StreamedRecords("arith", stats.arith_rows),
             call_paths=self.call_paths,
             functions_by_id=self.image.functions_by_id,
-            dropped_records=sum(b.dropped for b in buffers) + sink.clipped,
             launch_result=launch_result,
-            aggregates=sink.bank,
-            stream_stats=stats.as_dict(),
+            **sink.finish(),
         )
         if self.on_complete is not None:
             self.on_complete(self.profile)
-
-    def _report_corruption(self, rows: int) -> None:
-        """Surface dropped-corrupt-segment rows through the supervisor."""
-        device = getattr(self.image, "device", None)
-        supervisor = getattr(device, "supervisor", None)
-        if supervisor is not None:
-            supervisor.degrade(
-                TRACE_SEGMENT_CORRUPT,
-                self.kernel,
-                f"{rows} trace rows lost to corrupted spill segments "
-                f"for kernel {self.kernel!r}; analyses run on the "
-                f"surviving rows",
-                rows=rows,
-            )
 
     # -- parallel-launch sharding -------------------------------------------------------
     def reset_for_shard(self) -> None:
         """Reinitialize trace state inside a forked shard worker.
 
-        Shard buffers are uncapped: the parent enforces the global
-        capacity when it absorbs the shards in SM order, so the drop set
-        matches a serial run exactly. In-RAM shards keep spill active (a
-        shard's segments are written and drained inside the worker);
-        fused shards never spill.
+        With no sampling, no capacity and no kept records, the shard's
+        kept rows are exactly its trace, so it fuses into its own bank
+        and ships that. Otherwise the stride phase and keep-first
+        cutoff depend on earlier shards' row counts: the shard keeps
+        all its rows (unsampled, uncapped) and relays them for the
+        parent's running cursors.
         """
-        shard_spill = None if self._fused is not None else self._spill
-        self.memory_buffer = ColumnarMemoryBuffer(None, shard_spill)
-        self.block_buffer = ColumnarBlockBuffer(None, shard_spill)
-        self.arith_buffer = ColumnarArithBuffer(None, shard_spill)
+        ship_bank = (
+            self._sink.kept is None
+            and self.sample_rate == 1
+            and self._capacity is None
+        )
         self.call_paths = CallPathRegistry()
+        self._attach_sink(
+            self._plan.create_bank() if ship_bank else None,
+            not ship_bank, 1, None,
+        )
         self._seq = 0
         self._warp_stacks = {}
         self._warp_path_ids = {}
         self._shard_states = []
-        if self._fused is not None:
-            if self.sample_rate == 1 and self._capacity is None:
-                # The shard's kept rows are exactly its trace, so it
-                # can fuse locally and ship its bank.
-                self._attach_fused_sink()
-            else:
-                # Stride phase / keep-first cutoff depend on earlier
-                # shards' row counts: materialize in RAM and relay the
-                # rows for the parent's running cursors.
-                self._fused_sink = None
 
     def export_shard(self) -> dict:
         """Pickleable trace state a shard worker sends back."""
-        if self._fused is not None:
-            return self._export_shard_fused()
-        return {
-            "memory": self.memory_buffer.drain(),
-            "block": self.block_buffer.drain(),
-            "arith": self.arith_buffer.drain(),
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
-
-    def _export_shard_fused(self) -> dict:
-        """State a fused shard worker ships back to the parent.
-
-        With no sampling and no capacity the worker's rows already live
-        in its fused bank (flush the tail, ship the bank); otherwise the
-        worker materialized its rows in RAM (it never spills) and
-        relays them as column views for the parent's
-        :meth:`FusedSink.relay`.
-        """
-        state = {
-            "paths": list(self.call_paths._paths),
-            "seq_total": self._seq,
-        }
-        if self._fused_sink is not None:
-            self._fused_sink.flush()
-            state["bank"] = self._fused_sink.bank
-            state["stats"] = self._fused_sink.stats.as_dict()
-        else:
-            state["memory"] = self.memory_buffer.detach_rows()
-            state["block"] = self.block_buffer.detach_rows()
-            state["arith"] = self.arith_buffer.detach_rows()
+        state = self._sink.shard_state()
+        state["paths"] = list(self.call_paths._paths)
+        state["seq_total"] = self._seq
         return state
 
     def absorb_shards(self, shard_states) -> None:
-        """Merge shard traces back, in SM order, as if run serially.
+        """Queue shard traces for ``kernel_end``, in SM order.
 
-        Sequence numbers are renumbered with a running offset (all three
-        buffers share one counter, so a shard's local seqs are already
-        dense and ordered), and call-path ids are re-interned into the
-        parent registry in shard order -- first-encounter order across
-        the concatenated stream, identical to a serial run.
+        Call-path ids are re-interned into the parent registry in shard
+        order -- first-encounter order across the concatenated stream,
+        identical to a serial run -- and each shard's seqs get a running
+        offset (all three buffers share one counter, so a shard's local
+        seqs are already dense and ordered). The sink applies both when
+        it relays the shard's rows.
         """
-        if self._fused is not None:
-            # Fused mode defers consumption to kernel_end: stash the
-            # states in SM order, keep the call-path registry's
-            # first-encounter order identical to the in-RAM remap, and
-            # advance the seq counter. Relayed columns keep their
-            # worker-local seqs / path ids -- the sink's running rank
-            # only needs within-shard seq order, and no aggregate
-            # reads call_path_id.
-            for state in shard_states:
-                for p in state["paths"]:
-                    self.call_paths.intern(p)
-                self._seq += state["seq_total"]
-                self._shard_states.append(state)
-            return
         for state in shard_states:
-            remap = np.array(
+            state["path_remap"] = np.array(
                 [self.call_paths.intern(p) for p in state["paths"]],
                 dtype=np.int64,
             )
-            offset = self._seq
-            for cols, buffer in (
-                (state["memory"], self.memory_buffer),
-                (state["block"], self.block_buffer),
-                (state["arith"], self.arith_buffer),
-            ):
-                if len(cols):
-                    cols.seq = cols.seq + offset
-                    cols.call_path_id = remap[cols.call_path_id]
-                buffer.extend(cols)
+            state["seq_offset"] = self._seq
             self._seq += state["seq_total"]
+            self._shard_states.append(state)
 
     # -- hook implementations ----------------------------------------------------------
     def _current_path_id(self, warp) -> int:

@@ -17,7 +17,7 @@ from repro.host.runtime import DeviceAllocationRecord, MemcpyRecord
 from repro.host.shadow_stack import HostFrame
 from repro.profiler.datacentric import DataCentricMap
 from repro.profiler.profiler import HookRuntime, KernelProfile
-from repro.reliability.spill import SpillConfig
+from repro.profiler.streamdrain import DEFAULT_FLUSH_ROWS
 
 #: Process-local instrumentation counters.  ``sessions_created`` bumps
 #: per :class:`ProfilingSession`, ``launches_profiled`` per hooked
@@ -30,35 +30,27 @@ SESSION_COUNTERS = {"sessions_created": 0, "launches_profiled": 0}
 class ProfilingSession:
     """Collects profiles and interposition records for one program run.
 
-    ``spill_dir``/``spill_rows`` arm disk spill on the per-launch trace
-    buffers: whenever a columnar buffer holds ``spill_rows`` rows they
-    are written to a checksummed segment under ``spill_dir`` and read
-    back transparently at kernel exit, so arbitrarily long launches
-    never exhaust memory (see ``docs/reliability.md``). A prebuilt
-    :class:`~repro.reliability.spill.SpillConfig` can be passed as
-    ``spill`` instead.
+    Each launch's trace buffers flush every ``flush_rows`` rows per
+    buffer. Without ``fused`` the kept rows are concatenated into each
+    profile's records at kernel exit.
 
     ``fused`` takes an
     :class:`~repro.analysis.aggregates.AnalyzerPlan` and analyzes rows
-    *during* execution: buffered rows flush into the plan's analyzer
-    bank at segment granularity, the trace is never spilled or drained,
+    *during* execution: every flush feeds the plan's analyzer bank, so
+    resident trace memory stays O(flush) however long the launch runs,
     and the resulting profiles carry ``aggregates`` instead of
-    materialized records -- byte-identical results to the batch
-    analyzers.
+    materialized records -- byte-identical results to feeding the kept
+    records through the same plan afterwards.
     """
 
     def __init__(self, buffer_capacity: Optional[int] = None,
                  sample_rate: int = 1,
-                 spill_dir: Optional[str] = None,
-                 spill_rows: int = 65536,
-                 spill: Optional[SpillConfig] = None,
+                 flush_rows: int = DEFAULT_FLUSH_ROWS,
                  fused=None):
         SESSION_COUNTERS["sessions_created"] += 1
         self.buffer_capacity = buffer_capacity
         self.sample_rate = sample_rate
-        if spill is None and spill_dir is not None:
-            spill = SpillConfig(directory=spill_dir, segment_rows=spill_rows)
-        self.spill = spill
+        self.flush_rows = flush_rows
         self.fused = fused
         self.profiles: List[KernelProfile] = []
         self.host_buffers: List[HostBuffer] = []
@@ -94,7 +86,7 @@ class ProfilingSession:
             launch_site,
             buffer_capacity=self.buffer_capacity,
             sample_rate=self.sample_rate,
-            spill=self.spill,
+            flush_rows=self.flush_rows,
             fused=self.fused,
         )
         hooks.on_complete = self.profiles.append

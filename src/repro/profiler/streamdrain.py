@@ -1,13 +1,20 @@
-"""Fused in-flight analysis: trace rows stream into the analyzer bank.
+"""The one trace drain: trace rows stream out of the buffers in flight.
 
-A :class:`FusedSink` hooks the three columnar trace buffers so that
-buffered rows flush into an
-:class:`~repro.analysis.aggregates.AnalyzerBank` whenever a buffer
-reaches its flush size *during* execution: no spill files, no
-kernel-exit drain pass, and resident trace memory stays O(flush) for
-the whole launch. The resulting profile carries the bank as
-``aggregates`` and :class:`StreamedRecords` placeholders instead of raw
-records.
+A :class:`FusedSink` hooks the three columnar trace buffers of a launch
+so that buffered rows leave them whenever a buffer reaches its flush
+size *during* execution, so the buffers never hold more than one flush
+of rows. Each flushed window is sampled and capped, and every row it
+keeps goes to up to two outputs:
+
+* **the bank** -- an :class:`~repro.analysis.aggregates.AnalyzerBank`
+  (when the session has an analyzer plan). The profile carries it as
+  ``aggregates``; unless rows are kept as well, the records are
+  :class:`StreamedRecords` placeholders and resident trace memory
+  stays O(flush) for the whole launch.
+* **kept rows** -- per-stream chunk lists, concatenated at kernel exit
+  into the profile's column views (when the session has no plan, when
+  the launch needs raw records such as pc sampling, and in shard
+  workers that relay their rows).
 
 Two cross-flush concerns are handled here so results stay
 byte-identical to analyzing the fully materialized trace:
@@ -16,17 +23,15 @@ byte-identical to analyzing the fully materialized trace:
   events jointly by sequence number. All three buffers share one
   sequence counter, so at any flush the buffered memory+arith rows are
   exactly the next contiguous window of the joint event stream: joint
-  ranks assigned with a running counter equal the global ranks of the
-  batch :func:`~repro.profiler.buffers.stride_sample`.
+  ranks assigned with a running counter equal the global ranks over
+  the whole merged stream.
 * **Capacity** is enforced as keep-first-N per stream with drop
-  accounting, matching append-time caps (``sample_rate == 1``) and the
-  post-sampling :func:`~repro.profiler.buffers.clip_to_capacity`
-  (``sample_rate > 1``).
+  accounting, after sampling.
 
 Fork-parallel shards either fuse locally and ship their bank (exact
-when no sampling or capacity applies; the parent merges bank-to-bank)
-or materialize their rows and relay them for the parent's running
-cursors (:meth:`FusedSink.relay`).
+when no sampling, capacity or kept rows apply; the parent merges
+bank-to-bank) or keep their rows and relay them for the parent's
+running cursors (:meth:`FusedSink.relay`).
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ import numpy as np
 from repro.errors import ProfilerError
 
 _EMPTY_SEQ = np.zeros(0, dtype=np.int64)
+
+#: Default flush size (rows per buffer) of a launch's trace buffers.
+DEFAULT_FLUSH_ROWS = 65536
+
+_STREAMS = ("memory", "block", "arith")
 
 
 class StreamedRecords:
@@ -111,26 +121,30 @@ class StreamStats:
 
 
 class FusedSink:
-    """Pushes kept rows into the analyzer bank *during* execution.
+    """Moves kept rows out of a launch's trace buffers *during* execution.
 
     The three columnar buffers flush into this sink whenever they reach
     ``flush_rows`` (see ``_ColumnarBase.sink``). Memory and arith flush
     together so their joint stride ranks continue one running counter;
     block rows flush independently (each aggregate consumes a single
-    stream, so cross-stream interleaving is invisible).
+    stream, so cross-stream interleaving is invisible). ``bank`` may be
+    ``None`` (no analyzer plan); ``keep`` collects the kept rows.
     """
 
     def __init__(self, bank, memory_buffer, block_buffer, arith_buffer,
                  flush_rows: int, sample_rate: int = 1,
-                 capacity: Optional[int] = None):
+                 capacity: Optional[int] = None, keep: bool = False):
         self.bank = bank
         self.rate = sample_rate
         self.capacity = capacity
         self.stats = StreamStats()
         #: rows dropped by the keep-first capacity cap.
         self.clipped = 0
+        #: kept column views per stream, in trace order (None: not kept).
+        self.kept = None
+        if keep:
+            self.keep_records()
         self._rank = 0  # running joint memory+arith stride rank
-        self._kept = {"memory": 0, "block": 0, "arith": 0}
         self.memory_buffer = memory_buffer
         self.block_buffer = block_buffer
         self.arith_buffer = arith_buffer
@@ -140,26 +154,82 @@ class FusedSink:
         block_buffer.sink = self._flush_blocks
         block_buffer.sink_rows = flush_rows
 
-    def detach(self) -> None:
-        """Unhook from the buffers (fused mode disabled pre-launch)."""
-        for buffer in (self.memory_buffer, self.block_buffer,
-                       self.arith_buffer):
-            buffer.sink = None
-            buffer.sink_rows = 0
+    def keep_records(self) -> None:
+        """Collect the kept rows as records too (before any push)."""
+        if self.kept is None:
+            self.kept = {stream: [] for stream in _STREAMS}
 
     def flush(self) -> None:
-        """Push everything still buffered (called at kernel_end)."""
+        """Push everything still buffered."""
         self._flush_blocks()
         self._flush_events()
 
-    def relay(self, state: dict) -> None:
-        """Push a shard worker's materialized rows (``detach_rows`` views).
+    def finish(self) -> dict:
+        """Flush the tail and seal; the profile fields of this launch.
 
-        A shard's rows are the next contiguous window of the launch's
+        Kept rows are concatenated per stream; without them the records
+        are :class:`StreamedRecords` placeholders. A bank comes with
+        the sink's counters.
+        """
+        self.flush()
+        if self.bank is not None:
+            self.bank.seal()
+        fields = {
+            f"{stream}_records": self._records(stream)
+            for stream in _STREAMS
+        }
+        fields["dropped_records"] = self.clipped
+        fields["aggregates"] = self.bank
+        fields["stream_stats"] = (
+            None if self.bank is None else self.stats.as_dict()
+        )
+        return fields
+
+    def _records(self, stream: str):
+        if self.kept is None:
+            rows = getattr(self.stats, f"{stream}_rows")
+            return StreamedRecords(stream, rows)
+        # hand the chunks over: only the concatenation stays alive
+        parts, self.kept[stream] = self.kept[stream], []
+        if not parts:
+            return getattr(self, f"{stream}_buffer").empty_view()
+        return type(parts[0]).concat(parts)
+
+    def shard_state(self) -> dict:
+        """What a shard worker ships back: its bank, or its kept rows."""
+        self.flush()
+        if self.kept is None:
+            return {"bank": self.bank, "stats": self.stats.as_dict()}
+        return {
+            stream: type(parts[0]).concat(parts) if parts else None
+            for stream, parts in self.kept.items()
+        }
+
+    def absorb(self, state: dict) -> None:
+        """Fold in one shard worker's state (shards in SM order)."""
+        if "bank" in state:
+            self.bank.merge(state["bank"])
+            self.stats.absorb(state["stats"])
+        else:
+            self.relay(state)
+
+    def relay(self, state: dict) -> None:
+        """Push a shard worker's kept rows.
+
+        Worker-local seqs are renumbered by ``state["seq_offset"]`` and
+        call-path ids remapped through ``state["path_remap"]`` (the
+        parent registry's ids), so relayed rows equal a serial run's. A
+        shard's rows are the next contiguous window of the launch's
         trace (shards are relayed in SM order), so they continue the
         running stride rank and capacity cursors exactly as a flush
         would.
         """
+        offset, remap = state["seq_offset"], state["path_remap"]
+        for stream in _STREAMS:
+            cols = state[stream]
+            if cols is not None:
+                cols.seq = cols.seq + offset
+                cols.call_path_id = remap[cols.call_path_id]
         self._push_blocks(state["block"])
         self._push_events(state["memory"], state["arith"])
 
@@ -211,13 +281,15 @@ class FusedSink:
             self._emit(ari, np.flatnonzero(keep[m_seq.size:]), "arith")
 
     def _emit(self, seg, idx, key: str) -> None:
-        """Push (a kept subset of) one window through the bank,
-        enforcing the per-stream keep-first-capacity contract."""
+        """Keep (a subset of) one window, enforcing the per-stream
+        keep-first-capacity contract, and hand it to the outputs."""
         rows = len(seg) if idx is None else len(idx)
         if not rows:
             return
+        counter = f"{key}_rows"
+        kept_so_far = getattr(self.stats, counter)
         if self.capacity is not None:
-            allow = self.capacity - self._kept[key]
+            allow = self.capacity - kept_so_far
             if allow <= 0:
                 self.clipped += rows
                 return
@@ -227,13 +299,8 @@ class FusedSink:
                 idx = np.arange(allow) if idx is None else idx[:allow]
         if idx is not None and (len(idx) != len(seg)):
             seg = seg.take(idx)
-        self._kept[key] += rows
-        if key == "memory":
-            self.stats.memory_rows += rows
-            self.bank.update_memory(seg)
-        elif key == "block":
-            self.stats.block_rows += rows
-            self.bank.update_block(seg)
-        else:
-            self.stats.arith_rows += rows
-            self.bank.update_arith(seg)
+        setattr(self.stats, counter, kept_so_far + rows)
+        if self.kept is not None:
+            self.kept[key].append(seg)
+        if self.bank is not None:
+            getattr(self.bank, f"update_{key}")(seg)

@@ -1,4 +1,4 @@
-"""Launch reliability: supervisor, shard supervision, spill, faults.
+"""Launch reliability: supervisor, shard supervision, faults.
 
 The reliability layer turns scattered one-off fallbacks into an
 explicit, policy-driven system (see ``docs/reliability.md``):
@@ -8,14 +8,11 @@ explicit, policy-driven system (see ``docs/reliability.md``):
   machine-readable reason codes, per-device warning deduplication.
 * :mod:`repro.reliability.shards` -- heartbeat/timeout supervision and
   bounded retry of fork-parallel shard workers.
-* :mod:`repro.reliability.spill` -- checksummed disk spill segments for
-  the columnar trace buffers.
 * :mod:`repro.reliability.faultinject` -- the seedable fault-injection
   framework driving the chaos test suite.
 """
 
 from repro.reliability.faultinject import INJECTION_POINTS, FaultInjector
-from repro.reliability.spill import SpillConfig
 from repro.reliability.supervisor import (
     FAILURE_POLICIES,
     REASON_CODES,
@@ -30,5 +27,4 @@ __all__ = [
     "DegradationEvent",
     "FaultInjector",
     "LaunchSupervisor",
-    "SpillConfig",
 ]

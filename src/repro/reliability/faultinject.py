@@ -5,8 +5,8 @@ A :class:`FaultInjector` is attached to a device
 a small set of named **injection points** inside the launch and trace
 pipeline.  Each point fires only when an armed :class:`FaultSpec`
 matches the call's context, so chaos tests can pin precise scenarios
-("shard 1 crashes on its first attempt", "the second spill segment is
-corrupted") and probabilistic soak runs stay reproducible from a seed.
+("shard 1 crashes on its first attempt", "shard 0 hangs on every
+attempt") and probabilistic soak runs stay reproducible from a seed.
 
 Injection points
 ----------------
@@ -21,13 +21,9 @@ Injection points
     Context: ``shard``, ``attempt``.
 ``buffer_overflow``
     Fired once per instrumented launch when the hook runtime builds its
-    trace buffers; forces a tiny spill-segment size (param
-    ``segment_rows``, default 256) so the columnar buffers overflow to
-    disk mid-launch.  Context: ``kernel``.
-``corrupt_spill``
-    Fired after a spill segment is written; flips bytes in the file so
-    the drain-time integrity check fails.  Context: ``kind`` (buffer
-    kind), ``segment`` (per-buffer ordinal).
+    trace buffers; forces a tiny flush size (param ``segment_rows``,
+    default 256) so the columnar buffers flush many times mid-launch.
+    Context: ``kernel``.
 
 Service-scope points (the profiling-as-a-service tier;
 ``docs/service.md``):
@@ -68,7 +64,6 @@ INJECTION_POINTS = (
     "worker_crash",
     "shard_hang",
     "buffer_overflow",
-    "corrupt_spill",
     "service_worker_crash",
     "service_job_hang",
     "cache_corrupt_entry",

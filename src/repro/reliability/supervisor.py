@@ -53,11 +53,6 @@ SHARD_WORKER_CRASH = "shard-worker-crash"
 SHARD_TIMEOUT = "shard-timeout"
 #: a shard worker raised an exception; re-executed serially.
 SHARD_WORKER_ERROR = "shard-worker-error"
-#: a spilled trace segment failed its integrity check and was dropped.
-TRACE_SEGMENT_CORRUPT = "trace-segment-corrupt"
-#: the launch needs raw trace records (pc sampling, record export);
-#: fused in-flight analysis is disabled and the trace materializes.
-FUSED_RECORDS_UNAVAILABLE = "fused-records-unavailable"
 
 REASON_CODES = (
     PC_SAMPLING_BATCHED,
@@ -67,8 +62,6 @@ REASON_CODES = (
     SHARD_WORKER_CRASH,
     SHARD_TIMEOUT,
     SHARD_WORKER_ERROR,
-    TRACE_SEGMENT_CORRUPT,
-    FUSED_RECORDS_UNAVAILABLE,
 )
 
 

@@ -10,7 +10,7 @@ result classes and the stream-level recurrences
 :func:`~repro.analysis.cache_model.stack_distances`), which have their
 own quadratic and cache-simulator differential tests.
 
-They take any record sequence: a plain list of records or a drained
+They take any record sequence: a plain list of records or a kept
 column view (which iterates as records). :func:`memory_columns`,
 :func:`block_columns` and :func:`arith_columns` turn hand-built record
 lists into the column views the analyzers consume, and
@@ -96,6 +96,62 @@ def columns_profile(memory=(), block=(), arith=()) -> SimpleNamespace:
         block_records=block_columns(list(block)),
         arith_records=arith_columns(list(arith)),
     )
+
+
+def drained(buffer):
+    """Everything a standalone columnar buffer holds, as one column view."""
+    view = buffer.detach_rows()
+    return buffer.empty_view() if view is None else view
+
+
+# -- sampling and capacity over a whole materialized trace --------------------
+
+
+def stride_sample(memory: MemoryColumns, arith: ArithColumns, rate: int):
+    """Every ``rate``-th event of the merged memory+arith stream.
+
+    Events are ranked by sequence number across both column sets
+    together (the order the hooks fired in) and ranks ``0, rate,
+    2*rate, ...`` are kept, seqs untouched: the reference for the
+    sink's running per-flush ranks.
+    """
+    if rate == 1:
+        return memory, arith
+    n_mem = len(memory)
+    seqs = np.concatenate([memory.seq, arith.seq])
+    order = np.argsort(seqs)  # seqs are unique across both streams
+    ranks = np.empty(len(seqs), dtype=np.int64)
+    ranks[order] = np.arange(len(seqs))
+    keep = ranks % rate == 0
+    return memory.take(keep[:n_mem]), arith.take(keep[n_mem:])
+
+
+def clip_to_capacity(cols, capacity):
+    """Keep the first ``capacity`` rows; returns ``(cols, dropped)``.
+
+    Applied after :func:`stride_sample`: the reference for the sink's
+    keep-first cap.
+    """
+    if capacity is None or len(cols) <= capacity:
+        return cols, 0
+    return cols.take(np.arange(capacity)), len(cols) - capacity
+
+
+def assert_columns_equal(expected, actual) -> None:
+    """Two column views hold the same rows, column for column.
+
+    The lane width of an empty view's per-lane columns is unspecified,
+    so zero-row columns only need to agree on dtype.
+    """
+    assert type(expected) is type(actual)
+    assert len(expected) == len(actual)
+    for name in expected.__slots__:
+        a, b = getattr(expected, name), getattr(actual, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert not len(a) or np.array_equal(a, b), name
+        else:
+            assert list(a) == list(b), name
 
 
 # -- memory: per-CTA lane streams ---------------------------------------------

@@ -1,7 +1,7 @@
 """Atomic artifact publication: temp-file + os.replace everywhere.
 
 The contract under test: a process killed at any point while publishing
-an artifact (export document, spill segment, cache entry) leaves either
+an artifact (export document, cache entry) leaves either
 the old bytes, the new bytes, or nothing under the final name -- never
 a truncated file.  The kill-mid-write tests fork a child whose
 ``os.replace`` is rerouted to ``os._exit`` (died after writing, before
@@ -15,7 +15,6 @@ import pytest
 
 from repro import ioutil
 from repro.ioutil import atomic_write_bytes, atomic_write_text
-from repro.reliability.spill import SpillConfig, read_segment, write_segment
 
 
 def _no_stray_tmp(directory):
@@ -100,27 +99,3 @@ class TestExportOutputAtomic:
         _, status = os.waitpid(pid, 0)
         assert os.WEXITSTATUS(status) == 21
         assert out.read_text() == "precious old document"
-
-
-class TestSpillSegmentAtomic:
-    def test_segment_roundtrip_still_checks(self, tmp_path):
-        config = SpillConfig(directory=str(tmp_path))
-        path = write_segment(config, "memory", 0, {"rows": [1, 2, 3]},
-                             rows=3)
-        assert read_segment(path) == {"rows": [1, 2, 3]}
-        assert _no_stray_tmp(tmp_path) == []
-
-    def test_kill_mid_spill_leaves_no_torn_segment(self, tmp_path):
-        config = SpillConfig(directory=str(tmp_path))
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover -- child dies by design
-            try:
-                ioutil.os.replace = lambda src, dst: os._exit(21)
-                write_segment(config, "memory", 0,
-                              {"rows": list(range(1000))}, rows=1000)
-            finally:
-                os._exit(99)
-        _, status = os.waitpid(pid, 0)
-        assert os.WEXITSTATUS(status) == 21
-        # no *.seg file may exist -- the crash happened pre-publication
-        assert [n for n in os.listdir(tmp_path) if n.endswith(".seg")] == []

@@ -1,27 +1,28 @@
-"""Fused in-flight analysis: byte-identity without the trace round-trip.
+"""The one trace drain: ``FusedSink`` feeds the bank and keeps rows.
 
-The fused path (``FusedSink`` + the analyzer bank) must reproduce the
-per-record reference analyses (``tests/analysis_oracle.py``) exactly
-while never materializing or spilling a trace:
+Every launch's rows leave its buffers through one ``FusedSink``. Fused
+analysis (the sink + the analyzer bank) must reproduce the per-record
+reference analyses (``tests/analysis_oracle.py``) exactly, and the rows
+the sink keeps must equal the reference trace after sampling and
+capacity:
 
 * **Property tests** (hypothesis) push random interleaved
-  memory/block/arith event streams through fused buffers at tiny flush
+  memory/block/arith event streams through the sink at tiny flush
   granularities (down to one row), through per-shard banks merged in
   shard order, and through shard relays, comparing every aggregate of
-  the full plan against the oracle over the materialized trace --
-  including stride-sampling phases and keep-first capacity across
-  flush and shard boundaries.
+  the full plan against the oracle over the materialized trace -- and,
+  with kept records switched on, every kept column (``seq`` and
+  ``call_path_id`` included) against the oracle's sample/clip --
+  across stride-sampling phases and keep-first capacity over flush and
+  shard boundaries.
 * **App-level tests** run instrumented programs twice (fused vs
-  in-RAM) across serial / batched / fork-parallel configurations and
-  assert identical accounting, with the fused bank matching the oracle
-  over the in-RAM trace -- and that the fused spill directory stays
-  empty.
-* **Degradation**: a launch that needs raw records (pc sampling)
-  disables fused mode with a ``fused-records-unavailable`` warning and
-  materializes the trace like a classic run.
+  kept records) across serial / batched / fork-parallel configurations
+  and assert identical accounting, with the fused bank matching the
+  oracle over the kept trace.
+* **Launches that need raw records** (pc sampling) keep them as well
+  as feeding the bank, without a degradation event.
 """
 
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.analysis.reuse_distance import (
     reuse_distance_analysis,
 )
 from repro.apps import build_app
-from repro.errors import LaunchDegradedWarning, ProfilerError
+from repro.errors import ProfilerError
 from repro.frontend.dsl import compile_kernels
 from repro.gpu.arch import KEPLER_K40C
 from repro.gpu.device import Device
@@ -49,22 +50,19 @@ from repro.profiler.buffers import (
     ColumnarArithBuffer,
     ColumnarBlockBuffer,
     ColumnarMemoryBuffer,
-    clip_to_capacity,
-    stride_sample,
 )
 from repro.profiler.pc_sampling import PCSampler
 from repro.profiler.profiler import HookRuntime
 from repro.profiler.records import MemoryOp
 from repro.profiler.session import ProfilingSession
 from repro.profiler.streamdrain import FusedSink, StreamedRecords
-from repro.reliability.faultinject import FaultInjector
-from repro.reliability.supervisor import FUSED_RECORDS_UNAVAILABLE
 from tests import analysis_oracle as oracle
 from tests.conftest import KERNELS
 
 WARP = 4
 LINE_SIZE = 64
 CAPACITIES = [4, 16, 64, 256]
+PATHS = 3  # distinct call-path ids in the synthetic streams
 
 
 # -- synthetic event streams ----------------------------------------------------
@@ -82,8 +80,11 @@ _EVENTS = st.lists(
 )
 
 
-def _append_event(event, seq, mem, block, arith):
+def _append_event(event, seq, mem, block, arith, remap=None):
     stream, cta, sel, flag = event
+    path = (sel + cta) % PATHS
+    if remap is not None:
+        path = int(remap[path])
     if stream == "mem":
         # Strided addresses so warps touch 1..WARP distinct lines.
         stride = 2 * LINE_SIZE if flag else 8
@@ -97,38 +98,41 @@ def _append_event(event, seq, mem, block, arith):
             seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
             bits=32, line=sel % 5, col=sel % 3,
             op=int(MemoryOp.LOAD if flag else MemoryOp.STORE),
-            call_path_id=0,
+            call_path_id=path,
         )
     elif stream == "block":
         block.append(
             seq=seq, cta=cta, warp_in_cta=sel % 2, name=f"b{sel % 4}",
             line=sel, col=0, active_lanes=(2 if flag else WARP),
-            resident_lanes=WARP, call_path_id=0,
+            resident_lanes=WARP, call_path_id=path,
         )
     else:
         arith.append(
             seq=seq, cta=cta, warp_in_cta=sel % 2, opcode=f"op{sel % 3}",
             bits=32, is_float=flag, line=sel, col=0,
-            active_lanes=1 + sel % WARP, call_path_id=0,
+            active_lanes=1 + sel % WARP, call_path_id=path,
         )
 
 
-def _build_buffers(events):
+def _build_buffers(events, remaps=None):
+    """Standalone buffers holding ``events``; ``remaps`` gives each
+    event's call-path id remap (the parent ids of a relayed shard)."""
     mem = ColumnarMemoryBuffer()
     block = ColumnarBlockBuffer()
     arith = ColumnarArithBuffer()
     for seq, event in enumerate(events):
-        _append_event(event, seq, mem, block, arith)
+        remap = None if remaps is None else remaps[seq]
+        _append_event(event, seq, mem, block, arith, remap)
     return mem, block, arith
 
 
-def _batch_profile(events):
-    """The in-RAM reference: the materialized columns."""
-    mem, block, arith = _build_buffers(events)
+def _batch_profile(events, remaps=None):
+    """The reference: the whole trace materialized in one window."""
+    mem, block, arith = _build_buffers(events, remaps)
     return SimpleNamespace(
-        memory_records=mem.drain(),
-        block_records=block.drain(),
-        arith_records=arith.drain(),
+        memory_records=oracle.drained(mem),
+        block_records=oracle.drained(block),
+        arith_records=oracle.drained(arith),
     )
 
 
@@ -187,39 +191,62 @@ def _assert_sessions_match(in_ram, fused):
         assert len(batch.block_records) == len(stream.block_records)
         assert len(batch.arith_records) == len(stream.arith_records)
         assert batch.dropped_records == stream.dropped_records
-        assert batch.corrupt_records == stream.corrupt_records
         _assert_bank_matches_oracle(stream.aggregates, batch)
 
 
 
-def _fused_buffers(events, flush_rows, rate=1, capacity=None):
-    """Spill-free buffers wired into a fused bank at ``flush_rows``."""
-    mem = ColumnarMemoryBuffer()
-    block = ColumnarBlockBuffer()
-    arith = ColumnarArithBuffer()
-    bank = full_plan(LINE_SIZE).create_bank()
-    sink = FusedSink(bank, mem, block, arith, flush_rows, rate, capacity)
+def _sink(flush_rows, rate=1, capacity=None, keep=False, bank=True):
+    """Fresh buffers wired into a sink (and a full-plan bank)."""
+    return FusedSink(
+        full_plan(LINE_SIZE).create_bank() if bank else None,
+        ColumnarMemoryBuffer(), ColumnarBlockBuffer(), ColumnarArithBuffer(),
+        flush_rows, rate, capacity, keep,
+    )
+
+
+def _fused_buffers(events, flush_rows, rate=1, capacity=None, keep=False,
+                   bank=True):
+    """Feed ``events`` through a sink flushing every ``flush_rows``."""
+    sink = _sink(flush_rows, rate, capacity, keep, bank)
     for seq, event in enumerate(events):
-        _append_event(event, seq, mem, block, arith)
+        _append_event(event, seq, sink.memory_buffer, sink.block_buffer,
+                      sink.arith_buffer)
     sink.flush()
-    return bank, sink
+    return sink.bank, sink
 
 
-def _batch_sampled(events, rate, capacity):
-    """The in-RAM reference after stride sampling and capacity clips."""
-    batch = _batch_profile(events)
-    m, a = stride_sample(batch.memory_records, batch.arith_records, rate)
+def _batch_sampled(events, rate, capacity, remaps=None):
+    """The reference after stride sampling and capacity clips."""
+    batch = _batch_profile(events, remaps)
+    m, a = oracle.stride_sample(
+        batch.memory_records, batch.arith_records, rate
+    )
     clipped = 0
-    m, n = clip_to_capacity(m, capacity)
+    m, n = oracle.clip_to_capacity(m, capacity)
     clipped += n
-    a, n = clip_to_capacity(a, capacity)
+    a, n = oracle.clip_to_capacity(a, capacity)
     clipped += n
-    b, n = clip_to_capacity(batch.block_records, capacity)
+    b, n = oracle.clip_to_capacity(batch.block_records, capacity)
     clipped += n
     return (
         SimpleNamespace(memory_records=m, block_records=b, arith_records=a),
         clipped,
     )
+
+
+def _assert_sink_output(sink, kept, clipped, keep):
+    """A finished sink == the reference: bank, counts and kept rows."""
+    fields = sink.finish()
+    _assert_bank_matches_oracle(fields["aggregates"], kept)
+    assert fields["dropped_records"] == clipped
+    for stream in ("memory", "block", "arith"):
+        expected = getattr(kept, f"{stream}_records")
+        actual = fields[f"{stream}_records"]
+        assert len(actual) == len(expected)
+        if keep:
+            oracle.assert_columns_equal(expected, actual)
+        else:
+            assert isinstance(actual, StreamedRecords)
 
 
 def _shards(events):
@@ -232,29 +259,30 @@ def _shards(events):
 
 class TestFusedSinkProperty:
     @settings(max_examples=30, deadline=None)
-    @given(events=_EVENTS, flush_rows=st.integers(1, 17))
+    @given(events=_EVENTS, flush_rows=st.integers(1, 17), keep=st.booleans())
     def test_full_plan_matches_batch_across_flush_sizes(
-        self, events, flush_rows
+        self, events, flush_rows, keep
     ):
-        bank, _ = _fused_buffers(events, flush_rows)
-        _assert_bank_matches_oracle(bank, _batch_profile(events))
+        _, sink = _fused_buffers(events, flush_rows, keep=keep)
+        _assert_sink_output(sink, _batch_profile(events), 0, keep)
 
     @settings(max_examples=30, deadline=None)
     @given(
         events=_EVENTS,
-        flush_rows=st.integers(1, 13),
+        flush_rows=st.integers(1, 17),
         rate=st.sampled_from([2, 3, 5]),
         capacity=st.sampled_from([None, 3, 10]),
+        keep=st.booleans(),
     )
     def test_stride_phases_and_capacity_across_flushes(
-        self, events, flush_rows, rate, capacity
+        self, events, flush_rows, rate, capacity, keep
     ):
         # The joint in-flight ranking of each flushed (memory, arith)
-        # window must reproduce the *global* stride phase the batch
-        # path computes over the whole merged stream at once.
-        bank, sink = _fused_buffers(events, flush_rows, rate, capacity)
+        # window must reproduce the *global* stride phase computed over
+        # the whole merged stream at once.
+        _, sink = _fused_buffers(events, flush_rows, rate, capacity, keep)
         kept, clipped = _batch_sampled(events, rate, capacity)
-        _assert_bank_matches_oracle(bank, kept)
+        _assert_sink_output(sink, kept, clipped, keep)
         assert sink.clipped == clipped
         assert sink.stats.memory_rows == len(kept.memory_records)
         assert sink.stats.arith_rows == len(kept.arith_records)
@@ -268,7 +296,7 @@ class TestFusedSinkProperty:
         # Each shard fuses into its own bank (local seqs, like
         # reset_for_shard), the banks merge in shard order, and the
         # result must equal the oracle over the shard-concatenated
-        # trace -- what absorb_shards builds in the in-RAM path.
+        # trace.
         shards = _shards(events)
         merged, _ = _fused_buffers(shards[0], flush_rows)
         merged.merge(_fused_buffers(shards[1], flush_rows)[0])
@@ -279,40 +307,42 @@ class TestFusedSinkProperty:
     @settings(max_examples=25, deadline=None)
     @given(
         events=_EVENTS,
+        flush_rows=st.integers(1, 17),
         rate=st.sampled_from([1, 2, 3]),
         capacity=st.sampled_from([None, 3, 10]),
+        keep=st.booleans(),
     )
     def test_shard_relay_continues_stride_and_capacity(
-        self, events, rate, capacity
+        self, events, flush_rows, rate, capacity, keep
     ):
-        # Sampled or capped shards materialize their rows (local seqs)
-        # and the parent relays them in shard order: the running stride
+        # Shards keep their rows (local seqs and path ids, unsampled,
+        # uncapped) and the parent relays them in shard order: seqs
+        # are renumbered, path ids remapped, and the running stride
         # rank and keep-first cursors must carry across shard
         # boundaries exactly as over the concatenated trace.
         shards = _shards(events)
-        bank = full_plan(LINE_SIZE).create_bank()
-        sink = FusedSink(
-            bank, ColumnarMemoryBuffer(), ColumnarBlockBuffer(),
-            ColumnarArithBuffer(), 8, rate, capacity,
+        remaps = [np.arange(PATHS), np.array([2, 0, 1])]
+        sink = _sink(flush_rows, rate, capacity, keep)
+        offset = 0
+        for shard, remap in zip(shards, remaps):
+            _, worker = _fused_buffers(shard, flush_rows, keep=True,
+                                       bank=False)
+            state = worker.shard_state()
+            state["seq_offset"] = offset
+            state["path_remap"] = remap
+            sink.absorb(state)
+            offset += len(shard)
+        kept, clipped = _batch_sampled(
+            shards[0] + shards[1], rate, capacity,
+            [remap for shard, remap in zip(shards, remaps) for _ in shard],
         )
-        for shard in shards:
-            mem, block, arith = _build_buffers(shard)
-            sink.relay({
-                "memory": mem.detach_rows(),
-                "block": block.detach_rows(),
-                "arith": arith.detach_rows(),
-            })
-        sink.flush()
-        kept, clipped = _batch_sampled(shards[0] + shards[1], rate, capacity)
-        _assert_bank_matches_oracle(bank, kept)
+        _assert_sink_output(sink, kept, clipped, keep)
         assert sink.clipped == clipped
-
-
 # -- app-level equivalence ------------------------------------------------------
 
 
 def _session(app, fused=False, workers=None, backend=None, sample_rate=1,
-             capacity=None, spill_dir=None, spill_rows=64, configure=None):
+             capacity=None, flush_rows=65536, configure=None):
     app_name, app_kwargs = app
     program = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(program.kernels), app_name)
@@ -321,8 +351,7 @@ def _session(app, fused=False, workers=None, backend=None, sample_rate=1,
     session = ProfilingSession(
         buffer_capacity=capacity,
         sample_rate=sample_rate,
-        spill_dir=spill_dir,
-        spill_rows=spill_rows,
+        flush_rows=flush_rows,
         fused=full_plan(LINE_SIZE) if fused else None,
     )
     device = Device(KEPLER_K40C)
@@ -341,15 +370,12 @@ def _session(app, fused=False, workers=None, backend=None, sample_rate=1,
 
 class TestFusedApps:
     @pytest.mark.parametrize("app", APPS, ids=lambda a: a[0])
-    def test_serial_never_spills(self, app, tmp_path):
+    def test_serial_never_spills(self, app):
+        # Many mid-launch flushes (32 rows each): analysis in flight,
+        # no trace written anywhere, same results as the kept records.
         in_ram, _ = _session(app)
-        fused, _ = _session(
-            app, fused=True, spill_dir=str(tmp_path), spill_rows=32
-        )
+        fused, _ = _session(app, fused=True, flush_rows=32)
         _assert_sessions_match(in_ram, fused)
-        # The whole point: analysis in flight, zero trace I/O -- even
-        # with a spill config, which only sets the flush granularity.
-        assert not os.path.exists(tmp_path) or not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("app", APPS, ids=lambda a: a[0])
     def test_batched_backend(self, app):
@@ -385,23 +411,6 @@ class TestFusedApps:
         fused, _ = _session(app, fused=True, sample_rate=2, capacity=40)
         _assert_sessions_match(in_ram, fused)
 
-    def test_corrupt_spill_fault_has_nothing_to_corrupt(self):
-        # The buffer_overflow injection shrinks the flush size, but a
-        # fused launch never writes a segment, so corrupt_spill never
-        # fires: no degradation, no lost rows.
-        def corrupting(device):
-            device.fault_injector = (
-                FaultInjector()
-                .inject("buffer_overflow", segment_rows=128)
-                .inject("corrupt_spill", when={"kind": "memory"})
-            )
-
-        in_ram, _ = _session(APPS[1])
-        fused, device = _session(APPS[1], fused=True, configure=corrupting)
-        _assert_sessions_match(in_ram, fused)
-        assert not device.supervisor.events
-        assert sum(p.corrupt_records for p in fused.profiles) == 0
-
 
 # -- the placeholder records ----------------------------------------------------
 
@@ -432,10 +441,8 @@ class TestStreamedRecords:
         with pytest.raises(ProfilerError, match="fused_drain=False"):
             profile.memory_records[0]
 
-    def test_stream_stats_attached(self, tmp_path):
-        session, _ = _session(
-            APPS[0], fused=True, spill_dir=str(tmp_path), spill_rows=32
-        )
+    def test_stream_stats_attached(self):
+        session, _ = _session(APPS[0], fused=True, flush_rows=32)
         stats = session.profiles[0].stream_stats
         assert stats["segments_streamed"] >= 3
         total = (
@@ -445,36 +452,36 @@ class TestStreamedRecords:
         assert 0 < stats["peak_resident_rows"] < total
 
 
-# -- degradation: launches that need raw records --------------------------------
+# -- launches that need raw records --------------------------------------------
 
 
-class TestFusedDegradation:
+class TestKeptRecords:
     def _instrumented(self):
         module = compile_kernels([KERNELS["strided_sum"]], "m")
         optimization_pipeline().run(module)
         instrumentation_pipeline(["memory"]).run(module)
         return module
 
-    def test_pc_sampling_disables_fused(self):
+    def test_pc_sampling_keeps_records_and_bank(self):
         module = self._instrumented()
         dev = Device(KEPLER_K40C)
         img = dev.load_module(module)
         hooks = HookRuntime(img, "strided_sum", (), "x",
                             fused=full_plan(LINE_SIZE))
-        assert hooks.fused
         sampler = PCSampler(period=16)
         data = np.arange(256, dtype=np.float32)
         dx = dev.malloc(data.nbytes)
         do = dev.malloc(4 * 64)
         dev.memcpy_htod(dx, data)
-        with pytest.warns(LaunchDegradedWarning, match="pc sampling"):
-            dev.launch(img, "strided_sum", 1, 64, [dx, do, 256, 3],
-                       hooks=hooks, pc_sampler=sampler)
-        # The launch materialized a classic trace: real records, no
-        # fused bank, and the sampler got its PCs.
-        assert not hooks.fused
-        assert hooks.profile.aggregates is None
-        assert len(hooks.profile.memory_records) > 0
+        dev.launch(img, "strided_sum", 1, 64, [dx, do, 256, 3],
+                   hooks=hooks, pc_sampler=sampler)
+        # The fused session stays fused: no degradation event, and the
+        # profile carries both the raw records and the bank, which
+        # matches the oracle over exactly those records.
+        assert not dev.supervisor.events
+        profile = hooks.profile
+        assert profile.aggregates is not None
+        assert not isinstance(profile.memory_records, StreamedRecords)
+        assert len(profile.memory_records) > 0
         assert sampler.profile.total_samples > 0
-        events = dev.supervisor.events_for(FUSED_RECORDS_UNAVAILABLE)
-        assert len(events) == 1
+        _assert_bank_matches_oracle(profile.aggregates, profile)

@@ -43,9 +43,9 @@ from repro.profiler.buffers import (
     ColumnarArithBuffer,
     ColumnarBlockBuffer,
     ColumnarMemoryBuffer,
-    stride_sample,
 )
 from repro.profiler.streamdrain import FusedSink
+from tests.analysis_oracle import drained, stride_sample
 
 WARP = 4
 
@@ -94,7 +94,7 @@ def _cells_equal(a: HeatmapTable, b: HeatmapTable) -> bool:
 
 def _whole_trace_table(events, cell_rows=4):
     agg = HeatmapAggregate(cell_rows=cell_rows)
-    cols = _build_memory(events).drain()
+    cols = drained(_build_memory(events))
     if len(cols):
         agg.update(cols)
     return agg.finalize()
@@ -104,7 +104,7 @@ class TestDrainInvariance:
     @settings(max_examples=40, deadline=None)
     @given(events=_EVENTS, data=st.data())
     def test_random_segment_splits_match_whole_trace(self, events, data):
-        cols = _build_memory(events).drain()
+        cols = drained(_build_memory(events))
         agg = HeatmapAggregate(cell_rows=4)
         start = 0
         while start < len(cols):
@@ -116,7 +116,7 @@ class TestDrainInvariance:
     @settings(max_examples=40, deadline=None)
     @given(events=_EVENTS, pivot=st.integers(0, 3))
     def test_cta_shard_merge_matches_whole_trace(self, events, pivot):
-        cols = _build_memory(events).drain()
+        cols = drained(_build_memory(events))
         low, high = HeatmapAggregate(4), HeatmapAggregate(4)
         sel = np.asarray(cols.cta) <= pivot
         if sel.any():
@@ -143,9 +143,9 @@ class TestDrainInvariance:
         _fill_memory(mem, events)
         sink.flush()
 
-        batch_cols = _build_memory(events).drain()
+        batch_cols = drained(_build_memory(events))
         kept, _ = stride_sample(
-            batch_cols, ColumnarArithBuffer(None).drain(), rate
+            batch_cols, ColumnarArithBuffer().empty_view(), rate
         )
         ref = HeatmapAggregate(cell_rows=4)
         if len(kept):
@@ -156,7 +156,7 @@ class TestDrainInvariance:
         a, b = HeatmapAggregate(4), HeatmapAggregate(8)
         with pytest.raises(AnalysisError):
             a.merge(b)
-        cols = _build_memory([(0, 1, False, 1)]).drain()
+        cols = drained(_build_memory([(0, 1, False, 1)]))
         c, d = HeatmapAggregate(4), HeatmapAggregate(4)
         c.update(cols)
         d.update(cols)
@@ -201,7 +201,7 @@ def _table_as_oracle(table):
 
 
 def _columns(rows):
-    buf = ColumnarMemoryBuffer(None)
+    buf = ColumnarMemoryBuffer()
     for seq, (cta, addrs, mask, bits, write) in enumerate(rows):
         buf.append(
             seq=seq, cta=cta, warp_in_cta=0,
@@ -209,7 +209,7 @@ def _columns(rows):
             bits=bits, line=1, col=0, op=2 if write else 1,
             call_path_id=0,
         )
-    return buf.drain()
+    return drained(buf)
 
 
 #: one trace row: (cta, base address, lane stride, mask, bits, write);
@@ -277,7 +277,7 @@ class TestResolution:
 
     def test_counts_land_on_owning_allocation_and_unmapped(self):
         agg = HeatmapAggregate(cell_rows=2)
-        buf = ColumnarMemoryBuffer(None)
+        buf = ColumnarMemoryBuffer()
         # Two reads in alloc A, one write in alloc B, one read outside.
         for seq, (addr, op) in enumerate(
             [(0x1000, 1), (0x1010, 1), (0x2000, 2), (0x9000, 1)]
@@ -288,7 +288,7 @@ class TestResolution:
                 mask=np.array([True] + [False] * (WARP - 1)),
                 bits=32, line=1, col=0, op=op, call_path_id=0,
             )
-        agg.update(buf.drain())
+        agg.update(drained(buf))
         table = agg.finalize()
         heat = table.resolve(
             [
@@ -310,7 +310,7 @@ class TestResolution:
         # The same byte touched in many time cells must count once per
         # display bucket, however cells fold into buckets.
         agg = HeatmapAggregate(cell_rows=1)  # one cell per access
-        buf = ColumnarMemoryBuffer(None)
+        buf = ColumnarMemoryBuffer()
         for seq in range(8):
             buf.append(
                 seq=seq, cta=0, warp_in_cta=0,
@@ -332,7 +332,7 @@ class TestResolution:
     def test_cross_launch_merge_concatenates_timelines(self):
         def one_launch():
             agg = HeatmapAggregate(cell_rows=1)
-            buf = ColumnarMemoryBuffer(None)
+            buf = ColumnarMemoryBuffer()
             for seq in range(3):
                 buf.append(
                     seq=seq, cta=0, warp_in_cta=0,
@@ -361,7 +361,7 @@ class TestResolution:
 
 
 def agg_update_and_finalize(agg, buf):
-    agg.update(buf.drain())
+    agg.update(drained(buf))
     return agg.finalize()
 
 

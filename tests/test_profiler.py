@@ -1,5 +1,5 @@
 """Tests for the profiler: hook runtime, shadow stacks, code-centric and
-data-centric attribution, trace buffers, cross-instance statistics."""
+data-centric attribution, cross-instance statistics."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from repro.host import CudaRuntime, host_function
 from repro.host.shadow_stack import GLOBAL_HOST_STACK, HostShadowStack, HostFrame
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import (
-    DeviceTraceBuffer,
     ProfilingSession,
     format_code_centric_view,
 )
@@ -92,22 +91,6 @@ class TestHostShadowStack:
         with pytest.raises(ValueError):
             boom()
         assert GLOBAL_HOST_STACK.depth() == depth_before
-
-
-class TestTraceBuffer:
-    def test_capacity_drops(self):
-        buf = DeviceTraceBuffer(capacity=2)
-        assert buf.append(1)
-        assert buf.append(2)
-        assert not buf.append(3)
-        assert buf.dropped == 1
-        assert buf.total_appended == 3
-
-    def test_drain_empties(self):
-        buf = DeviceTraceBuffer()
-        buf.append("a")
-        assert buf.drain() == ["a"]
-        assert len(buf) == 0
 
 
 class TestKernelProfile:
