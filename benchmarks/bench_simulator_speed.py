@@ -13,7 +13,6 @@ Usage::
 
     --quick             small-app subset with scaled-down inputs (CI)
     --update-baseline   store this run as the comparison baseline
-    --workers N         exercise the parallel launch path with N workers
     --backend NAME      execution backend ("interpreter" or "batched")
     --sample-rate N     trace sampling stride for the instrumented runs
     --repeat N          run each measurement N times and keep the
@@ -144,7 +143,6 @@ def _run_app(
     app_name: str,
     app_kwargs: dict,
     instrumented: bool,
-    workers: Optional[int] = None,
     backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
@@ -158,8 +156,6 @@ def _run_app(
         session = ProfilingSession(sample_rate=sample_rate)
     device = Device(KEPLER_K40C)
     device.backend = backend
-    if workers:
-        device.parallel_workers = workers
     rt = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
     state = app.prepare(rt)
@@ -202,15 +198,13 @@ def _best_of(
     app_name: str,
     app_kwargs: dict,
     instrumented: bool,
-    workers: Optional[int],
     backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
     """Trimmed-mean wall time over ``repeat`` runs (counts are
     deterministic and identical across repeats)."""
     runs = [
-        _run_app(app_name, app_kwargs, instrumented, workers,
-                 backend, sample_rate)
+        _run_app(app_name, app_kwargs, instrumented, backend, sample_rate)
         for _ in range(max(1, repeat))
     ]
     result = dict(runs[0])
@@ -220,16 +214,14 @@ def _best_of(
 
 def run_suite(
     apps: Dict[str, dict],
-    workers: Optional[int] = None,
     repeat: int = 1,
     backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
     per_app: Dict[str, dict] = {}
     for name, kwargs in apps.items():
-        plain = _best_of(repeat, name, kwargs, False, workers, backend)
-        instr = _best_of(repeat, name, kwargs, True, workers, backend,
-                         sample_rate)
+        plain = _best_of(repeat, name, kwargs, False, backend)
+        instr = _best_of(repeat, name, kwargs, True, backend, sample_rate)
         per_app[name] = {
             "uninstrumented_s": round(plain["wall_s"], 4),
             "instrumented_s": round(instr["wall_s"], 4),
@@ -405,8 +397,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="small-app subset smoke run (CI)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="store this run as the comparison baseline")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="use the parallel launch path with N workers")
     parser.add_argument("--backend", choices=["interpreter", "batched"],
                         default="interpreter",
                         help="execution backend behind Device.launch")
@@ -465,11 +455,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     apps = (
         QUICK_APPS if args.quick else {name: {} for name in APP_NAMES}
     )
-    suite = run_suite(apps, workers=args.workers, repeat=args.repeat,
-                      backend=args.backend, sample_rate=args.sample_rate)
+    suite = run_suite(apps, repeat=args.repeat, backend=args.backend,
+                      sample_rate=args.sample_rate)
     suite["config"] = {
         "quick": args.quick,
-        "workers": args.workers,
         "backend": args.backend,
         "sample_rate": args.sample_rate,
         "repeat": args.repeat,

@@ -38,8 +38,8 @@ reference analyses of ``tests/analysis_oracle.py`` by
   merges.
 
 ``merge()`` combines aggregates computed over *disjoint CTA/row
-partitions* (fork-parallel shards): shard partials merge
-aggregate-to-aggregate instead of trace-to-trace.
+partitions*: partials merge aggregate-to-aggregate instead of
+trace-to-trace.
 """
 
 from __future__ import annotations
@@ -383,7 +383,7 @@ class SegmentAggregate:
     ("memory", "block" or "arith"); the :class:`AnalyzerBank` routes
     segments accordingly. ``update`` sees each kept segment exactly
     once, in trace order; ``merge`` combines a peer computed over a
-    disjoint CTA partition (fork-parallel shards, in shard order);
+    disjoint CTA partition (in partition order);
     ``finalize`` returns the analysis result, the same however the
     trace was segmented.
     """
@@ -798,8 +798,8 @@ class AnalyzerBank:
 class AnalyzerPlan:
     """A recipe for the aggregates a fused launch instantiates.
 
-    A plan is shared across launches (and inherited by forked shard
-    workers); every ``kernel_end`` creates a fresh bank from it.
+    A plan is shared across launches; every ``kernel_end`` creates a
+    fresh bank from it.
     """
 
     def __init__(self, factories: Dict[str, Callable[[], SegmentAggregate]]):

@@ -20,17 +20,16 @@ and execution configuration the profiler supports:
   before the program has allocated anything.
 * **Time** is the *per-CTA event phase*: a CTA's k-th kept memory
   instruction lands in time cell ``k // cell_rows``. Each CTA's stream
-  appears in trace order in every drain path, and CTA partitions are
-  disjoint across fork shards, so the phase of every event -- unlike a
-  raw global sequence number, which shard-local fused banks do not
-  preserve -- is invariant under segment boundaries, shard merges, and
-  backend choice. Aligning CTAs by phase also reads naturally: for
+  appears in trace order in every drain path, so the phase of every
+  event -- unlike a raw global sequence number -- is invariant under
+  segment boundaries, merges of disjoint CTA partitions, and backend
+  choice. Aligning CTAs by phase also reads naturally: for
   SIMT kernels the phase axis is "how far through its work each CTA
   is", which is the execution-time axis CUTHERMO plots.
 
 :class:`HeatmapAggregate` follows the ``update`` / ``merge`` /
 ``finalize`` contract of :mod:`repro.analysis.aggregates`, so heat maps
-stream through fused in-flight analysis, merge across fork shards, and
+stream through fused in-flight analysis, merge across CTA partitions, and
 respect stride sampling and capacity exactly like every other analysis
 -- byte-identity is pinned by ``tests/test_heatmap.py``.
 """

@@ -90,10 +90,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         help="execution backend: interpreter or batched",
     )
     profile.add_argument(
-        "--workers", type=int, default=None,
-        help="shard eligible launches across N forked workers",
-    )
-    profile.add_argument(
         "--failure-policy", default=None, choices=FAILURE_POLICIES,
         help="how launches react when they cannot run as requested "
         "(default: degrade; see docs/reliability.md)",
@@ -262,8 +258,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
             f"unknown backend {args.backend!r}: expected one of "
             f"{', '.join(BACKENDS)}"
         )
-    if args.workers is not None and args.workers < 1:
-        raise _UsageError("--workers must be >= 1")
     if args.sample_rate < 1:
         raise _UsageError("--sample-rate must be >= 1")
     if args.heatmap_cell_rows is not None and args.heatmap_cell_rows < 1:
@@ -285,7 +279,6 @@ def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
         buffer_capacity=args.buffer_capacity,
         sample_rate=args.sample_rate,
         backend=args.backend,
-        parallel_workers=args.workers,
         failure_policy=args.failure_policy,
         heatmap=heatmap,
         **kwargs,
@@ -308,7 +301,6 @@ def _submit_config(args, modes, heatmap) -> dict:
         config["heatmap_cell_rows"] = args.heatmap_cell_rows
     for hint, value in (
         ("backend", args.backend),
-        ("parallel_workers", args.workers),
         ("failure_policy", args.failure_policy),
     ):
         if value is not None:
@@ -576,7 +568,8 @@ def _cmd_instrument(args) -> int:
 
 
 def _reap_workers() -> int:
-    """Kill and join any live child processes (pool or shard workers)."""
+    """Kill and join any live child processes (service pool workers, or
+    the forked baseline run of an overhead-measuring profile)."""
     children = multiprocessing.active_children()
     for proc in children:
         proc.kill()

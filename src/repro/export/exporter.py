@@ -11,8 +11,8 @@ autotuners consume it instead of scraping rendered text.
 Determinism contract: the default document depends only on the program,
 architecture, instrumentation knobs and execution backend -- *not* on
 how the trace was analyzed. Profiling the same app with fused in-flight
-analysis, with the raw records kept (``fused_drain=False``) or with
-fork-parallel shards yields byte-identical :func:`export_json` output
+analysis or with the raw records kept (``fused_drain=False``) yields
+byte-identical :func:`export_json` output
 (pinned by ``tests/test_goldens.py``). The batched backend adds a
 ``jit_cache`` section (its trace-cache counters), so its document
 differs from the interpreter's by that section. Run-variant

@@ -166,10 +166,11 @@ def _bank_conflict_degrees(addrs: np.ndarray, masks: np.ndarray) -> np.ndarray:
         return np.ones(W, dtype=np.int64)
     rows, lanes = np.nonzero(masks)
     words = addrs[rows, lanes] // 4
-    span = int(words.max()) + 1
-    pairs = np.unique(rows * span + words)
+    low = int(words.min())
+    span = int(words.max()) - low + 1
+    pairs = np.unique(rows * span + (words - low))
     urows = pairs // span
-    ubanks = (pairs % span) % 32
+    ubanks = (pairs % span + low) % 32
     counts = np.bincount(
         urows * 32 + ubanks, minlength=W * 32
     ).reshape(W, 32)
@@ -180,13 +181,13 @@ def _bank_conflict_degree(addrs: np.ndarray, mask: np.ndarray) -> int:
     """Shared memory is banked (32 banks, 4-byte words): lanes hitting
     different words of the same bank serialize. Returns the worst-case
     bank multiplicity (1 = conflict-free; broadcasts of the *same* word
-    are free, as on hardware)."""
-    if not mask.any():
-        return 1
-    words = addrs[mask] // 4
-    unique_words = np.unique(words)
-    if len(unique_words) <= 1:
-        return 1  # single word: broadcast
-    banks = unique_words % 32
-    _, counts = np.unique(banks, return_counts=True)
-    return int(counts.max())
+    are free, as on hardware).
+
+    One Python pass over the active lanes' distinct words: at warp
+    width this beats any numpy formulation (each numpy call costs more
+    than the whole pass).
+    """
+    counts = [0] * 32
+    for word in set((addrs[mask] // 4).tolist()):
+        counts[word % 32] += 1
+    return max(max(counts), 1)

@@ -12,6 +12,9 @@ experiment (baseline vs oracle vs Eq.(1) prediction).
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -280,6 +283,65 @@ class AdvisorReport:
         return tips
 
 
+def _overlap_available() -> bool:
+    """Whether a baseline run can overlap the instrumented one.
+
+    It needs ``fork`` and a process that may fork safely: no other
+    thread (the child would inherit any lock it holds) and not a
+    daemonic process, which may have no children. Service pool workers
+    are both, and the pool already runs whole jobs side by side.
+    """
+    return (hasattr(os, "fork") and threading.active_count() == 1
+            and not multiprocessing.current_process().daemon)
+
+
+class _BaselineChild:
+    """A baseline run in one forked child process.
+
+    The child calls :meth:`CUDAAdvisor._baseline_run` and sends its
+    ``(results, check passed)`` over a one-way pipe, then leaves with
+    ``os._exit``: no atexit handler or inherited stdio buffer of the
+    parent runs twice. A child that raises sends nothing; the parent
+    then reruns the baseline itself (:meth:`CUDAAdvisor._checked_baseline`).
+    """
+
+    def __init__(self, advisor: "CUDAAdvisor", program: GPUProgram):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, send = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(
+            target=_baseline_child, args=(advisor, program, send)
+        )
+        self._proc.start()
+        send.close()  # EOF reaches the parent once the child exits
+
+    def collect(self) -> Optional[Tuple[List[LaunchResult], bool]]:
+        """Wait for and reap the child; None if it delivered nothing."""
+        try:
+            return self._conn.recv()
+        except Exception:  # EOF (crash, exception) or a torn message
+            return None
+        finally:
+            self._conn.close()
+            self._proc.join()
+
+    def kill(self) -> None:
+        """Stop and reap the child without waiting for its result."""
+        self._proc.kill()
+        self._proc.join()
+        self._conn.close()
+
+
+def _baseline_child(advisor, program, conn) -> None:
+    """Child entry: send the baseline's outcome and leave at once. An
+    exception sends nothing and exits 1, silently; the parent reruns."""
+    code = 1
+    try:
+        conn.send(advisor._baseline_run(program))
+        code = 0
+    finally:
+        os._exit(code)
+
+
 class CUDAAdvisor:
     """Compile -> instrument -> profile -> analyze -> advise."""
 
@@ -292,7 +354,6 @@ class CUDAAdvisor:
         buffer_capacity: Optional[int] = None,
         sample_rate: int = 1,
         backend: Optional[str] = None,
-        parallel_workers: Optional[int] = None,
         failure_policy: Optional[str] = None,
         fused_drain: bool = True,
         heatmap: bool = False,
@@ -307,7 +368,6 @@ class CUDAAdvisor:
         #: execution knobs forwarded to every Device this advisor builds
         #: (None keeps the device default; see docs/reliability.md).
         self.backend = backend
-        self.parallel_workers = parallel_workers
         self.failure_policy = failure_policy
         #: analyze rows *in flight*: buffered rows flush into the
         #: analyzer bank at segment granularity during execution, so
@@ -340,8 +400,6 @@ class CUDAAdvisor:
         device = Device(self.arch)
         if self.backend is not None:
             device.backend = self.backend
-        if self.parallel_workers is not None:
-            device.parallel_workers = self.parallel_workers
         if self.failure_policy is not None:
             device.failure_policy = self.failure_policy
         return CudaRuntime(device, profiler=profiler)
@@ -358,34 +416,52 @@ class CUDAAdvisor:
 
     # -- main entry points ----------------------------------------------------------
     def profile(self, program: GPUProgram) -> AdvisorReport:
-        """Run the full Figure 1 workflow for one program."""
-        # Baseline (uninstrumented) run, for overhead and sanity.
-        baseline_results: List[LaunchResult] = []
-        if self.measure_overhead:
-            rt0 = self._fresh_runtime()
-            module0 = self._compile(program, instrument=False)
-            image0 = rt0.device.load_module(module0)
-            state0 = program.prepare(rt0)
-            baseline_results = list(program.run(rt0, image0, state0))
-            if not program.check(rt0, state0):
-                raise AnalysisError(
-                    f"{program.name}: baseline run failed validation"
-                )
+        """Run the full Figure 1 workflow for one program.
 
-        # Instrumented run. Every launch drains through one FusedSink:
-        # into the plan's bank in flight (fused_drain=True), or into kept
-        # records that _analyze feeds through the same plan afterwards.
-        session = ProfilingSession(
-            buffer_capacity=self.buffer_capacity,
-            sample_rate=self.sample_rate,
-            fused=self._plan() if self.fused_drain else None,
-        )
-        rt = self._fresh_runtime(profiler=session)
-        module = self._compile(program, instrument=True)
-        image = rt.device.load_module(module)
-        state = program.prepare(rt)
-        instrumented_results = list(program.run(rt, image, state))
-        if not program.check(rt, state):
+        The uninstrumented baseline run (for overhead and sanity) shares
+        no state with the instrumented one, so it runs in a forked child
+        while this process runs the instrumented program
+        (:class:`_BaselineChild`). Where fork is unavailable or unsafe
+        (:func:`_overlap_available`) it runs first, in this process.
+        Either way the results, and which error is raised, are those of
+        running the two one after the other.
+        """
+        baseline_results: List[LaunchResult] = []
+        baseline = None
+        if self.measure_overhead:
+            if _overlap_available():
+                baseline = _BaselineChild(self, program)
+            else:
+                baseline_results = self._checked_baseline(program, None)
+        try:
+            # Instrumented run. Every launch drains through one FusedSink:
+            # into the plan's bank in flight (fused_drain=True), or into
+            # kept records that _analyze feeds through the same plan.
+            session = ProfilingSession(
+                buffer_capacity=self.buffer_capacity,
+                sample_rate=self.sample_rate,
+                fused=self._plan() if self.fused_drain else None,
+            )
+            rt = self._fresh_runtime(profiler=session)
+            module = self._compile(program, instrument=True)
+            image = rt.device.load_module(module)
+            state = program.prepare(rt)
+            instrumented_results = list(program.run(rt, image, state))
+            instrumented_ok = program.check(rt, state)
+        except Exception:
+            # Serial order: a failing baseline would have raised first.
+            if baseline is not None:
+                self._checked_baseline(program, baseline.collect())
+            raise
+        except BaseException:
+            if baseline is not None:
+                baseline.kill()
+            raise
+        if baseline is not None:
+            baseline_results = self._checked_baseline(
+                program, baseline.collect()
+            )
+        if not instrumented_ok:
             raise AnalysisError(
                 f"{program.name}: instrumented run failed validation "
                 "(instrumentation must not change program semantics)"
@@ -403,6 +479,37 @@ class CUDAAdvisor:
             report.jit_cache = rt.device.jit_cache.stats.snapshot()
         self._analyze(report, program)
         return report
+
+    def _baseline_run(
+        self, program: GPUProgram
+    ) -> Tuple[List[LaunchResult], bool]:
+        """One uninstrumented run: its launch results and whether the
+        program's own check passed."""
+        rt = self._fresh_runtime()
+        module = self._compile(program, instrument=False)
+        image = rt.device.load_module(module)
+        state = program.prepare(rt)
+        results = list(program.run(rt, image, state))
+        return results, bool(program.check(rt, state))
+
+    def _checked_baseline(
+        self, program: GPUProgram,
+        delivered: Optional[Tuple[List[LaunchResult], bool]],
+    ) -> List[LaunchResult]:
+        """The baseline's results, raising if its check failed.
+
+        ``delivered`` is what a child sent; without it the baseline runs
+        here, which reproduces any program error exactly.
+        """
+        results, passed = (
+            delivered if delivered is not None
+            else self._baseline_run(program)
+        )
+        if not passed:
+            raise AnalysisError(
+                f"{program.name}: baseline run failed validation"
+            )
+        return results
 
     def _analyze(self, report: AdvisorReport, program: GPUProgram) -> None:
         session = report.session

@@ -71,20 +71,6 @@ class _Columns:
             for col in (getattr(self, name) for name in self.__slots__)
         ))
 
-    @classmethod
-    def concat(cls, parts: List["_Columns"]) -> "_Columns":
-        """One view over ``parts`` in order (the part itself if alone)."""
-        if len(parts) == 1:
-            return parts[0]
-        fields = []
-        for name in cls.__slots__:
-            cols = [getattr(part, name) for part in parts]
-            fields.append(
-                np.concatenate(cols) if isinstance(cols[0], np.ndarray)
-                else [x for col in cols for x in col]
-            )
-        return cls(*fields)
-
 
 class MemoryColumns(_Columns):
     """Memory-trace columns; a lazy sequence of
@@ -214,8 +200,8 @@ class _ColumnarBase:
     def __len__(self) -> int:
         return self._n
 
-    def _grow(self, width: int = 0) -> None:
-        new = self._alloc * 2 if self._alloc else _INITIAL_ROWS
+    def _grow(self, width: int = 0, need: int = 0) -> None:
+        new = max(self._alloc * 2 or _INITIAL_ROWS, need)
         if self.sink_rows:
             # the buffer flushes at sink_rows, so never allocate past it
             new = min(new, self.sink_rows)
@@ -233,6 +219,27 @@ class _ColumnarBase:
                 grown.append(g)
             self._cols = tuple(grown)
         self._alloc = new
+
+    def extend(self, view) -> None:
+        """Append every row of a column view of this buffer's kind.
+
+        A buffer without a sink grows by doubling, so appending each
+        flushed window keeps a launch's rows in one column set: nothing
+        is held twice except while a column doubles.
+        """
+        rows = len(view)
+        if not rows:
+            return
+        cols = [getattr(view, name) for name in view.__slots__]
+        if self._NAMED:
+            self._names.extend(cols.pop())
+        n, need = self._n, self._n + rows
+        if need > self._alloc:
+            wide = cols[self._WIDE[0]].shape[1] if self._WIDE else 0
+            self._grow(wide, need)
+        for dst, src in zip(self._cols, cols):
+            dst[n:need] = src
+        self._n = need
 
     def _make_view(self, cols: tuple, names: List[str]):
         return self._VIEW(*cols, names) if self._NAMED else self._VIEW(*cols)

@@ -96,17 +96,8 @@ class HookRuntime:
         #: never sampled (the shadow stacks must stay exact). Sampling
         #: and the keep-first capacity are applied by the sink to each
         #: flushed window of the merged trace, so sampled launches still
-        #: use the parallel/batched fast paths.
+        #: use the batched fast path.
         self.sample_rate = sample_rate
-        self._capacity = buffer_capacity
-        #: an :class:`~repro.analysis.aggregates.AnalyzerPlan` (or None):
-        #: with a plan, kept rows feed the plan's bank *during*
-        #: execution and the profile carries ``aggregates``; without
-        #: one, the kept rows become the profile's records. The plan
-        #: itself is never pickled -- shard workers inherit it through
-        #: fork.
-        self._plan = fused
-        self._shard_states: List[dict] = []
 
         # The fault injector's buffer_overflow point forces a tiny
         # flush size, so mid-launch flushing is exercised without a
@@ -117,12 +108,19 @@ class HookRuntime:
             params = injector.fire("buffer_overflow", kernel=kernel)
             if params is not None:
                 flush_rows = int(params.get("segment_rows", 256))
-        self._flush_rows = flush_rows
 
         self.call_paths = CallPathRegistry()
-        self._attach_sink(
+        # ``fused`` is an AnalyzerPlan (or None): with a plan, kept rows
+        # feed the plan's bank *during* execution and the profile
+        # carries ``aggregates``; without one, the kept rows become the
+        # profile's records.
+        self.memory_buffer = ColumnarMemoryBuffer()
+        self.block_buffer = ColumnarBlockBuffer()
+        self.arith_buffer = ColumnarArithBuffer()
+        self._sink = FusedSink(
             None if fused is None else fused.create_bank(),
-            fused is None, sample_rate, buffer_capacity,
+            self.memory_buffer, self.block_buffer, self.arith_buffer,
+            flush_rows, sample_rate, buffer_capacity, keep=fused is None,
         )
 
         self._seq = 0
@@ -136,17 +134,6 @@ class HookRuntime:
         self._root_entry: Optional[GPUPathEntry] = None
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
-
-    def _attach_sink(self, bank, keep: bool, sample_rate: int,
-                     capacity: Optional[int]) -> None:
-        """Fresh trace buffers wired into a fresh sink."""
-        self.memory_buffer = ColumnarMemoryBuffer()
-        self.block_buffer = ColumnarBlockBuffer()
-        self.arith_buffer = ColumnarArithBuffer()
-        self._sink = FusedSink(
-            bank, self.memory_buffer, self.block_buffer, self.arith_buffer,
-            self._flush_rows, sample_rate, capacity, keep,
-        )
 
     def keep_records(self) -> None:
         """Keep this launch's raw trace records (call before launch).
@@ -179,17 +166,10 @@ class HookRuntime:
     def kernel_end(self, launch_result) -> None:
         """Seal the launch's trace into its :class:`KernelProfile`.
 
-        Own rows already left the buffers through the sink during
-        execution (only a sub-flush tail remains). Shard states merge
-        first, in SM order, which is safe because a fork-parallel launch
-        never dispatches hooks in the parent, so the sink's cursors are
-        untouched until this point.
+        Rows already left the buffers through the sink during execution
+        (only a sub-flush tail remains).
         """
         info = self._launch_info or {}
-        sink = self._sink
-        states, self._shard_states = self._shard_states, []
-        for state in states:
-            sink.absorb(state)
         self.profile = KernelProfile(
             kernel=self.kernel,
             host_call_path=self.host_call_path,
@@ -201,62 +181,10 @@ class HookRuntime:
             call_paths=self.call_paths,
             functions_by_id=self.image.functions_by_id,
             launch_result=launch_result,
-            **sink.finish(),
+            **self._sink.finish(),
         )
         if self.on_complete is not None:
             self.on_complete(self.profile)
-
-    # -- parallel-launch sharding -------------------------------------------------------
-    def reset_for_shard(self) -> None:
-        """Reinitialize trace state inside a forked shard worker.
-
-        With no sampling, no capacity and no kept records, the shard's
-        kept rows are exactly its trace, so it fuses into its own bank
-        and ships that. Otherwise the stride phase and keep-first
-        cutoff depend on earlier shards' row counts: the shard keeps
-        all its rows (unsampled, uncapped) and relays them for the
-        parent's running cursors.
-        """
-        ship_bank = (
-            self._sink.kept is None
-            and self.sample_rate == 1
-            and self._capacity is None
-        )
-        self.call_paths = CallPathRegistry()
-        self._attach_sink(
-            self._plan.create_bank() if ship_bank else None,
-            not ship_bank, 1, None,
-        )
-        self._seq = 0
-        self._warp_stacks = {}
-        self._warp_path_ids = {}
-        self._shard_states = []
-
-    def export_shard(self) -> dict:
-        """Pickleable trace state a shard worker sends back."""
-        state = self._sink.shard_state()
-        state["paths"] = list(self.call_paths._paths)
-        state["seq_total"] = self._seq
-        return state
-
-    def absorb_shards(self, shard_states) -> None:
-        """Queue shard traces for ``kernel_end``, in SM order.
-
-        Call-path ids are re-interned into the parent registry in shard
-        order -- first-encounter order across the concatenated stream,
-        identical to a serial run -- and each shard's seqs get a running
-        offset (all three buffers share one counter, so a shard's local
-        seqs are already dense and ordered). The sink applies both when
-        it relays the shard's rows.
-        """
-        for state in shard_states:
-            state["path_remap"] = np.array(
-                [self.call_paths.intern(p) for p in state["paths"]],
-                dtype=np.int64,
-            )
-            state["seq_offset"] = self._seq
-            self._seq += state["seq_total"]
-            self._shard_states.append(state)
 
     # -- hook implementations ----------------------------------------------------------
     def _current_path_id(self, warp) -> int:

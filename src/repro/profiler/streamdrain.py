@@ -11,10 +11,9 @@ keeps goes to up to two outputs:
   ``aggregates``; unless rows are kept as well, the records are
   :class:`StreamedRecords` placeholders and resident trace memory
   stays O(flush) for the whole launch.
-* **kept rows** -- per-stream chunk lists, concatenated at kernel exit
-  into the profile's column views (when the session has no plan, when
-  the launch needs raw records such as pc sampling, and in shard
-  workers that relay their rows).
+* **kept rows** -- one growing column set per stream, handed over at
+  kernel exit as the profile's column views (when the session has no
+  plan, and when the launch needs raw records such as pc sampling).
 
 Two cross-flush concerns are handled here so results stay
 byte-identical to analyzing the fully materialized trace:
@@ -27,11 +26,6 @@ byte-identical to analyzing the fully materialized trace:
   the whole merged stream.
 * **Capacity** is enforced as keep-first-N per stream with drop
   accounting, after sampling.
-
-Fork-parallel shards either fuse locally and ship their bank (exact
-when no sampling, capacity or kept rows apply; the parent merges
-bank-to-bank) or keep their rows and relay them for the parent's
-running cursors (:meth:`FusedSink.relay`).
 """
 
 from __future__ import annotations
@@ -109,16 +103,6 @@ class StreamStats:
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
 
-    def absorb(self, other: Dict[str, int]) -> None:
-        """Fold in a shard worker's stats (sums; peak is a max)."""
-        self.segments_streamed += other.get("segments_streamed", 0)
-        self.peak_resident_rows = max(
-            self.peak_resident_rows, other.get("peak_resident_rows", 0)
-        )
-        self.memory_rows += other.get("memory_rows", 0)
-        self.block_rows += other.get("block_rows", 0)
-        self.arith_rows += other.get("arith_rows", 0)
-
 
 class FusedSink:
     """Moves kept rows out of a launch's trace buffers *during* execution.
@@ -140,14 +124,15 @@ class FusedSink:
         self.stats = StreamStats()
         #: rows dropped by the keep-first capacity cap.
         self.clipped = 0
-        #: kept column views per stream, in trace order (None: not kept).
-        self.kept = None
-        if keep:
-            self.keep_records()
         self._rank = 0  # running joint memory+arith stride rank
         self.memory_buffer = memory_buffer
         self.block_buffer = block_buffer
         self.arith_buffer = arith_buffer
+        #: kept rows per stream, in trace order: a sink-less buffer of
+        #: the stream's kind (None: not kept).
+        self.kept = None
+        if keep:
+            self.keep_records()
         for buffer in (memory_buffer, arith_buffer):
             buffer.sink = self._flush_events
             buffer.sink_rows = flush_rows
@@ -157,7 +142,10 @@ class FusedSink:
     def keep_records(self) -> None:
         """Collect the kept rows as records too (before any push)."""
         if self.kept is None:
-            self.kept = {stream: [] for stream in _STREAMS}
+            self.kept = {
+                stream: type(getattr(self, f"{stream}_buffer"))()
+                for stream in _STREAMS
+            }
 
     def flush(self) -> None:
         """Push everything still buffered."""
@@ -167,7 +155,7 @@ class FusedSink:
     def finish(self) -> dict:
         """Flush the tail and seal; the profile fields of this launch.
 
-        Kept rows are concatenated per stream; without them the records
+        Kept rows are handed over per stream; without them the records
         are :class:`StreamedRecords` placeholders. A bank comes with
         the sink's counters.
         """
@@ -189,49 +177,10 @@ class FusedSink:
         if self.kept is None:
             rows = getattr(self.stats, f"{stream}_rows")
             return StreamedRecords(stream, rows)
-        # hand the chunks over: only the concatenation stays alive
-        parts, self.kept[stream] = self.kept[stream], []
-        if not parts:
+        view = self.kept[stream].detach_rows()
+        if view is None:
             return getattr(self, f"{stream}_buffer").empty_view()
-        return type(parts[0]).concat(parts)
-
-    def shard_state(self) -> dict:
-        """What a shard worker ships back: its bank, or its kept rows."""
-        self.flush()
-        if self.kept is None:
-            return {"bank": self.bank, "stats": self.stats.as_dict()}
-        return {
-            stream: type(parts[0]).concat(parts) if parts else None
-            for stream, parts in self.kept.items()
-        }
-
-    def absorb(self, state: dict) -> None:
-        """Fold in one shard worker's state (shards in SM order)."""
-        if "bank" in state:
-            self.bank.merge(state["bank"])
-            self.stats.absorb(state["stats"])
-        else:
-            self.relay(state)
-
-    def relay(self, state: dict) -> None:
-        """Push a shard worker's kept rows.
-
-        Worker-local seqs are renumbered by ``state["seq_offset"]`` and
-        call-path ids remapped through ``state["path_remap"]`` (the
-        parent registry's ids), so relayed rows equal a serial run's. A
-        shard's rows are the next contiguous window of the launch's
-        trace (shards are relayed in SM order), so they continue the
-        running stride rank and capacity cursors exactly as a flush
-        would.
-        """
-        offset, remap = state["seq_offset"], state["path_remap"]
-        for stream in _STREAMS:
-            cols = state[stream]
-            if cols is not None:
-                cols.seq = cols.seq + offset
-                cols.call_path_id = remap[cols.call_path_id]
-        self._push_blocks(state["block"])
-        self._push_events(state["memory"], state["arith"])
+        return view
 
     def _flush_blocks(self, buffer=None) -> None:
         self._push_blocks(self.block_buffer.detach_rows())
@@ -301,6 +250,6 @@ class FusedSink:
             seg = seg.take(idx)
         setattr(self.stats, counter, kept_so_far + rows)
         if self.kept is not None:
-            self.kept[key].append(seg)
+            self.kept[key].extend(seg)
         if self.bank is not None:
             getattr(self.bank, f"update_{key}")(seg)

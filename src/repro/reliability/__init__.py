@@ -1,13 +1,11 @@
-"""Launch reliability: supervisor, shard supervision, faults.
+"""Launch reliability: supervisor and fault injection.
 
 The reliability layer turns scattered one-off fallbacks into an
 explicit, policy-driven system (see ``docs/reliability.md``):
 
 * :mod:`repro.reliability.supervisor` -- the degradation ladder
-  (batched -> fork-parallel -> serial interpreter), failure policies,
-  machine-readable reason codes, per-device warning deduplication.
-* :mod:`repro.reliability.shards` -- heartbeat/timeout supervision and
-  bounded retry of fork-parallel shard workers.
+  (batched -> serial interpreter), failure policies, machine-readable
+  reason codes, per-device warning deduplication.
 * :mod:`repro.reliability.faultinject` -- the seedable fault-injection
   framework driving the chaos test suite.
 """

@@ -88,7 +88,7 @@ _SPEC_FIELDS = (
 )
 
 #: execution-hint keys forwarded to the worker (never part of the key).
-_HINT_FIELDS = ("parallel_workers", "failure_policy")
+_HINT_FIELDS = ("failure_policy",)
 
 #: execution backends a job may run on (``JobSpec.backend``).
 _BACKENDS = ("interpreter", "batched")
@@ -203,8 +203,8 @@ class ProfilingService:
 
         ``config`` may carry result-shaping knobs (``modes``, ``arch``,
         ``sample_rate``, ``heatmap``, ``backend``...; these feed the
-        cache key) and execution hints (``parallel_workers``,
-        ``failure_policy``; these do not).  A cache hit resolves the handle before ``submit``
+        cache key) and execution hints (``failure_policy``; these do
+        not).  A cache hit resolves the handle before ``submit``
         returns; an identical in-flight spec is coalesced instead of
         re-simulated.
         """

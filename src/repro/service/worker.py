@@ -36,7 +36,7 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
     ``hints`` carries execution knobs that may change *how* the job
-    runs but never its payload bytes (shard workers, failure policy).
+    runs but never its payload bytes (the failure policy).
     Jobs run with the advisor's default fused analysis (in flight, no
     trace round-trip): a job never needs raw records.
     """
@@ -59,7 +59,6 @@ def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
         sample_rate=spec.sample_rate,
         heatmap=spec.heatmap,
         backend=spec.backend,
-        parallel_workers=hints.get("parallel_workers"),
         failure_policy=hints.get("failure_policy"),
         **kwargs,
     )

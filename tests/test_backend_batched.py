@@ -8,10 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import LaunchDegradedWarning, LaunchError
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
+from repro.gpu.vecops import _bank_conflict_degree, _bank_conflict_degrees
 from repro.host import CudaRuntime
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
@@ -30,7 +33,7 @@ LAUNCHES = {
 }
 
 
-def _run(kernel_name, backend, block=None, workers=None, instrument=True):
+def _run(kernel_name, backend, block=None, instrument=True):
     grid, default_block, n = LAUNCHES[kernel_name]
     block = block or default_block
     module = compile_kernels([KERNELS[kernel_name]], "m")
@@ -40,7 +43,6 @@ def _run(kernel_name, backend, block=None, workers=None, instrument=True):
     session = ProfilingSession() if instrument else None
     device = Device(KEPLER_K40C)
     device.backend = backend
-    device.parallel_workers = workers
     runtime = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
 
@@ -119,14 +121,6 @@ def test_batched_uninstrumented_numerics():
         _assert_results_identical(ra, rb)
 
 
-def test_batched_with_parallel_workers():
-    ra, oa, pa = _run("strided_sum", "interpreter")
-    rb, ob, pb = _run("strided_sum", "batched", workers=4)
-    assert np.array_equal(oa, ob)
-    _assert_results_identical(ra, rb)
-    _assert_profiles_identical(pa, pb)
-
-
 def test_unknown_backend_rejected():
     module = compile_kernels([KERNELS["saxpy"]], "m")
     optimization_pipeline().run(module)
@@ -155,22 +149,40 @@ def test_pc_sampling_degrades_batched_with_warning():
                       pc_sampler=sampler)
 
 
-def test_pc_sampling_degrades_parallel_with_warning():
-    module = compile_kernels([KERNELS["saxpy"]], "m")
-    optimization_pipeline().run(module)
-    device = Device(KEPLER_K40C)
-    device.parallel_workers = 4
-    runtime = CudaRuntime(device)
-    image = device.load_module(module)
-    d = runtime.cuda_malloc(4 * 64, "d")
-    sampler = PCSampler(period=5)
-    with pytest.warns(LaunchDegradedWarning, match="serially despite"):
-        device.launch(image, "saxpy", 2, 32, [d, d, np.float32(1.0), 64],
-                      pc_sampler=sampler)
-
-
 def test_no_warning_on_clean_launches():
     with warnings.catch_warnings():
         warnings.simplefilter("error", LaunchDegradedWarning)
         _run("saxpy", "batched")
         _run("divergent_kernel", "batched")  # de-batch is by design: quiet
+
+
+def _numpy_bank_conflict_degree(addrs, mask):
+    """The former two-``np.unique`` scalar formula, kept as a reference."""
+    if not mask.any():
+        return 1
+    unique_words = np.unique(addrs[mask] // 4)
+    if len(unique_words) <= 1:
+        return 1
+    _, counts = np.unique(unique_words % 32, return_counts=True)
+    return int(counts.max())
+
+
+_LANES = st.lists(st.integers(-4096, 4096), min_size=32, max_size=32)
+_MASKS = st.one_of(
+    st.just([False] * 32),
+    st.lists(st.booleans(), min_size=32, max_size=32),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_LANES, _MASKS), min_size=1, max_size=6))
+def test_bank_conflict_degree_matches_batched_and_reference(rows):
+    """The scalar degree (interpreter) equals the batched backend's
+    per-row degrees and the numpy reference, negative words included."""
+    addrs = np.array([a for a, _ in rows], dtype=np.int64)
+    masks = np.array([m for _, m in rows], dtype=bool)
+    batched = _bank_conflict_degrees(addrs, masks)
+    for row in range(len(rows)):
+        degree = _bank_conflict_degree(addrs[row], masks[row])
+        assert degree == batched[row]
+        assert degree == _numpy_bank_conflict_degree(addrs[row], masks[row])

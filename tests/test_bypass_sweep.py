@@ -17,14 +17,13 @@ import numpy as np
 import pytest
 
 from repro.apps import build_app
-from repro.errors import LaunchDegradedWarning
-from repro.frontend import compile_kernels, i32, kernel, ptr_i32
+from repro.frontend import compile_kernels
 from repro.gpu import Device
 from repro.gpu.arch import KEPLER_K40C, PASCAL_P100
 from repro.gpu.cache import MSHRFile, SetAssociativeCache
 from repro.gpu.timing import SMTimingModel, TimingTape, model_global_lines
 from repro.host import CudaRuntime
-from repro.optim.advisor import CUDAAdvisor, GPUProgram
+from repro.optim.advisor import CUDAAdvisor
 from repro.passes.bypass import HorizontalBypassPass
 from repro.passes.manager import PassManager
 from repro.passes.pipeline import optimization_pipeline
@@ -156,62 +155,3 @@ def test_tape_replay_repeats_the_live_float_operations(threshold):
     for _ in range(102):
         one_by_one += 1
     assert timing.cycles + 102 != one_by_one  # the script is sensitive
-
-
-def test_parallel_sweep_matches_serial():
-    """Each shard replays its own SMs; the parent takes the per-threshold
-    max. ``strict`` makes any fallback to serial raise."""
-    program = build_app("syrk", n=48, m=8)  # 12 CTAs: both shards run
-    serial, _ = CUDAAdvisor().evaluate_bypass(program, prediction=object())
-    parallel, _ = CUDAAdvisor(
-        parallel_workers=2, failure_policy="strict"
-    ).evaluate_bypass(program, prediction=object())
-    assert parallel.cycles_by_warps == serial.cycles_by_warps
-
-
-@kernel
-def gather_sum(data: ptr_i32, total: ptr_i32, n: i32):
-    i = ctaid_x * ntid_x + tid_x  # noqa: F821 -- DSL intrinsics
-    if i < n:
-        atomic_add(total, 0, data[(i * 33) % n])  # noqa: F821
-
-
-class GatherSum(GPUProgram):
-    """Divergent dyn loads; every CTA adds into one word, so parallel
-    shards always write overlapping memory."""
-
-    name = "gather_sum"
-    kernels = (gather_sum,)
-    warps_per_cta = 4
-    n = 32 * 128
-
-    def prepare(self, rt):
-        data = np.arange(self.n, dtype=np.int32) % 7
-        d_data = rt.cuda_malloc(data.nbytes, "d_data")
-        d_total = rt.cuda_malloc(4, "d_total")
-        rt.cuda_memcpy_htod(d_data, data)
-        rt.cuda_memcpy_htod(d_total, np.zeros(1, dtype=np.int32))
-        return {"data": data, "d_data": d_data, "d_total": d_total}
-
-    def run(self, rt, image, state, l1_warps_per_cta=None):
-        return [rt.launch_kernel(
-            image, "gather_sum", grid=self.n // 128, block=128,
-            args=[state["d_data"], state["d_total"], self.n],
-            l1_warps_per_cta=l1_warps_per_cta,
-        )]
-
-    def check(self, rt, state) -> bool:
-        total = rt.device.memcpy_dtoh(state["d_total"], np.int32, 1)
-        return int(total[0]) == int(state["data"].sum())
-
-
-def test_parallel_sweep_write_conflict_falls_back_to_serial():
-    program = GatherSum()
-    serial, _ = CUDAAdvisor().evaluate_bypass(program, prediction=object())
-    with pytest.warns(LaunchDegradedWarning, match="overlapping"):
-        parallel, _ = CUDAAdvisor(parallel_workers=2).evaluate_bypass(
-            program, prediction=object()
-        )
-    assert parallel.cycles_by_warps == serial.cycles_by_warps
-    # the dyn loads make the thresholds differ
-    assert len(set(serial.cycles_by_warps.values())) > 1

@@ -68,8 +68,10 @@ class TestProfile:
         assert "--sample-rate must be >= 1" in capsys.readouterr().err
 
     def test_bad_workers_rejected(self, capsys):
-        assert main(["profile", "nn", "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        # launches no longer shard across workers; `serve --workers`
+        # (the pool size) is the only --workers flag left
+        for command in ("profile", "export"):
+            self._assert_removed(capsys, command, "--workers", "2")
 
     def test_fused_and_streaming_drain_rejected(self, capsys):
         for command in ("profile", "export"):

@@ -8,16 +8,15 @@ capacity:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith event streams through the sink at tiny flush
-  granularities (down to one row), through per-shard banks merged in
-  shard order, and through shard relays, comparing every aggregate of
-  the full plan against the oracle over the materialized trace -- and,
-  with kept records switched on, every kept column (``seq`` and
+  granularities (down to one row), and through per-partition banks
+  merged in partition order, comparing every aggregate of the full
+  plan against the oracle over the materialized trace -- and, with
+  kept records switched on, every kept column (``seq`` and
   ``call_path_id`` included) against the oracle's sample/clip --
-  across stride-sampling phases and keep-first capacity over flush and
-  shard boundaries.
+  across stride-sampling phases and keep-first capacity over flush
+  boundaries.
 * **App-level tests** run instrumented programs twice (fused vs
-  kept records) across serial / batched / fork-parallel configurations
-  and assert identical accounting, with the fused bank matching the
+  kept records) on both backends and assert identical accounting, with the fused bank matching the
   oracle over the kept trace.
 * **Launches that need raw records** (pc sampling) keep them as well
   as feeding the bank, without a degradation event.
@@ -80,11 +79,9 @@ _EVENTS = st.lists(
 )
 
 
-def _append_event(event, seq, mem, block, arith, remap=None):
+def _append_event(event, seq, mem, block, arith):
     stream, cta, sel, flag = event
     path = (sel + cta) % PATHS
-    if remap is not None:
-        path = int(remap[path])
     if stream == "mem":
         # Strided addresses so warps touch 1..WARP distinct lines.
         stride = 2 * LINE_SIZE if flag else 8
@@ -114,21 +111,19 @@ def _append_event(event, seq, mem, block, arith, remap=None):
         )
 
 
-def _build_buffers(events, remaps=None):
-    """Standalone buffers holding ``events``; ``remaps`` gives each
-    event's call-path id remap (the parent ids of a relayed shard)."""
+def _build_buffers(events):
+    """Standalone buffers holding ``events``."""
     mem = ColumnarMemoryBuffer()
     block = ColumnarBlockBuffer()
     arith = ColumnarArithBuffer()
     for seq, event in enumerate(events):
-        remap = None if remaps is None else remaps[seq]
-        _append_event(event, seq, mem, block, arith, remap)
+        _append_event(event, seq, mem, block, arith)
     return mem, block, arith
 
 
-def _batch_profile(events, remaps=None):
+def _batch_profile(events):
     """The reference: the whole trace materialized in one window."""
-    mem, block, arith = _build_buffers(events, remaps)
+    mem, block, arith = _build_buffers(events)
     return SimpleNamespace(
         memory_records=oracle.drained(mem),
         block_records=oracle.drained(block),
@@ -215,9 +210,9 @@ def _fused_buffers(events, flush_rows, rate=1, capacity=None, keep=False,
     return sink.bank, sink
 
 
-def _batch_sampled(events, rate, capacity, remaps=None):
+def _batch_sampled(events, rate, capacity):
     """The reference after stride sampling and capacity clips."""
-    batch = _batch_profile(events, remaps)
+    batch = _batch_profile(events)
     m, a = oracle.stride_sample(
         batch.memory_records, batch.arith_records, rate
     )
@@ -293,10 +288,9 @@ class TestFusedSinkProperty:
     def test_shard_bank_merge_matches_concatenated_trace(
         self, events, flush_rows
     ):
-        # Each shard fuses into its own bank (local seqs, like
-        # reset_for_shard), the banks merge in shard order, and the
-        # result must equal the oracle over the shard-concatenated
-        # trace.
+        # Each shard fuses into its own bank (local seqs), the banks
+        # merge in shard order, and the result must equal the oracle
+        # over the shard-concatenated trace.
         shards = _shards(events)
         merged, _ = _fused_buffers(shards[0], flush_rows)
         merged.merge(_fused_buffers(shards[1], flush_rows)[0])
@@ -304,44 +298,11 @@ class TestFusedSinkProperty:
             merged, _batch_profile(shards[0] + shards[1])
         )
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        events=_EVENTS,
-        flush_rows=st.integers(1, 17),
-        rate=st.sampled_from([1, 2, 3]),
-        capacity=st.sampled_from([None, 3, 10]),
-        keep=st.booleans(),
-    )
-    def test_shard_relay_continues_stride_and_capacity(
-        self, events, flush_rows, rate, capacity, keep
-    ):
-        # Shards keep their rows (local seqs and path ids, unsampled,
-        # uncapped) and the parent relays them in shard order: seqs
-        # are renumbered, path ids remapped, and the running stride
-        # rank and keep-first cursors must carry across shard
-        # boundaries exactly as over the concatenated trace.
-        shards = _shards(events)
-        remaps = [np.arange(PATHS), np.array([2, 0, 1])]
-        sink = _sink(flush_rows, rate, capacity, keep)
-        offset = 0
-        for shard, remap in zip(shards, remaps):
-            _, worker = _fused_buffers(shard, flush_rows, keep=True,
-                                       bank=False)
-            state = worker.shard_state()
-            state["seq_offset"] = offset
-            state["path_remap"] = remap
-            sink.absorb(state)
-            offset += len(shard)
-        kept, clipped = _batch_sampled(
-            shards[0] + shards[1], rate, capacity,
-            [remap for shard, remap in zip(shards, remaps) for _ in shard],
-        )
-        _assert_sink_output(sink, kept, clipped, keep)
-        assert sink.clipped == clipped
+
 # -- app-level equivalence ------------------------------------------------------
 
 
-def _session(app, fused=False, workers=None, backend=None, sample_rate=1,
+def _session(app, fused=False, backend=None, sample_rate=1,
              capacity=None, flush_rows=65536, configure=None):
     app_name, app_kwargs = app
     program = build_app(app_name, **app_kwargs)
@@ -355,8 +316,6 @@ def _session(app, fused=False, workers=None, backend=None, sample_rate=1,
         fused=full_plan(LINE_SIZE) if fused else None,
     )
     device = Device(KEPLER_K40C)
-    if workers is not None:
-        device.parallel_workers = workers
     if backend is not None:
         device.backend = backend
     if configure is not None:
@@ -381,28 +340,6 @@ class TestFusedApps:
     def test_batched_backend(self, app):
         in_ram, _ = _session(app, backend="batched")
         fused, _ = _session(app, fused=True, backend="batched")
-        _assert_sessions_match(in_ram, fused)
-
-    @pytest.mark.parametrize("app", APPS, ids=lambda a: a[0])
-    def test_fork_parallel_bank_ship(self, app):
-        # No sampling/capacity: each shard runs its own fused bank and
-        # ships it; the parent merges bank-to-bank in SM order.
-        in_ram, _ = _session(app, workers=4)
-        fused, _ = _session(app, fused=True, workers=4)
-        _assert_sessions_match(in_ram, fused)
-
-    def test_fork_parallel_sampled_relays(self):
-        # Sampling needs the global stride phase, so shards fall back
-        # to relaying their rows for the parent's running cursors.
-        app = APPS[0]
-        in_ram, _ = _session(app, workers=4, sample_rate=3)
-        fused, _ = _session(app, fused=True, workers=4, sample_rate=3)
-        _assert_sessions_match(in_ram, fused)
-
-    def test_fork_parallel_capacity_relays(self):
-        app = APPS[1]
-        in_ram, _ = _session(app, workers=4, capacity=60)
-        fused, _ = _session(app, fused=True, workers=4, capacity=60)
         _assert_sessions_match(in_ram, fused)
 
     def test_sampled_and_capped_serial(self):

@@ -1,6 +1,8 @@
 """Tests for the Eq.(1) bypass model, the oracle search and the advisor."""
 
 import dataclasses
+import multiprocessing
+import os
 
 import pytest
 
@@ -9,6 +11,8 @@ from repro.analysis.reuse_distance import (
     ReuseDistanceHistogram,
     ReuseDistanceModel,
 )
+from repro.errors import AnalysisError, ExecutionError
+from repro.export import export_json, profile_export
 from repro.gpu.arch import KEPLER_K40C, kepler_with_l1
 from repro.optim import (
     BypassSearchResult,
@@ -16,6 +20,8 @@ from repro.optim import (
     oracle_bypass_search,
     predict_optimal_warps,
 )
+from repro.optim import advisor as advisor_mod
+from repro.optim.advisor import GPUProgram
 from repro.optim.bypass_model import ctas_per_sm
 
 
@@ -135,3 +141,161 @@ class TestAdvisorEndToEnd:
         # Both runs passed the app's check() (enforced inside profile()).
         assert report.baseline_results
         assert report.instrumented_results
+
+
+class _Wrapped(GPUProgram):
+    """A registry app whose baseline / instrumented runs can misbehave.
+
+    ``fail`` maps ``"baseline"`` / ``"instrumented"`` to ``"raise"`` (the
+    run raises) or ``"check"`` (the program's check fails); a run is the
+    baseline when its runtime has no profiler.
+    """
+
+    def __init__(self, app, fail=None):
+        self.app = app
+        self.name = app.name
+        self.kernels = app.kernels
+        self.warps_per_cta = app.warps_per_cta
+        self.fail = fail or {}
+
+    def _mode(self, rt):
+        which = "baseline" if rt.profiler is None else "instrumented"
+        return which, self.fail.get(which)
+
+    def prepare(self, rt):
+        return self.app.prepare(rt)
+
+    def run(self, rt, image, state, l1_warps_per_cta=None):
+        which, fail = self._mode(rt)
+        if fail == "raise":
+            raise ExecutionError(f"{which} run exploded")
+        return self.app.run(rt, image, state, l1_warps_per_cta)
+
+    def check(self, rt, state) -> bool:
+        return self._mode(rt)[1] != "check" and self.app.check(rt, state)
+
+
+class TestBaselineOverlap:
+    """The overhead baseline runs in a forked child beside the
+    instrumented run; every outcome equals running the two in order."""
+
+    @staticmethod
+    def _app():
+        from repro.apps import build_app
+
+        return build_app("bfs", num_nodes=128)
+
+    @staticmethod
+    def _export(program, monkeypatch, overlap):
+        monkeypatch.setattr(advisor_mod, "_overlap_available",
+                            lambda: overlap)
+        report = CUDAAdvisor().profile(program)
+        return export_json(profile_export(report)), report
+
+    @staticmethod
+    def _spy_children(monkeypatch):
+        """Record each baseline child's pid and what it delivered."""
+        seen = []
+        collect = advisor_mod._BaselineChild.collect
+
+        def spy(self):
+            delivered = collect(self)
+            seen.append((self._proc.pid, delivered is not None))
+            return delivered
+
+        monkeypatch.setattr(advisor_mod._BaselineChild, "collect", spy)
+        return seen
+
+    @staticmethod
+    def _assert_reaped(pids):
+        assert multiprocessing.active_children() == []
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no zombie left
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_child_and_in_process_baselines_export_identically(
+        self, monkeypatch
+    ):
+        seen = self._spy_children(monkeypatch)
+        forked, report = self._export(self._app(), monkeypatch, True)
+        assert [delivered for _, delivered in seen] == [True]
+        self._assert_reaped([pid for pid, _ in seen])
+        in_process, serial = self._export(self._app(), monkeypatch, False)
+        assert len(seen) == 1  # no child without the fork probe
+        assert forked == in_process
+        assert report.overhead is not None
+
+        def counts(results):
+            return [(r.kernel, r.cycles, r.instructions, r.transactions)
+                    for r in results]
+
+        assert counts(report.baseline_results) == counts(
+            serial.baseline_results
+        )
+
+    def test_child_without_result_falls_back_in_process(self, monkeypatch):
+        reference, _ = self._export(self._app(), monkeypatch, False)
+        seen = self._spy_children(monkeypatch)
+        monkeypatch.setattr(advisor_mod, "_baseline_child",
+                            lambda *args: os._exit(3))
+        forked, _ = self._export(self._app(), monkeypatch, True)
+        assert [delivered for _, delivered in seen] == [False]
+        assert forked == reference
+        self._assert_reaped([pid for pid, _ in seen])
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    @pytest.mark.parametrize("instrumented", [None, "check", "raise"])
+    def test_failing_baseline_check_wins(
+        self, monkeypatch, overlap, instrumented
+    ):
+        seen = self._spy_children(monkeypatch)
+        program = _Wrapped(self._app(), {"baseline": "check",
+                                         "instrumented": instrumented})
+        with pytest.raises(AnalysisError) as exc:
+            self._export(program, monkeypatch, overlap)
+        assert str(exc.value) == "bfs: baseline run failed validation"
+        self._assert_reaped([pid for pid, _ in seen])
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_instrumented_error_reaps_the_child(self, monkeypatch, overlap):
+        seen = self._spy_children(monkeypatch)
+        program = _Wrapped(self._app(), {"instrumented": "raise"})
+        with pytest.raises(ExecutionError, match="instrumented run exploded"):
+            self._export(program, monkeypatch, overlap)
+        assert [delivered for _, delivered in seen] == [True] * overlap
+        self._assert_reaped([pid for pid, _ in seen])
+
+    @pytest.mark.parametrize("overlap", [True, False])
+    def test_baseline_error_wins_over_instrumented(self, monkeypatch, overlap):
+        seen = self._spy_children(monkeypatch)
+        program = _Wrapped(self._app(), {"baseline": "raise",
+                                         "instrumented": "raise"})
+        with pytest.raises(ExecutionError, match="baseline run exploded"):
+            self._export(program, monkeypatch, overlap)
+        # the child raised and delivered nothing; the parent's rerun
+        # reproduced the error
+        assert [delivered for _, delivered in seen] == [False] * overlap
+        self._assert_reaped([pid for pid, _ in seen])
+
+    def test_interrupt_kills_the_child(self, monkeypatch):
+        seen = []
+        start = advisor_mod._BaselineChild.__init__
+
+        def spy(self, *args):
+            start(self, *args)
+            seen.append(self._proc.pid)
+
+        compile_ = CUDAAdvisor._compile
+
+        def interrupted(self, program, instrument, bypass=False):
+            if instrument:  # ^C while the child runs the baseline
+                raise KeyboardInterrupt
+            return compile_(self, program, instrument, bypass)
+
+        monkeypatch.setattr(advisor_mod._BaselineChild, "__init__", spy)
+        monkeypatch.setattr(CUDAAdvisor, "_compile", interrupted)
+        monkeypatch.setattr(advisor_mod, "_overlap_available", lambda: True)
+        with pytest.raises(KeyboardInterrupt):
+            CUDAAdvisor().profile(self._app())
+        assert len(seen) == 1
+        self._assert_reaped(seen)

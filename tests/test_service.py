@@ -280,6 +280,13 @@ class TestServiceAPI:
             with pytest.raises(ServiceError, match=hint):
                 svc.submit("syrk", {hint: 1})
 
+    def test_removed_parallel_workers_hint_rejected(self):
+        # launches no longer shard across workers: the pool's workers
+        # are the only process parallelism a job gets
+        with ProfilingService(workers=0) as svc:
+            with pytest.raises(ServiceError, match="parallel_workers"):
+                svc.submit("syrk", {"parallel_workers": 2})
+
     def test_unknown_backend_rejected(self):
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match="warp-drive"):
