@@ -12,7 +12,12 @@ Three properties are pinned here:
   statistics must be byte-identical to an interpreter run.
 * **Stride sampling** -- a ``sample_rate=k`` trace must be exactly
   every k-th record of the full memory+arith stream (same seqs, same
-  bytes), whichever backend produced it.
+  bytes), whichever backend produced it and however often the trace
+  buffers flush mid-launch.
+* **Overlapped baseline** -- a ``CUDAAdvisor`` profile whose overhead
+  baseline runs in a forked child, in parallel with the instrumented
+  launches, must give the same traces and launch statistics as one
+  that runs the baseline first, in-process.
 """
 
 import numpy as np
@@ -34,6 +39,8 @@ from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
+from repro.optim import CUDAAdvisor
+from repro.optim import advisor as advisor_mod
 from repro.profiler.buffers import MemoryColumns
 from tests import analysis_oracle as oracle
 
@@ -45,12 +52,14 @@ APPS = [
 ]
 
 
-def _profile_session(app_name, app_kwargs, backend=None, sample_rate=1):
+def _profile_session(app_name, app_kwargs, backend=None, sample_rate=1,
+                     flush_rows=None):
     app = build_app(app_name, **app_kwargs)
     module = compile_kernels(list(app.kernels), app_name)
     optimization_pipeline().run(module)
     instrumentation_pipeline(["memory", "blocks", "arith"]).run(module)
-    session = ProfilingSession(sample_rate=sample_rate)
+    flush = {} if flush_rows is None else {"flush_rows": flush_rows}
+    session = ProfilingSession(sample_rate=sample_rate, **flush)
     device = Device(KEPLER_K40C)
     if backend is not None:
         device.backend = backend
@@ -131,13 +140,66 @@ def _assert_profiles_match(serial, other):
             for i in range(len(pa.call_paths))
         )
         assert pa.dropped_records == pb.dropped_records
-        la, lb = pa.launch_result, pb.launch_result
-        assert la.cycles == lb.cycles
-        assert la.instructions == lb.instructions
-        assert la.transactions == lb.transactions
-        assert la.branches == lb.branches
-        assert la.divergent_branches == lb.divergent_branches
-        assert la.cache == lb.cache
+        _assert_launch_match(pa.launch_result, pb.launch_result)
+
+
+def _assert_launch_match(la, lb):
+    assert la.kernel == lb.kernel
+    assert la.cycles == lb.cycles
+    assert la.instructions == lb.instructions
+    assert la.transactions == lb.transactions
+    assert la.branches == lb.branches
+    assert la.divergent_branches == lb.divergent_branches
+    assert la.cache == lb.cache
+
+
+def _advisor_report(app_name, app_kwargs, monkeypatch, overlap,
+                    backend=None):
+    """A kept-records advisor profile with its overhead baseline run in
+    a forked child beside the instrumented launches (``overlap``) or
+    first, in this process. An overlapped run must really use the
+    child: one is started and delivers its results."""
+    delivered = []
+    collect = advisor_mod._BaselineChild.collect
+
+    def spy(child):
+        result = collect(child)
+        delivered.append(result is not None)
+        return result
+
+    monkeypatch.setattr(advisor_mod._BaselineChild, "collect", spy)
+    monkeypatch.setattr(advisor_mod, "_overlap_available", lambda: overlap)
+    advisor = CUDAAdvisor(
+        modes=("memory", "blocks", "arith"), backend=backend,
+        fused_drain=False,
+    )
+    report = advisor.profile(build_app(app_name, **app_kwargs))
+    assert delivered == [True] * overlap
+    return report
+
+
+def _assert_reports_match(serial, other):
+    _assert_profiles_match(serial.session.profiles, other.session.profiles)
+    for results in ("baseline_results", "instrumented_results"):
+        a, b = getattr(serial, results), getattr(other, results)
+        assert a and len(a) == len(b)
+        for la, lb in zip(a, b):
+            _assert_launch_match(la, lb)
+    def counts(overhead):  # wall times differ run to run
+        return (overhead.baseline_cycles, overhead.instrumented_cycles,
+                overhead.baseline_instructions,
+                overhead.instrumented_instructions)
+
+    assert counts(serial.overhead) == counts(other.overhead)
+
+
+@pytest.mark.parametrize("app_name,app_kwargs", APPS)
+def test_parallel_launch_matches_serial(app_name, app_kwargs, monkeypatch):
+    """The baseline launches running in a child, in parallel with the
+    instrumented ones, change no trace and no launch statistic."""
+    serial = _advisor_report(app_name, app_kwargs, monkeypatch, False)
+    parallel = _advisor_report(app_name, app_kwargs, monkeypatch, True)
+    _assert_reports_match(serial, parallel)
 
 
 @pytest.mark.parametrize("app_name,app_kwargs", APPS)
@@ -147,16 +209,34 @@ def test_batched_backend_matches_interpreter(app_name, app_kwargs):
     _assert_profiles_match(serial, batched.profiles)
 
 
+@pytest.mark.parametrize("app_name,app_kwargs", APPS)
+def test_batched_parallel_matches_serial_interpreter(
+    app_name, app_kwargs, monkeypatch
+):
+    serial = _advisor_report(app_name, app_kwargs, monkeypatch, False)
+    combined = _advisor_report(
+        app_name, app_kwargs, monkeypatch, True, backend="batched"
+    )
+    _assert_reports_match(serial, combined)
+
+
 @pytest.mark.parametrize("rate", [2, 3, 5])
-@pytest.mark.parametrize("backend", ["interpreter", "batched"])
-def test_stride_sampling_is_exact_subset(rate, backend):
+@pytest.mark.parametrize(
+    "backend,flush_rows",
+    [("interpreter", None), ("batched", None), ("interpreter", 4),
+     ("batched", 4)],
+)
+def test_stride_sampling_is_exact_subset(rate, backend, flush_rows):
     """sample_rate=k keeps exactly every k-th event of the merged
     memory+arith stream of a full trace -- same seqs, same rows --
-    regardless of backend, and block records are never sampled."""
+    regardless of backend, also when the buffers flush every few rows
+    (the stride continues across flush windows), and block records are
+    never sampled."""
     app_name, app_kwargs = APPS[0]
     full = _profile_session(app_name, app_kwargs).profiles
     sampled = _profile_session(
         app_name, app_kwargs, backend=backend, sample_rate=rate,
+        flush_rows=flush_rows,
     ).profiles
     assert len(full) == len(sampled)
     for pf, ps in zip(full, sampled):

@@ -4,9 +4,13 @@ The rung of the degradation ladder (batched -> serial interpreter) is
 pinned here under the ``strict``, ``degrade`` and ``best_effort``
 failure policies, and the fault-injection framework drives buffer
 overflow through real instrumented launches: a launch flushing many
-times mid-launch keeps records identical to a clean run.
+times mid-launch keeps records identical to a clean run. Where fork is
+missing, the advisor's overhead baseline runs in-process instead of in
+a child beside the instrumented run, with the same export.
 """
 
+import multiprocessing
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -20,7 +24,10 @@ from repro.errors import (
 )
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
+from repro.export import export_json, profile_export
 from repro.host import CudaRuntime
+from repro.optim import CUDAAdvisor
+from repro.optim import advisor as advisor_mod
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
 from repro.profiler.pc_sampling import PCSampler
@@ -234,6 +241,37 @@ class TestDegradationLadder:
 
         with pytest.raises(LaunchError, match="unknown failure policy"):
             _saxpy_launch(configure)
+
+    def test_fork_unavailable_degrades_not_crashes(self, monkeypatch):
+        """Spawn-only platforms run the overhead baseline in-process --
+        never an AttributeError from a missing ``os.fork`` -- and export
+        exactly what a run with the baseline in a child exports."""
+        from repro.apps import build_app
+
+        def export():
+            report = CUDAAdvisor().profile(build_app("bfs", num_nodes=128))
+            assert report.baseline_results and report.overhead is not None
+            return export_json(profile_export(report))
+
+        started = []
+        start = advisor_mod._BaselineChild.__init__
+
+        def spy(child, *args):
+            start(child, *args)
+            started.append(child._proc.pid)
+
+        monkeypatch.setattr(advisor_mod._BaselineChild, "__init__", spy)
+        with monkeypatch.context() as forking:
+            forking.setattr(advisor_mod, "_overlap_available", lambda: True)
+            overlapped = export()
+        assert len(started) == 1
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods",
+            lambda: ["spawn", "forkserver"],
+        )
+        monkeypatch.delattr(os, "fork")
+        assert export() == overlapped
+        assert len(started) == 1  # no child without fork
 
 
 # -- buffer overflow: a tiny flush size -----------------------------------------
