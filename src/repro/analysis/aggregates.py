@@ -5,7 +5,7 @@ divergence and cache behaviour are computed incrementally as
 instrumentation callbacks fire, never holding a full trace. This module
 restores that property for the columnar pipeline: each analysis is
 a :class:`SegmentAggregate` with an ``update(segment_columns)`` /
-``merge(other)`` / ``finalize()`` contract, and the fused sink
+``finalize()`` contract, and the fused sink
 (:mod:`repro.profiler.streamdrain`) pushes each flushed buffer segment
 through an :class:`AnalyzerBank` of them while the kernel runs -- peak
 trace memory is O(segment), not O(trace). A profile that kept its raw
@@ -15,10 +15,9 @@ those records through the same aggregates once
 profile-level analysis function does exactly that.
 
 Results do not depend on segmentation: any split of the trace into
-segments, and any merge of disjoint shards, gives the same bytes as one
-segment holding the whole trace (pinned against the per-record
-reference analyses of ``tests/analysis_oracle.py`` by
-``tests/test_fused_drain.py``):
+segments gives the same bytes as one segment holding the whole trace
+(pinned against the per-record reference analyses of
+``tests/analysis_oracle.py`` by ``tests/test_fused_drain.py``):
 
 * Per-CTA analyses (reuse distance, stack distance, site reuse) carry
   per-CTA cursor state across segment boundaries -- a CTA's events
@@ -28,18 +27,15 @@ reference analyses of ``tests/analysis_oracle.py`` by
   an offline dominance count (:func:`_prefix_rank_gt`) instead of a
   per-event Fenwick walk, carrying only each distinct element's last
   global position -- O(distinct elements) state, no per-event Python
-  loop. The stack-distance cursor keeps the classic compacting Fenwick
-  (its hole-sinking semantics are inherently sequential).
+  loop; runs of one repeated access (a coalesced warp touching one
+  line) collapse to their first event before the count. The
+  stack-distance cursor keeps the classic compacting Fenwick (its
+  hole-sinking semantics are inherently sequential).
 * Histogram-shaped results are integer sums, so per-segment
   accumulation order cannot change them.
 * Dict-ordered results (per-site tables) record a canonical
   first-encounter key per site and sort at ``finalize()``, reproducing
-  whole-trace first-encounter order exactly -- including across shard
-  merges.
-
-``merge()`` combines aggregates computed over *disjoint CTA/row
-partitions*: partials merge aggregate-to-aggregate instead of
-trace-to-trace.
+  whole-trace first-encounter order exactly.
 """
 
 from __future__ import annotations
@@ -177,7 +173,7 @@ class _OnlineReuse:
     def __init__(self, write_restart: bool = True,
                  initial_slots: int = _INITIAL_SLOTS):
         self.write_restart = write_restart
-        #: total events fed so far = next global event position.
+        #: events fed so far, repeats collapsed = next global position.
         self._t = 0
         #: sorted distinct elements seen so far.
         self._keys = np.empty(0, dtype=np.int64)
@@ -187,23 +183,45 @@ class _OnlineReuse:
         self.reads_seen = 0
 
     def feed(self, elements: np.ndarray, writes: np.ndarray) -> np.ndarray:
-        """Advance the stream; returns the distance of every *read*."""
+        """Advance the stream; returns the distance of every *read*.
+
+        Each maximal run of identical ``(element, is_write)`` events is
+        collapsed to its first event before the dominance count. A
+        repeat adds no distinct element to any window, so the other
+        events' distances are unchanged; a repeated read's own distance
+        is 0 (the event just before it is the same element, read).
+        """
         n = len(elements)
         if not n:
             return np.empty(0, dtype=np.int64)
-        if n > _FEED_CHUNK:
-            # Segmentation is free for this cursor -- the carry state
-            # is exact across any boundary -- so bound the transient
-            # working set (roughly twenty n-sized arrays live during a
-            # feed) by our own chunk size, not the caller's segment
-            # size. Peak RSS of fused analysis is set right here.
-            return np.concatenate([
-                self.feed(elements[i:i + _FEED_CHUNK],
-                          writes[i:i + _FEED_CHUNK])
-                for i in range(0, n, _FEED_CHUNK)
-            ])
         elements = np.asarray(elements, dtype=np.int64)
-        w_int = np.asarray(writes, dtype=np.int64)
+        writes = np.asarray(writes, dtype=bool)
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(elements[1:], elements[:-1], out=head[1:])
+        head[1:] |= writes[1:] != writes[:-1]
+        heads = np.flatnonzero(head)
+        out = np.full(n, INFINITE, dtype=np.int64)
+        out[~head] = 0  # followers read 0
+        del head
+        # Segmentation is free for this cursor -- the carry state is
+        # exact across any boundary -- so bound the transient working
+        # set (roughly twenty n-sized arrays live during a chunk) by
+        # our own chunk size, not the caller's segment size. Peak RSS
+        # of fused analysis is set right here.
+        for i in range(0, heads.size, _FEED_CHUNK):
+            idx = heads[i:i + _FEED_CHUNK]
+            out[idx] = self._advance(elements[idx], writes[idx])
+        del heads
+        result = out[~writes]
+        self.reads_seen += int(result.size)
+        return result
+
+    def _advance(self, elements: np.ndarray, writes: np.ndarray) -> np.ndarray:
+        """Feed at most ``_FEED_CHUNK`` events; every event's distance
+        (only reads' are meaningful)."""
+        n = len(elements)
+        w_int = writes.astype(np.int64)
         base = self._t
         # Previous occurrence of each event's element, segment-local:
         # a stable sort by element keeps equal elements in trace order.
@@ -277,10 +295,7 @@ class _OnlineReuse:
             del arc_idx, arc_prev, plen, q_prev
             out[q_idx] = window + m_gt - removals
             del window, removals
-        del prev_pos, q_idx
-        result = out[is_read]
-        del out, is_read
-        self.reads_seen += int(result.size)
+        del prev_pos, q_idx, is_read
 
         # Write back each distinct element's final (position, was_write);
         # stable sort keeps old entries first, so "keep the last of
@@ -297,7 +312,7 @@ class _OnlineReuse:
         self._keys = keys[keep]
         self._vals = vals[keep]
         self._t = base + n
-        return result
+        return out
 
 
 class _OnlineStack:
@@ -377,15 +392,13 @@ class _OnlineStack:
 
 
 class SegmentAggregate:
-    """One streaming analysis: consumes column segments, merges, finalizes.
+    """One streaming analysis: consumes column segments, finalizes.
 
     ``stream`` names the trace stream the aggregate consumes
     ("memory", "block" or "arith"); the :class:`AnalyzerBank` routes
     segments accordingly. ``update`` sees each kept segment exactly
-    once, in trace order; ``merge`` combines a peer computed over a
-    disjoint CTA partition (in partition order);
-    ``finalize`` returns the analysis result, the same however the
-    trace was segmented.
+    once, in trace order; ``finalize`` returns the analysis result, the
+    same however the trace was segmented.
     """
 
     stream = "memory"
@@ -393,21 +406,8 @@ class SegmentAggregate:
     def update(self, cols) -> None:
         raise NotImplementedError
 
-    def merge(self, other: "SegmentAggregate") -> None:
-        raise NotImplementedError
-
     def finalize(self):
         raise NotImplementedError
-
-
-def _merge_cta_states(mine: dict, theirs: dict, what: str) -> None:
-    overlap = mine.keys() & theirs.keys()
-    if overlap:
-        raise AnalysisError(
-            f"cannot merge {what} aggregates with overlapping CTAs "
-            f"(e.g. {sorted(overlap)[:3]}): shard partitions must be disjoint"
-        )
-    mine.update(theirs)
 
 
 class ReuseDistanceAggregate(SegmentAggregate):
@@ -433,10 +433,6 @@ class ReuseDistanceAggregate(SegmentAggregate):
             if state is None:
                 state = self._states[cta] = _OnlineReuse(self.write_restart)
             self.histogram.add_samples(state.feed(elements, writes))
-
-    def merge(self, other: "ReuseDistanceAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "reuse-distance")
-        self.histogram.merge(other.histogram)
 
     def finalize(self) -> ReuseDistanceHistogram:
         return self.histogram
@@ -503,18 +499,6 @@ class SiteReuseAggregate(SegmentAggregate):
                     self._order[key] = order_key
                 hist.add_samples(groups[j])
 
-    def merge(self, other: "SiteReuseAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "site-reuse")
-        for key, hist in other._hists.items():
-            mine = self._hists.get(key)
-            if mine is None:
-                self._hists[key] = hist
-            else:
-                mine.merge(hist)
-            known = self._order.get(key)
-            if known is None or other._order[key] < known:
-                self._order[key] = other._order[key]
-
     def finalize(self) -> Dict[Tuple[int, int], ReuseDistanceHistogram]:
         ordered = sorted(self._hists, key=lambda key: self._order[key])
         return {key: self._hists[key] for key in ordered}
@@ -557,11 +541,6 @@ class StackDistanceAggregate(SegmentAggregate):
                 for v, c in zip(vals.tolist(), counts.tolist()):
                     self._counts[v] += c
 
-    def merge(self, other: "StackDistanceAggregate") -> None:
-        _merge_cta_states(self._states, other._states, "stack-distance")
-        self._counts.update(other._counts)
-        self._infinite += other._infinite
-
     def finalize(self) -> StackDistanceSummary:
         return StackDistanceSummary(
             counts=self._counts,
@@ -585,9 +564,6 @@ class MemoryDivergenceAggregate(SegmentAggregate):
                 if c:
                     self.profile.counts[k] += c
 
-    def merge(self, other: "MemoryDivergenceAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> MemoryDivergenceProfile:
         return self.profile
 
@@ -597,8 +573,7 @@ class DivergentSitesAggregate(SegmentAggregate):
 
     First-encounter dict order is reproduced via the global row index of
     each site's first divergent access (a running row offset makes the
-    per-segment indices global; ``merge`` shifts the peer's offsets past
-    this shard's rows, matching the concatenated trace).
+    per-segment indices global).
     """
 
     stream = "memory"
@@ -633,15 +608,6 @@ class DivergentSitesAggregate(SegmentAggregate):
                 self._counts[key] = self._counts.get(key, 0) + int(cnt[j])
         self._rows_seen += len(cols)
 
-    def merge(self, other: "DivergentSitesAggregate") -> None:
-        for key, count in other._counts.items():
-            self._counts[key] = self._counts.get(key, 0) + count
-            row = self._rows_seen + other._first[key]
-            known = self._first.get(key)
-            if known is None or row < known:
-                self._first[key] = row
-        self._rows_seen += other._rows_seen
-
     def finalize(self) -> Dict[Tuple[int, int], int]:
         ordered = sorted(self._counts, key=lambda key: self._first[key])
         return {key: self._counts[key] for key in ordered}
@@ -651,8 +617,8 @@ class BranchDivergenceAggregate(SegmentAggregate):
     """Streaming :func:`~repro.analysis.divergence_branch.branch_divergence_analysis`.
 
     ``per_block`` insertion order is trace first-encounter order; the
-    segments arrive in trace order (and shards merge in shard order),
-    so plain sequential insertion reproduces it.
+    segments arrive in trace order, so plain sequential insertion
+    reproduces it.
     """
 
     stream = "block"
@@ -682,9 +648,6 @@ class BranchDivergenceAggregate(SegmentAggregate):
             if flags[i]:
                 stats.divergent += 1
 
-    def merge(self, other: "BranchDivergenceAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> BranchDivergenceProfile:
         return self.profile
 
@@ -712,9 +675,6 @@ class ArithmeticAggregate(SegmentAggregate):
             by_opcode[opcode] += n
             by_line[line] += n
 
-    def merge(self, other: "ArithmeticAggregate") -> None:
-        self.profile.merge(other.profile)
-
     def finalize(self) -> ArithmeticProfile:
         return self.profile
 
@@ -723,9 +683,8 @@ class AnalyzerBank:
     """A named set of aggregates fed by one fused launch.
 
     The fused sink calls ``update_memory`` / ``update_block`` /
-    ``update_arith`` once per kept segment; shard banks merge with
-    :meth:`merge` (in shard order); :meth:`result` finalizes lazily and
-    caches, so analyses can be read repeatedly.
+    ``update_arith`` once per kept segment; :meth:`result` finalizes
+    lazily and caches, so analyses can be read repeatedly.
     """
 
     def __init__(self, aggregates: Dict[str, SegmentAggregate]):
@@ -748,17 +707,6 @@ class AnalyzerBank:
     def update_arith(self, cols) -> None:
         for agg in self._by_stream["arith"]:
             agg.update(cols)
-
-    def merge(self, other: "AnalyzerBank") -> None:
-        if self._finalized or other._finalized:
-            raise AnalysisError("cannot merge a finalized analyzer bank")
-        if self.aggregates.keys() != other.aggregates.keys():
-            raise AnalysisError(
-                "cannot merge analyzer banks with different aggregate sets: "
-                f"{sorted(self.aggregates)} vs {sorted(other.aggregates)}"
-            )
-        for name, agg in self.aggregates.items():
-            agg.merge(other.aggregates[name])
 
     def result(self, name: str):
         if name in self._finalized:

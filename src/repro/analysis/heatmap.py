@@ -22,16 +22,17 @@ and execution configuration the profiler supports:
   instruction lands in time cell ``k // cell_rows``. Each CTA's stream
   appears in trace order in every drain path, so the phase of every
   event -- unlike a raw global sequence number -- is invariant under
-  segment boundaries, merges of disjoint CTA partitions, and backend
-  choice. Aligning CTAs by phase also reads naturally: for
-  SIMT kernels the phase axis is "how far through its work each CTA
-  is", which is the execution-time axis CUTHERMO plots.
+  segment boundaries and backend choice. Aligning CTAs by phase also
+  reads naturally: for SIMT kernels the phase axis is "how far
+  through its work each CTA is", which is the execution-time axis
+  CUTHERMO plots.
 
-:class:`HeatmapAggregate` follows the ``update`` / ``merge`` /
-``finalize`` contract of :mod:`repro.analysis.aggregates`, so heat maps
-stream through fused in-flight analysis, merge across CTA partitions, and
-respect stride sampling and capacity exactly like every other analysis
--- byte-identity is pinned by ``tests/test_heatmap.py``.
+:class:`HeatmapAggregate` follows the ``update`` / ``finalize``
+contract of :mod:`repro.analysis.aggregates`, so heat maps stream
+through fused in-flight analysis and respect stride sampling and
+capacity exactly like every other analysis -- byte-identity is pinned
+by ``tests/test_heatmap.py``. :meth:`HeatmapTable.merge` concatenates
+finalized launches.
 """
 
 from __future__ import annotations
@@ -184,27 +185,6 @@ class HeatmapAggregate:
         phase[order] = (np.repeat(bases, counts)
                         + np.arange(ordered.size) - np.repeat(starts, counts))
         return phase
-
-    def merge(self, other: "HeatmapAggregate") -> None:
-        if (other.cell_rows != self.cell_rows
-                or other.granule_bytes != self.granule_bytes):
-            raise AnalysisError(
-                "cannot merge heat-map aggregates with different binning"
-            )
-        overlap = self._phase.keys() & other._phase.keys()
-        if overlap:
-            raise AnalysisError(
-                f"cannot merge heat-map aggregates with overlapping CTAs "
-                f"(e.g. {sorted(overlap)[:3]}): shard partitions must be "
-                f"disjoint"
-            )
-        self._phase.update(other._phase)
-        for key, cell in other._cells.items():
-            mine = self._cells.get(key)
-            if mine is None:
-                self._cells[key] = cell
-            else:
-                mine.merge(cell)
 
     def finalize(self) -> "HeatmapTable":
         return HeatmapTable(

@@ -19,7 +19,7 @@ reconvergence-aware rewrite, keeps executing through *divergence*:
 
 * Byte-identity with the interpreter backend is preserved by the
   **event log**: execution appends every observable side effect (issue
-  steps, hook dispatches, global-memory transactions, shared/atomic
+  steps, hook calls, global-memory transactions, shared/atomic
   cycle costs, barrier waits, empty-entry "admin" pops) tagged with the
   participating warps, and a per-warp *replay* cursor consumes the log
   in exactly the serial scheduler's visit order -- same quantum, same
@@ -83,7 +83,11 @@ from repro.gpu.decode import (
     _mo_const,
     _mo_gep,
     _mo_gep_const,
-    _mo_hook,
+    _mo_arith_hook,
+    _mo_block_hook,
+    _mo_pop_hook,
+    _mo_push_hook,
+    _mo_record,
     _mo_intrin,
     _mo_ld_const,
     _mo_ld_global,
@@ -110,7 +114,7 @@ class _Fallback(Exception):
 _BATCH = 0    # (kind, members, count, done)           issue-only steps
 _EXTRA = 1    # (kind, members, calls)                 1 step + timing calls
 _MEM = 2      # (kind, members, lines_by_w, mode, is_write, post)
-_HOOK = 3     # (kind, members, name, args, am2d, nact, plan)
+_HOOK = 3     # (kind, members, call, site, addrs, am2d, nact)
 _BARRIER = 4  # (kind, members)                        instr, no step
 _ADMIN = 5    # (kind, members, count, done)           steps, no instr
 
@@ -549,19 +553,34 @@ def _bb_barrier(op, m):
     m._exec_barrier(op)
 
 
-def _bb_hook(op, m):
-    frame = m._frame
-    regs = frame.regs
-    args = []
-    for r in op.a:
-        if type(r) is int:
-            v = regs[r]
-            if v is None:
-                _undef(frame, r)
-            args.append(v)
-        else:
-            args.append(r)
-    m._log_hook(op.b, args)
+def _bb_record(op, m):
+    addrs = op.a
+    if type(addrs) is int:
+        frame = m._frame
+        addrs = frame.regs[addrs]
+        if addrs is None:
+            _undef(frame, op.a)
+    m._log_hook(m.hooks.record, op.b, addrs)
+    m._cur.index += 1
+
+
+def _bb_block_hook(op, m):
+    m._log_hook(m.hooks.block, op.b)
+    m._cur.index += 1
+
+
+def _bb_arith_hook(op, m):
+    m._log_hook(m.hooks.arith, op.b)
+    m._cur.index += 1
+
+
+def _bb_push_hook(op, m):
+    m._log_hook(m.hooks.push, op.b)
+    m._cur.index += 1
+
+
+def _bb_pop_hook(op, m):
+    m._log_hook(m.hooks.pop, op.b)
     m._cur.index += 1
 
 
@@ -608,7 +627,11 @@ _BATCHED = {
     _mo_barrier: _bb_barrier,
     _mo_intrin: _bb_intrin,
     _mo_math: _bb_math,
-    _mo_hook: _bb_hook,
+    _mo_record: _bb_record,
+    _mo_block_hook: _bb_block_hook,
+    _mo_arith_hook: _bb_arith_hook,
+    _mo_push_hook: _bb_push_hook,
+    _mo_pop_hook: _bb_pop_hook,
     _mo_call: _bb_call,
     _mo_br: _bb_br,
     _mo_condbr: _bb_condbr,
@@ -663,6 +686,7 @@ class BatchedCTA:
         warps = [c.warps[0] for c in ctxs] if self.gang else ctx.warps
         self.device = device
         self.ctx = ctx
+        self.hooks = ctx.hooks
         self.warps = warps
         W = len(warps)
         self.W = W
@@ -890,21 +914,13 @@ class BatchedCTA:
                     lines_by_w[w] = []
         self._emit((_MEM, elig, lines_by_w, mode, is_write, post))
 
-    def _log_hook(self, name, args) -> None:
+    def _log_hook(self, call, site, addrs=None) -> None:
+        """Log one hook call: ``call`` is the runtime's entry point for
+        the site's kind; ``addrs`` (``Record`` only) is the address
+        value, a ``(W, ...)`` matrix or a value shared by every warp."""
         cur = self._cur
-        # Classify each arg once at emit time so replay can extract a
-        # warp's view without per-warp isinstance checks: 0 = shared
-        # scalar, 1 = (W, 1) column, 2 = full (W, ws) row. ``None``
-        # means every arg is shared and the tuple can be dispatched
-        # as-is for all warps (hooks never mutate their args).
-        plan = None
-        for k, a in enumerate(args):
-            if isinstance(a, np.ndarray) and a.ndim == 2:
-                if plan is None:
-                    plan = [0] * len(args)
-                plan[k] = 1 if a.shape[1] == 1 else 2
-        self._emit((_HOOK, self._elig, name, tuple(args), cur.mask,
-                    tuple(cur.counts), plan))
+        self._emit((_HOOK, self._elig, call, site, addrs, cur.mask,
+                    tuple(cur.counts)))
 
     # -- executor ------------------------------------------------------------
     _RESCAN = object()
@@ -1483,7 +1499,6 @@ class BatchedCTA:
         wl = self._wlog[w]
         log = self._log
         cursor = self._cursor
-        dispatch = ctx.hooks.dispatch
         hook_call = timing.hook_call
         while consumed < quantum:
             i = cursor[w]
@@ -1567,19 +1582,16 @@ class BatchedCTA:
                 if rotate_on_mem:
                     return steps
             elif kind == _HOOK:
-                _, _, name, args, am2d, nact, plan = ev
+                _, _, call, site, addrs, am2d, nact = ev
                 warp.instructions_executed += 1
                 timing.issue()
                 na = nact[w]
                 hook_call(na)
-                if plan is None:
-                    row_args = args
+                if addrs is None:
+                    call(site, warp, na)
                 else:
-                    row_args = [
-                        a if c == 0 else a[w, 0] if c == 1 else a[w]
-                        for c, a in zip(plan, args)
-                    ]
-                dispatch(name, row_args, am2d[w], warp, ctx, na)
+                    call(site, warp, na,
+                         addrs[w] if addrs.ndim == 2 else addrs, am2d[w])
                 steps += 1
                 consumed += 1
                 cursor[w] = i + 1

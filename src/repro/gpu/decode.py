@@ -13,7 +13,11 @@ dynamic instruction:
   positions are pre-broadcast to full lane vectors);
 * GEP strides, load/store dtypes and cache-operator bypass modes,
   branch targets, reconvergence blocks (ipostdoms) and per-edge phi
-  move lists -> plain fields on the micro-op.
+  move lists -> plain fields on the micro-op;
+* instrumentation hook calls -> one micro-op per hook kind carrying a
+  :class:`HookSite`, whose constant operands (source location, width,
+  opcode or block name, a push's shadow-stack entry) are resolved once
+  into the module's :class:`HookSites` tables.
 
 Operand references are encoded compactly: a Python ``int`` is a register
 slot, anything else is an immediate (numpy scalar or pre-broadcast lane
@@ -42,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, LaunchError
 from repro.gpu.coalescing import coalesce_lines
 from repro.gpu.simt import StackEntry
 from repro.gpu.timing import model_global_lines
@@ -140,6 +144,50 @@ class DecodedFunction:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<DecodedFunction {self.name} slots={self.n_slots}>"
+
+
+class HookSite:
+    """One instrumented call site, resolved when the module is decoded.
+
+    ``id`` indexes the module's :class:`HookSites` table of the site's
+    kind, which holds the constant columns of every row the site emits;
+    a ``cupr.push`` site carries its prebuilt shadow-stack ``entry``.
+    """
+
+    __slots__ = ("name", "id", "entry")
+
+    def __init__(self, name: str, site_id: int = -1, entry=None):
+        self.name = name
+        self.id = site_id
+        self.entry = entry
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<HookSite @{self.name} #{self.id}>"
+
+
+class HookSites:
+    """Per-kind constant tables of a module's hook call sites.
+
+    ``memory[id]`` is ``(bits, line, col, op)``, ``block[id]`` is
+    ``(block_name, line, col)`` and ``arith[id]`` is ``(opcode, bits,
+    is_float, line, col)``; the trace buffers expand them into columns
+    once per flush.
+    """
+
+    __slots__ = ("memory", "block", "arith")
+
+    def __init__(self):
+        self.memory: List[tuple] = []
+        self.block: List[tuple] = []
+        self.arith: List[tuple] = []
+
+
+class DecodedModule(dict):
+    """``function name -> DecodedFunction``, plus the hook-site tables."""
+
+    def __init__(self):
+        super().__init__()
+        self.sites = HookSites()
 
 
 # -- operand helpers ----------------------------------------------------------------
@@ -467,21 +515,54 @@ def _mo_math(op, it, warp, frame, entry, mask):
     entry.index += 1
 
 
-def _mo_hook(op, it, warp, frame, entry, mask):
-    regs = frame.regs
-    args = []
-    for r in op.a:
-        if type(r) is int:
-            v = regs[r]
-            if v is None:
-                _undef(frame, r)
-            args.append(v)
-        else:
-            args.append(r)
-    ctx = it.ctx
-    ctx.timing.hook_call(entry.nactive)
-    ctx.hooks.dispatch(op.b, args, mask, warp, ctx, entry.nactive)
+def _mo_record(op, it, warp, frame, entry, mask):
+    addrs = op.a
+    if type(addrs) is int:
+        addrs = frame.regs[addrs]
+        if addrs is None:
+            _undef(frame, op.a)
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.record(op.b, warp, nactive, addrs, mask)
     entry.index += 1
+
+
+def _mo_block_hook(op, it, warp, frame, entry, mask):
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.block(op.b, warp, nactive)
+    entry.index += 1
+
+
+def _mo_arith_hook(op, it, warp, frame, entry, mask):
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.arith(op.b, warp, nactive)
+    entry.index += 1
+
+
+def _mo_push_hook(op, it, warp, frame, entry, mask):
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.push(op.b, warp, nactive)
+    entry.index += 1
+
+
+def _mo_pop_hook(op, it, warp, frame, entry, mask):
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.pop(op.b, warp, nactive)
+    entry.index += 1
+
+
+def _mo_unknown_hook(op, it, warp, frame, entry, mask):
+    regs = frame.regs
+    for r in op.a:
+        if type(r) is int and regs[r] is None:
+            _undef(frame, r)
+    nactive = entry.nactive
+    it.timing.hook_call(nactive)
+    it.hooks.unknown(op.b, warp, nactive)
 
 
 def _mo_call(op, it, warp, frame, entry, mask):
@@ -813,6 +894,7 @@ class _FunctionDecoder:
         self.fn = out.function
         self.warp_size = image.device.arch.warp_size
         self.debug_locs = debug_locs
+        self.sites = decoded_map.sites
         self.out = out
         self.slot_of: Dict[int, int] = {}
 
@@ -1096,10 +1178,7 @@ class _FunctionDecoder:
                 )
             return MicroOp(_mo_raise, a=f"unknown intrinsic @{name}", loc=loc)
         if callee.kind == "hook":
-            return MicroOp(
-                _mo_hook, a=tuple(self._ref(a) for a in inst.args),
-                b=callee.name, loc=loc,
-            )
+            return self._decode_hook(inst, loc)
         if callee.is_declaration:
             return MicroOp(
                 _mo_raise, a=f"call to undefined function @{callee.name}",
@@ -1113,10 +1192,75 @@ class _FunctionDecoder:
         )
 
 
-def decode_module(image) -> Dict[str, DecodedFunction]:
+    def _decode_hook(self, inst: Call, loc) -> MicroOp:
+        """One hook call -> its per-kind micro-op and call site.
+
+        Every operand except ``Record``'s address is a call-site
+        constant, resolved here once: strings through the constant
+        arena, plain ints and bools.
+        """
+        name = inst.callee.name
+        layout = _HOOK_LAYOUTS.get(name)
+        if layout is None:
+            return MicroOp(
+                _mo_unknown_hook, a=tuple(self._ref(a) for a in inst.args),
+                b=HookSite(name), loc=loc,
+            )
+        handler, table, kinds = layout
+        if len(inst.args) != len(kinds):
+            raise LaunchError(
+                f"hook @{name} takes {len(kinds)} operands, "
+                f"got {len(inst.args)}"
+            )
+        addr = None
+        consts = []
+        for k, (kind, value) in enumerate(zip(kinds, inst.args)):
+            if kind == "addr":
+                addr = self._vref(value, _I64)
+                continue
+            ref = self._ref(value)
+            if type(ref) is int:
+                raise LaunchError(
+                    f"hook @{name}: operand {k} (%{value.name}) is not a "
+                    f"call-site constant"
+                )
+            if kind == "str":
+                consts.append(self.image.string_at(int(ref)))
+            elif kind == "bool":
+                consts.append(bool(int(ref)))
+            else:
+                consts.append(int(ref))
+        if table is not None:
+            rows = getattr(self.sites, table)
+            site = HookSite(name, len(rows))
+            rows.append(tuple(consts))
+        elif consts:  # cupr.push
+            from repro.profiler.codecentric import GPUPathEntry
+
+            site = HookSite(name, entry=GPUPathEntry(*consts))
+        else:
+            site = HookSite(name)
+        return MicroOp(handler, a=addr, b=site, loc=loc)
+
+
+#: hook name -> (micro-op handler, site table, operand kinds). "addr"
+#: is the one per-event operand (a register); the rest are call-site
+#: constants, laid out as the instrumentation passes emit them.
+_HOOK_LAYOUTS = {
+    "Record": (_mo_record, "memory", ("addr", "int", "int", "int", "int")),
+    "passBasicBlock": (_mo_block_hook, "block", ("str", "int", "int")),
+    "RecordArith": (
+        _mo_arith_hook, "arith", ("str", "int", "bool", "int", "int"),
+    ),
+    "cupr.push": (_mo_push_hook, None, ("int", "int", "int")),
+    "cupr.pop": (_mo_pop_hook, None, ()),
+}
+
+
+def decode_module(image) -> DecodedModule:
     """Lower every defined kernel/device function of a loaded module."""
     module = image.module
-    decoded: Dict[str, DecodedFunction] = {}
+    decoded = DecodedModule()
     bodies = [
         fn for fn in module.functions.values()
         if fn.kind in ("kernel", "device") and not fn.is_declaration
@@ -1126,5 +1270,7 @@ def decode_module(image) -> Dict[str, DecodedFunction]:
         decoded[fn.name] = DecodedFunction(fn)
     debug_locs: Dict[DebugLoc, DebugLoc] = {}
     for fn in bodies:
-        _FunctionDecoder(image, decoded, decoded[fn.name], debug_locs).decode()
+        _FunctionDecoder(
+            image, decoded, decoded[fn.name], debug_locs
+        ).decode()
     return decoded

@@ -41,6 +41,8 @@ from repro.ir.values import GlobalString, GlobalVariable
 #: Constant-arena (strings) addresses start here; disjoint by addrspace.
 CONSTANT_BASE = 0x100
 
+_DONE = WarpStatus.DONE
+
 
 class DevicePointer:
     """A host-side handle to device global memory (what cudaMalloc returns)."""
@@ -278,13 +280,16 @@ class _SM:
 
 
 class _NullHookRuntime:
-    """Hook sink for uninstrumented launches."""
+    """Hook sink for uninstrumented launches: any hook call is an error."""
 
-    def dispatch(self, name, args, mask, warp, ctx, nactive=None) -> None:  # pragma: no cover
+    def _missing(self, site, *args) -> None:
         raise ExecutionError(
-            f"instrumented code called hook @{name} but no hook runtime was "
-            f"attached to the launch (pass hooks=... to Device.launch)"
+            f"instrumented code called hook @{site.name} but no hook "
+            f"runtime was attached to the launch (pass hooks=... to "
+            f"Device.launch)"
         )
+
+    record = block = arith = push = pop = unknown = _missing
 
     def kernel_begin(self, launch_info) -> None:
         pass
@@ -667,25 +672,56 @@ class Device:
     ) -> int:
         """One scheduler visit: step ``warp`` up to ``quantum`` times.
 
-        Returns the updated SM step count; callers detect progress by
-        comparing it with the value they passed in. Shared by the serial
-        driver below and the batched backend's de-batch fallback.
+        Each step executes the warp's next micro-op, or pops an empty
+        reconvergence entry or a finished frame (an admin step). Returns
+        the updated SM step count; callers detect progress by comparing
+        it with the value they passed in. Shared by the serial driver
+        below and the batched backend's de-batch fallback.
         """
-        for _ in range(quantum):
-            try:
-                outcome = interp.step(warp)
-            except BarrierReached:
-                warp.status = WarpStatus.AT_BARRIER
-                break
-            steps += 1
-            if warp.done:
-                break
-            if steps > total_budget:
-                raise ExecutionError(
-                    "kernel exceeded the step budget (infinite loop?)"
-                )
-            if rotate_on_mem and outcome == "mem":
-                break
+        timing = interp.timing
+        sampler = interp.pc_sampler
+        frames = warp.frames
+        try:
+            for _ in range(quantum):
+                outcome = None
+                frame = frames[-1]
+                stack = frame.stack
+                if not stack:
+                    interp._pop_frame(warp)
+                else:
+                    entry = stack[-1]
+                    block = entry.block
+                    if block is None:
+                        raise ExecutionError(
+                            f"unstructured control flow in "
+                            f"@{frame.function.name}: lanes waiting at a "
+                            f"branch whose paths never reconverge or return"
+                        )
+                    mask = entry.amask
+                    if mask is None:
+                        mask = entry.mask & ~frame.returned_mask
+                        entry.amask = mask
+                        entry.nactive = int(mask.sum())
+                    if entry.nactive:
+                        op = block.ops[entry.index]
+                        warp.instructions_executed += 1
+                        timing.issue()
+                        if sampler is not None:
+                            sampler.tick(warp, frame.function.name, op.loc)
+                        outcome = op.run(op, interp, warp, frame, entry, mask)
+                    else:
+                        stack.pop()
+                steps += 1
+                if warp.status is _DONE:
+                    break
+                if steps > total_budget:
+                    raise ExecutionError(
+                        "kernel exceeded the step budget (infinite loop?)"
+                    )
+                if rotate_on_mem and outcome == "mem":
+                    break
+        except BarrierReached:
+            warp.status = WarpStatus.AT_BARRIER
         return steps
 
     def _run_sm(self, sm: _SM, image: DeviceModuleImage, total_budget: int) -> int:

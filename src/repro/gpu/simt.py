@@ -149,6 +149,7 @@ class Warp:
         "block_dim",
         "grid_dim",
         "resident_mask",
+        "resident_lanes",
         "tid_x",
         "tid_y",
         "tid_z",
@@ -195,6 +196,7 @@ class Warp:
         threads_per_cta = bx * by * bz
         linear = first_thread + np.arange(warp_size)
         self.resident_mask = linear < threads_per_cta
+        self.resident_lanes = int(self.resident_mask.sum())
         linear = np.minimum(linear, threads_per_cta - 1)
         self.tid_x = (linear % bx).astype(np.int32)
         self.tid_y = ((linear // bx) % by).astype(np.int32)

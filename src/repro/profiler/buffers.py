@@ -5,23 +5,28 @@ memory" (Section 4.2-A); at kernel exit the buffer is copied to the
 host. The **columnar** buffers (:class:`ColumnarMemoryBuffer`,
 :class:`ColumnarBlockBuffer`, :class:`ColumnarArithBuffer`) model that
 buffer: events append into preallocated structure-of-arrays numpy
-columns (chunked doubling growth), so an instrumented event costs a
-handful of scalar stores instead of a dataclass plus two array
-allocations.
+columns (chunked doubling growth). An event stores only its per-event
+values -- sequence number, CTA, warp, call path, active or resident
+lanes, the address and mask rows of a memory access -- plus the id of
+its call site. The site's constants (width, source line and column,
+access kind, opcode or block name) live once in a per-kind site table
+(:class:`repro.gpu.decode.HookSites`) and are expanded into columns
+once per flush.
 
 A buffer never holds more than its flush size: when it reaches
 ``sink_rows`` rows it calls its ``sink`` (the launch's
 :class:`~repro.profiler.streamdrain.FusedSink`), which takes the rows
-with :meth:`~_ColumnarBase.detach_rows` as a zero-copy
+with :meth:`~_ColumnarBase.detach_rows` as a
 :class:`MemoryColumns` / :class:`BlockColumns` / :class:`ArithColumns`
 view. The analyzers consume those views vectorized; each view still
 behaves as a sequence of the classic record dataclasses (materialized
-lazily per index) for compatibility.
+lazily per index) for compatibility. Kept rows accumulate in a
+:class:`ColumnStore`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -176,23 +181,25 @@ class ArithColumns(_Columns):
 class _ColumnarBase:
     """Chunked growth and the flush hand-off, shared by the buffers.
 
-    Subclasses name their view class, the dtype of each numpy column
-    (in view order), which columns are ``(rows, warp_size)`` wide, and
-    whether the view ends with an interned-string list.
+    Subclasses name their view class, the dtype of each stored column
+    (per-event values, ending with the site id), which columns are
+    ``(rows, warp_size)`` wide, and how a flush expands the site
+    constants into the view's columns (:meth:`_view`).
     """
 
     _VIEW: type = _Columns
     _DTYPES: tuple = ()
     _WIDE: tuple = ()
-    _NAMED = False
 
-    def __init__(self):
+    def __init__(self, sites: Optional[list] = None):
         #: ``sink(buffer)`` fires whenever the buffer holds ``sink_rows``
         #: rows; see :class:`repro.profiler.streamdrain.FusedSink`.
         self.sink = None
         self.sink_rows = 0
+        #: constant tuple of each site id (the module's decoded table
+        #: of this kind)
+        self.sites = [] if sites is None else sites
         self._cols: Optional[tuple] = None
-        self._names: List[str] = []
         self._width = 0  # warp size of the wide columns, once known
         self._n = 0
         self._alloc = 0
@@ -200,8 +207,8 @@ class _ColumnarBase:
     def __len__(self) -> int:
         return self._n
 
-    def _grow(self, width: int = 0, need: int = 0) -> None:
-        new = max(self._alloc * 2 or _INITIAL_ROWS, need)
+    def _grow(self, width: int = 0) -> None:
+        new = self._alloc * 2 or _INITIAL_ROWS
         if self.sink_rows:
             # the buffer flushes at sink_rows, so never allocate past it
             new = min(new, self.sink_rows)
@@ -220,59 +227,41 @@ class _ColumnarBase:
             self._cols = tuple(grown)
         self._alloc = new
 
-    def extend(self, view) -> None:
-        """Append every row of a column view of this buffer's kind.
+    def _constants(self, site: np.ndarray) -> list:
+        """The site constants of each row, one column per field."""
+        return [
+            np.array(field, dtype=object if isinstance(field[0], str)
+                     else None)[site]
+            for field in zip(*self.sites)
+        ]
 
-        A buffer without a sink grows by doubling, so appending each
-        flushed window keeps a launch's rows in one column set: nothing
-        is held twice except while a column doubles.
-        """
-        rows = len(view)
-        if not rows:
-            return
-        cols = [getattr(view, name) for name in view.__slots__]
-        if self._NAMED:
-            self._names.extend(cols.pop())
-        n, need = self._n, self._n + rows
-        if need > self._alloc:
-            wide = cols[self._WIDE[0]].shape[1] if self._WIDE else 0
-            self._grow(wide, need)
-        for dst, src in zip(self._cols, cols):
-            dst[n:need] = src
-        self._n = need
-
-    def _make_view(self, cols: tuple, names: List[str]):
-        return self._VIEW(*cols, names) if self._NAMED else self._VIEW(*cols)
+    def _view(self, cols: tuple):
+        raise NotImplementedError
 
     def detach_rows(self):
-        """Hand the buffered rows over as a zero-copy column view.
+        """Hand the buffered rows over as a column view.
 
         The flush hand-off: returns ``None`` when empty, otherwise a
-        view over the live column prefixes. The buffer forgets the
-        arrays (the next append allocates fresh ones), so the view is
-        never mutated after detach.
+        view whose per-event columns are the live column prefixes and
+        whose constant columns are expanded from the site table. The
+        buffer forgets the arrays (the next append allocates fresh
+        ones), so the view is never mutated after detach.
         """
         n = self._n
         if not n:
             return None
-        view = self._make_view(
-            tuple(col[:n] for col in self._cols), self._names
-        )
+        view = self._view(tuple(col[:n] for col in self._cols))
         self._cols = None
-        self._names = []
         self._n = 0
         self._alloc = 0
         return view
 
     def empty_view(self):
         """A zero-row view of this buffer's kind."""
-        return self._make_view(
-            tuple(
-                np.zeros((0, self._width or 1) if i in self._WIDE else 0, d)
-                for i, d in enumerate(self._DTYPES)
-            ),
-            [],
-        )
+        return self._view(tuple(
+            np.zeros((0, self._width or 1) if i in self._WIDE else 0, d)
+            for i, d in enumerate(self._DTYPES)
+        ))
 
 
 class ColumnarMemoryBuffer(_ColumnarBase):
@@ -283,35 +272,42 @@ class ColumnarMemoryBuffer(_ColumnarBase):
         np.int64,  # seq
         np.int32,  # cta
         np.int32,  # warp_in_cta
-        np.int32,  # bits
-        np.int32,  # line
-        np.int32,  # col
-        np.int8,  # op
         np.int64,  # call_path_id
+        np.int32,  # site: (bits, line, col, op)
         np.int64,  # addresses (rows, warp_size)
         bool,  # mask (rows, warp_size)
     )
-    _WIDE = (8, 9)
+    _WIDE = (5, 6)
 
-    def append(self, seq, cta, warp_in_cta, addrs, mask, bits, line, col,
-               op, call_path_id) -> None:
+    def append(self, seq, cta, warp_in_cta, call_path_id, site, addrs,
+               mask) -> None:
+        """One access of call site ``site``; ``addrs`` broadcasts to a
+        full row (a scalar or a one-lane column is a uniform address)."""
         n = self._n
         if n >= self._alloc:
-            self._grow(len(addrs))
+            self._grow(len(mask))
         c = self._cols
         c[0][n] = seq
         c[1][n] = cta
         c[2][n] = warp_in_cta
-        c[3][n] = bits
-        c[4][n] = line
-        c[5][n] = col
-        c[6][n] = op
-        c[7][n] = call_path_id
-        c[8][n] = addrs
-        c[9][n] = mask
+        c[3][n] = call_path_id
+        c[4][n] = site
+        c[5][n] = addrs
+        c[6][n] = mask
         self._n = n + 1
         if self.sink is not None and self._n >= self.sink_rows:
             self.sink(self)
+
+    def _view(self, cols):
+        seq, cta, warp, path, site, addrs, mask = cols
+        bits, line, col, op = (
+            self._constants(site) if len(site) else [()] * 4
+        )
+        return MemoryColumns(
+            seq, cta, warp, np.asarray(bits, np.int32),
+            np.asarray(line, np.int32), np.asarray(col, np.int32),
+            np.asarray(op, np.int8), path, addrs, mask,
+        )
 
 
 class ColumnarBlockBuffer(_ColumnarBase):
@@ -322,16 +318,14 @@ class ColumnarBlockBuffer(_ColumnarBase):
         np.int64,  # seq
         np.int32,  # cta
         np.int32,  # warp_in_cta
-        np.int32,  # line
-        np.int32,  # col
+        np.int64,  # call_path_id
+        np.int32,  # site: (block_name, line, col)
         np.int32,  # active_lanes
         np.int32,  # resident_lanes
-        np.int64,  # call_path_id
     )
-    _NAMED = True
 
-    def append(self, seq, cta, warp_in_cta, name, line, col, active_lanes,
-               resident_lanes, call_path_id) -> None:
+    def append(self, seq, cta, warp_in_cta, call_path_id, site,
+               active_lanes, resident_lanes) -> None:
         n = self._n
         if n >= self._alloc:
             self._grow()
@@ -339,15 +333,23 @@ class ColumnarBlockBuffer(_ColumnarBase):
         c[0][n] = seq
         c[1][n] = cta
         c[2][n] = warp_in_cta
-        c[3][n] = line
-        c[4][n] = col
+        c[3][n] = call_path_id
+        c[4][n] = site
         c[5][n] = active_lanes
         c[6][n] = resident_lanes
-        c[7][n] = call_path_id
-        self._names.append(name)
         self._n = n + 1
         if self.sink is not None and self._n >= self.sink_rows:
             self.sink(self)
+
+    def _view(self, cols):
+        seq, cta, warp, path, site, active, resident = cols
+        names, line, col = (
+            self._constants(site) if len(site) else [()] * 3
+        )
+        return BlockColumns(
+            seq, cta, warp, np.asarray(line, np.int32),
+            np.asarray(col, np.int32), active, resident, path, list(names),
+        )
 
 
 class ColumnarArithBuffer(_ColumnarBase):
@@ -358,17 +360,13 @@ class ColumnarArithBuffer(_ColumnarBase):
         np.int64,  # seq
         np.int32,  # cta
         np.int32,  # warp_in_cta
-        np.int32,  # bits
-        bool,  # is_float
-        np.int32,  # line
-        np.int32,  # col
-        np.int32,  # active_lanes
         np.int64,  # call_path_id
+        np.int32,  # site: (opcode, bits, is_float, line, col)
+        np.int32,  # active_lanes
     )
-    _NAMED = True
 
-    def append(self, seq, cta, warp_in_cta, opcode, bits, is_float, line,
-               col, active_lanes, call_path_id) -> None:
+    def append(self, seq, cta, warp_in_cta, call_path_id, site,
+               active_lanes) -> None:
         n = self._n
         if n >= self._alloc:
             self._grow()
@@ -376,13 +374,73 @@ class ColumnarArithBuffer(_ColumnarBase):
         c[0][n] = seq
         c[1][n] = cta
         c[2][n] = warp_in_cta
-        c[3][n] = bits
-        c[4][n] = is_float
-        c[5][n] = line
-        c[6][n] = col
-        c[7][n] = active_lanes
-        c[8][n] = call_path_id
-        self._names.append(opcode)
+        c[3][n] = call_path_id
+        c[4][n] = site
+        c[5][n] = active_lanes
         self._n = n + 1
         if self.sink is not None and self._n >= self.sink_rows:
             self.sink(self)
+
+    def _view(self, cols):
+        seq, cta, warp, path, site, active = cols
+        opcodes, bits, is_float, line, col = (
+            self._constants(site) if len(site) else [()] * 5
+        )
+        return ArithColumns(
+            seq, cta, warp, np.asarray(bits, np.int32),
+            np.asarray(is_float, bool), np.asarray(line, np.int32),
+            np.asarray(col, np.int32), active, path, list(opcodes),
+        )
+
+
+class ColumnStore:
+    """Kept rows of one stream: one column set that grows by doubling.
+
+    Appending each flushed window keeps a launch's rows in one set of
+    columns, so nothing is held twice except while a column doubles.
+    """
+
+    def __init__(self):
+        self._type = None
+        self._cols: list = []
+        self._n = 0
+        self._alloc = 0
+
+    def extend(self, view) -> None:
+        """Append every row of a column view (all of one kind)."""
+        rows = len(view)
+        if not rows:
+            return
+        cols = [getattr(view, name) for name in view.__slots__]
+        n, need = self._n, self._n + rows
+        if self._type is None:
+            self._type = type(view)
+            self._cols = [
+                [] if isinstance(c, list)
+                else np.zeros((0,) + c.shape[1:], c.dtype)
+                for c in cols
+            ]
+        if need > self._alloc:
+            self._alloc = max(self._alloc * 2 or _INITIAL_ROWS, need)
+            for k, col in enumerate(self._cols):
+                if not isinstance(col, list):
+                    g = np.zeros((self._alloc,) + col.shape[1:], col.dtype)
+                    g[:n] = col[:n]
+                    self._cols[k] = g
+        for dst, src in zip(self._cols, cols):
+            if isinstance(dst, list):
+                dst.extend(src)
+            else:
+                dst[n:need] = src
+        self._n = need
+
+    def detach_rows(self):
+        """The kept rows as one column view (``None`` when empty)."""
+        if not self._n:
+            return None
+        n = self._n
+        view = self._type(*(
+            col if isinstance(col, list) else col[:n] for col in self._cols
+        ))
+        self._type, self._cols, self._n, self._alloc = None, [], 0, 0
+        return view

@@ -1,9 +1,15 @@
 """The per-launch hook runtime and the resulting kernel profile.
 
 One :class:`HookRuntime` exists per kernel launch (the paper's "online
-component ... invoked at the end of each kernel instance"). During the
-launch it receives every hook call from the interpreter and appends
-trace rows to the device trace buffers; one
+component ... invoked at the end of each kernel instance"). The module
+decoder resolved every hook call site once (its constants and, for
+``cupr.push``, its shadow-stack entry: a
+:class:`~repro.gpu.decode.HookSite`), so during the launch each backend
+calls one entry point per hook kind -- :meth:`~HookRuntime.record`,
+:meth:`~HookRuntime.block`, :meth:`~HookRuntime.arith`,
+:meth:`~HookRuntime.push`, :meth:`~HookRuntime.pop` -- with the site and
+the event's per-warp values only. Events append trace rows (per-event
+values plus the site id) to the device trace buffers; one
 :class:`~repro.profiler.streamdrain.FusedSink` moves them out as they
 fill, into the session's analyzer bank and/or the kept records. At
 kernel exit (`kernel_end`) the sink's outputs become an immutable
@@ -14,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ProfilerError
 from repro.host.shadow_stack import HostFrame
@@ -114,9 +118,10 @@ class HookRuntime:
         # feed the plan's bank *during* execution and the profile
         # carries ``aggregates``; without one, the kept rows become the
         # profile's records.
-        self.memory_buffer = ColumnarMemoryBuffer()
-        self.block_buffer = ColumnarBlockBuffer()
-        self.arith_buffer = ColumnarArithBuffer()
+        sites = image.decoded.sites
+        self.memory_buffer = ColumnarMemoryBuffer(sites.memory)
+        self.block_buffer = ColumnarBlockBuffer(sites.block)
+        self.arith_buffer = ColumnarArithBuffer(sites.arith)
         self._sink = FusedSink(
             None if fused is None else fused.create_bank(),
             self.memory_buffer, self.block_buffer, self.arith_buffer,
@@ -129,8 +134,6 @@ class HookRuntime:
         self._warp_stacks: Dict[int, List[GPUPathEntry]] = {}
         #: per-warp interned path id, invalidated by cupr.push/pop
         self._warp_path_ids: Dict[int, int] = {}
-        #: constant-arena address -> string (string_at scans linearly)
-        self._strings: Dict[int, str] = {}
         self._root_entry: Optional[GPUPathEntry] = None
         self.profile: Optional[KernelProfile] = None
         self.on_complete = None  # callable(profile), set by the session
@@ -148,20 +151,6 @@ class HookRuntime:
         self._launch_info = launch_info
         kernel_id = self.image.function_ids[self.kernel]
         self._root_entry = GPUPathEntry(kernel_id, 0, 0)
-
-    def dispatch(self, name: str, args, mask, warp, ctx, nactive=None) -> None:
-        if name == "Record":
-            self._on_record(args, mask, warp)
-        elif name == "passBasicBlock":
-            self._on_block(args, mask, warp, nactive)
-        elif name == "RecordArith":
-            self._on_arith(args, mask, warp, nactive)
-        elif name == "cupr.push":
-            self._on_push(args, warp)
-        elif name == "cupr.pop":
-            self._on_pop(warp)
-        else:
-            raise ProfilerError(f"unknown hook @{name}")
 
     def kernel_end(self, launch_result) -> None:
         """Seal the launch's trace into its :class:`KernelProfile`.
@@ -186,7 +175,7 @@ class HookRuntime:
         if self.on_complete is not None:
             self.on_complete(self.profile)
 
-    # -- hook implementations ----------------------------------------------------------
+    # -- hook entry points: (site, warp, active lanes) ------------------------
     def _current_path_id(self, warp) -> int:
         wid = warp.global_warp_id
         path_id = self._warp_path_ids.get(wid)
@@ -199,77 +188,50 @@ class HookRuntime:
             self._warp_path_ids[wid] = path_id
         return path_id
 
-    def _string_at(self, addr: int) -> str:
-        text = self._strings.get(addr)
-        if text is None:
-            text = self.image.string_at(addr)
-            self._strings[addr] = text
-        return text
-
-    def _on_record(self, args, mask, warp) -> None:
-        addrs = np.asarray(args[0])
-        if addrs.ndim == 0:
-            addrs = np.full(warp.warp_size, int(addrs), dtype=np.int64)
+    def record(self, site, warp, nactive, addrs, mask) -> None:
+        """``Record``: one warp memory access (address and mask rows)."""
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         self.memory_buffer.append(
-            seq,
-            warp.cta_linear,
-            warp.warp_in_cta,
-            addrs,
-            mask,
-            int(args[1]),
-            int(args[2]),
-            int(args[3]),
-            int(args[4]),
-            self._current_path_id(warp),
+            seq, warp.cta_linear, warp.warp_in_cta,
+            self._current_path_id(warp), site.id, addrs, mask,
         )
 
-    def _on_block(self, args, mask, warp, nactive=None) -> None:
-        a0 = args[0]
-        name = self._string_at(a0 if type(a0) is int else int(a0) if a0.ndim == 0 else int(a0.flat[0]))
+    def block(self, site, warp, nactive) -> None:
+        """``passBasicBlock``: the warp entered the site's block."""
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         self.block_buffer.append(
-            seq,
-            warp.cta_linear,
-            warp.warp_in_cta,
-            name,
-            int(args[1]),
-            int(args[2]),
-            nactive if nactive is not None else int(mask.sum()),
-            int(warp.resident_mask.sum()),
-            self._current_path_id(warp),
+            seq, warp.cta_linear, warp.warp_in_cta,
+            self._current_path_id(warp), site.id, nactive,
+            warp.resident_lanes,
         )
 
-    def _on_arith(self, args, mask, warp, nactive=None) -> None:
-        a0 = args[0]
-        opcode = self._string_at(a0 if type(a0) is int else int(a0) if a0.ndim == 0 else int(a0.flat[0]))
+    def arith(self, site, warp, nactive) -> None:
+        """``RecordArith``: the warp executed the site's operation."""
         seq = self._seq
-        self._seq += 1
+        self._seq = seq + 1
         self.arith_buffer.append(
-            seq,
-            warp.cta_linear,
-            warp.warp_in_cta,
-            opcode,
-            int(args[1]),
-            bool(int(args[2])),
-            int(args[3]),
-            int(args[4]),
-            nactive if nactive is not None else int(mask.sum()),
-            self._current_path_id(warp),
+            seq, warp.cta_linear, warp.warp_in_cta,
+            self._current_path_id(warp), site.id, nactive,
         )
 
-    def _on_push(self, args, warp) -> None:
+    def push(self, site, warp, nactive) -> None:
+        """``cupr.push``: enter the call site's callee."""
         stack = self._warp_stacks.setdefault(
             warp.global_warp_id, [self._root_entry]
         )
-        stack.append(GPUPathEntry(int(args[0]), int(args[1]), int(args[2])))
+        stack.append(site.entry)
         self._warp_path_ids.pop(warp.global_warp_id, None)
 
-    def _on_pop(self, warp) -> None:
+    def pop(self, site, warp, nactive) -> None:
+        """``cupr.pop``: return from the innermost device call."""
         stack = self._warp_stacks.get(warp.global_warp_id)
         if not stack or len(stack) <= 1:
             raise ProfilerError("GPU shadow-stack underflow (unbalanced pops)")
         stack.pop()
         self._warp_path_ids.pop(warp.global_warp_id, None)
+
+    def unknown(self, site, warp, nactive) -> None:
+        """A hook this runtime does not implement."""
+        raise ProfilerError(f"unknown hook @{site.name}")

@@ -35,6 +35,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ProfilerError
+from repro.profiler.buffers import ColumnStore
 
 _EMPTY_SEQ = np.zeros(0, dtype=np.int64)
 
@@ -128,8 +129,7 @@ class FusedSink:
         self.memory_buffer = memory_buffer
         self.block_buffer = block_buffer
         self.arith_buffer = arith_buffer
-        #: kept rows per stream, in trace order: a sink-less buffer of
-        #: the stream's kind (None: not kept).
+        #: kept rows per stream, in trace order (None: not kept).
         self.kept = None
         if keep:
             self.keep_records()
@@ -142,10 +142,7 @@ class FusedSink:
     def keep_records(self) -> None:
         """Collect the kept rows as records too (before any push)."""
         if self.kept is None:
-            self.kept = {
-                stream: type(getattr(self, f"{stream}_buffer"))()
-                for stream in _STREAMS
-            }
+            self.kept = {stream: ColumnStore() for stream in _STREAMS}
 
     def flush(self) -> None:
         """Push everything still buffered."""

@@ -14,7 +14,9 @@ They take any record sequence: a plain list of records or a kept
 column view (which iterates as records). :func:`memory_columns`,
 :func:`block_columns` and :func:`arith_columns` turn hand-built record
 lists into the column views the analyzers consume, and
-:func:`columns_profile` wraps them as a profile.
+:func:`columns_profile` wraps them as a profile; :func:`append_memory`,
+:func:`append_block` and :func:`append_arith` append hand-built events,
+constants and all, to a standalone trace buffer.
 """
 
 from collections import Counter
@@ -102,6 +104,36 @@ def drained(buffer):
     """Everything a standalone columnar buffer holds, as one column view."""
     view = buffer.detach_rows()
     return buffer.empty_view() if view is None else view
+
+
+# -- hand-built events -> a standalone buffer ---------------------------------
+
+
+def _site(buffer, consts: tuple) -> int:
+    """The id of a call site with these constants in the buffer's table."""
+    if consts not in buffer.sites:
+        buffer.sites.append(consts)
+    return buffer.sites.index(consts)
+
+
+def append_memory(buffer, seq, cta, warp_in_cta, addrs, mask, bits, line,
+                  col, op, call_path_id) -> None:
+    buffer.append(seq, cta, warp_in_cta, call_path_id,
+                  _site(buffer, (bits, line, col, op)), addrs, mask)
+
+
+def append_block(buffer, seq, cta, warp_in_cta, name, line, col,
+                 active_lanes, resident_lanes, call_path_id) -> None:
+    buffer.append(seq, cta, warp_in_cta, call_path_id,
+                  _site(buffer, (name, line, col)), active_lanes,
+                  resident_lanes)
+
+
+def append_arith(buffer, seq, cta, warp_in_cta, opcode, bits, is_float,
+                 line, col, active_lanes, call_path_id) -> None:
+    buffer.append(seq, cta, warp_in_cta, call_path_id,
+                  _site(buffer, (opcode, bits, is_float, line, col)),
+                  active_lanes)
 
 
 # -- sampling and capacity over a whole materialized trace --------------------

@@ -1,6 +1,8 @@
 """Tests for the reuse-distance analyzer, including property-based
 verification against a naive quadratic reference implementation."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,3 +202,101 @@ class TestProfileLevelAnalysis:
         # Two reads sampled; both ∞ (first touch, killed-by-write).
         assert hist.samples == 2
         assert hist.infinite == 2
+
+
+#: runs of one access: (element, is_write, run length); small alphabets
+#: force repeats inside and across runs.
+_RUNS = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.booleans(),
+        st.integers(1, 6),
+    ),
+    max_size=40,
+)
+
+
+class TestCollapsedCursor:
+    """The online cursor collapses runs of one repeated access before
+    its dominance count; any split of the stream into feeds, mid-run
+    and at chunk boundaries included, must still give exactly the
+    reference distances."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=_RUNS, cuts=st.lists(st.integers(0, 240), max_size=6),
+           chunk=st.sampled_from([1, 2, 3, 7, 2048]),
+           write_restart=st.booleans())
+    def test_split_feeds_match_reference(self, runs, cuts, chunk,
+                                         write_restart):
+        from repro.analysis import aggregates
+
+        events = [(e, w) for e, w, k in runs for _ in range(k)]
+        elements = np.array([e for e, _ in events], dtype=np.int64)
+        writes = np.array([w for _, w in events], dtype=bool)
+        bounds = sorted({0, len(events), *(c for c in cuts
+                                            if c < len(events))})
+        with patch.object(aggregates, "_FEED_CHUNK", chunk):
+            cursor = aggregates._OnlineReuse(write_restart)
+            got = [
+                cursor.feed(elements[a:b], writes[a:b])
+                for a, b in zip(bounds, bounds[1:])
+            ]
+        got = np.concatenate(got).tolist() if got else []
+        assert got == reuse_distances_of_trace(events, write_restart)
+        assert cursor.reads_seen == int((~writes).sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # cta
+                st.integers(0, 3),  # address selector
+                st.booleans(),  # uniform (all lanes one address)
+                st.booleans(),  # store
+                st.integers(0, 2),  # site line
+            ),
+            max_size=30,
+        ),
+        cuts=st.lists(st.integers(0, 30), max_size=4),
+        write_restart=st.booleans(),
+    )
+    def test_site_order_keys_match_first_reads(self, rows, cuts,
+                                               write_restart):
+        from repro.analysis.aggregates import SiteReuseAggregate
+        from tests.analysis_oracle import (
+            assert_sites_equal,
+            memory_columns,
+            site_reuse,
+        )
+
+        records = []
+        for seq, (cta, sel, uniform, store, line) in enumerate(rows):
+            lanes = [4096 + 64 * sel] * 4 if uniform else [
+                4096 + 64 * ((sel + lane) % 3) for lane in range(4)
+            ]
+            record = _record(seq, cta, lanes,
+                             op=MemoryOp.STORE if store else MemoryOp.LOAD)
+            record.line = line
+            records.append(record)
+        cols = memory_columns(records)
+        agg = SiteReuseAggregate(write_restart=write_restart)
+        bounds = sorted({0, len(records), *(c for c in cuts
+                                             if c < len(records))})
+        for a, b in zip(bounds, bounds[1:]):
+            agg.update(cols.take(np.arange(a, b)))
+
+        # Reference keys: a site's first read as (cta, its index among
+        # that CTA's reads), minimal over CTAs.
+        expected = {}
+        for cta in sorted({r.cta for r in records}):
+            reads = 0
+            for r in records:
+                if r.cta != cta:
+                    continue
+                if r.op == MemoryOp.LOAD:
+                    key = (r.line, r.col)
+                    expected.setdefault(key, (cta, reads))
+                    reads += int(r.mask.sum())
+        assert agg._order == expected
+        assert_sites_equal(site_reuse(records, write_restart=write_restart),
+                           agg.finalize())

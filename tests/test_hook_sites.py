@@ -10,13 +10,14 @@ and that the two backends produce the same trace columns.
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError, ProfilerError
+from repro.errors import ExecutionError, LaunchError, ProfilerError
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime
 from repro.ir import I32, IRBuilder, Module, VOID, ptr
 from repro.ir.types import AddressSpace, I8
 from repro.passes import instrumentation_pipeline, optimization_pipeline
+from repro.passes.instrument_blocks import declare_block_hook
 from repro.passes.instrument_memory import declare_record_hook
 from repro.profiler import HookRuntime, ProfilingSession
 from tests.conftest import KERNELS
@@ -24,14 +25,15 @@ from tests.conftest import KERNELS
 BACKENDS = ("interpreter", "batched")
 
 
-def _launch(module, backend, hooks_for=None, block=64):
-    """Load ``module`` and launch its kernel ``k`` over two CTAs."""
+def _launch(module, backend):
+    """Load ``module`` and launch its kernel ``k`` (two CTAs of 64
+    threads) with a hook runtime attached."""
     device = Device(KEPLER_K40C)
     device.backend = backend
     image = device.load_module(module)
-    out = device.malloc(4 * 2 * block)
-    hooks = None if hooks_for is None else HookRuntime(image, "k", (), "t")
-    device.launch(image, "k", 2, block, [out], hooks=hooks)
+    out = device.malloc(4 * 2 * 64)
+    hooks = HookRuntime(image, "k", (), "t")
+    device.launch(image, "k", 2, 64, [out], hooks=hooks)
 
 
 def _kernel_module(emit_hook):
@@ -55,7 +57,7 @@ def test_unknown_hook_raises_when_executed(backend):
         b.call(mystery, [b.i32(7)], "")
 
     with pytest.raises(ProfilerError) as err:
-        _launch(_kernel_module(emit), backend, hooks_for="k")
+        _launch(_kernel_module(emit), backend)
     assert str(err.value) == "unknown hook @Mystery"
 
 
@@ -73,7 +75,7 @@ def test_undefined_record_address_register(backend):
                         b.i32(1)], "")
 
     with pytest.raises(ExecutionError) as err:
-        _launch(_kernel_module(emit), backend, hooks_for="k")
+        _launch(_kernel_module(emit), backend)
     assert str(err.value) == "read of undefined value %stray in @k"
 
 
@@ -92,6 +94,23 @@ def test_instrumented_launch_without_hook_runtime(backend):
     assert str(err.value) == (
         "instrumented code called hook @Record but no hook runtime was "
         "attached to the launch (pass hooks=... to Device.launch)"
+    )
+
+
+def test_non_constant_site_operand_fails_at_load():
+    # A call-site operand (here passBasicBlock's line) must be an
+    # immediate: the module is rejected when it is decoded.
+    m = _kernel_module(lambda m, fn, b: None)
+    fn = m.get_function("k")
+    block = fn.entry
+    lane = block.instructions[0]
+    b = IRBuilder.before(block.instructions[1])
+    b.call(declare_block_hook(m), [m.add_string("k:entry"), lane, b.i32(0)],
+           "")
+    with pytest.raises(LaunchError) as err:
+        Device(KEPLER_K40C).load_module(m)
+    assert str(err.value) == (
+        "hook @passBasicBlock: operand 1 (%lane) is not a call-site constant"
     )
 
 

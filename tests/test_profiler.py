@@ -201,7 +201,7 @@ class TestShadowStackErrors:
             warp_in_cta = 0
 
         with pytest.raises(ProfilerError, match="underflow"):
-            hooks._on_pop(W())
+            hooks.pop(None, W(), 32)
 
 
 class TestOfflineStatistics:
