@@ -22,11 +22,16 @@ Usage::
                         lucky cache-warm run on noisy shared machines;
                         event counts are deterministic and identical
                         across repeats
-    --floor R           with a non-interpreter backend: exit nonzero if
-                        any app's instrumented vs_interpreter speedup
-                        falls below R (the CI regression guard; e.g.
+    --floor R           with a non-interpreter backend: also time each
+                        app's instrumented run on the interpreter and
+                        on the backend alternately in this process,
+                        --repeat times each, and exit nonzero if any
+                        app's ratio of the two trimmed means falls
+                        below R (the CI regression guard; e.g.
                         --floor 0.95 means "no app may run more than 5%
-                        slower than the interpreter")
+                        slower than the interpreter"). Interleaving
+                        makes load drift on a shared machine hit both
+                        sides alike.
     --rss               measure analysis peak RSS instead of speed:
                         each configuration runs in a forked child and
                         reports its instrumentation-attributable
@@ -45,7 +50,8 @@ lands) and ``current`` (every run); ``speedup`` is aggregate baseline
 wall time / current wall time. Non-default backends/sample rates get
 their own key (``quick-batched``, ``full-sampled8``, ...); a batched
 run additionally records per-app ``vs_interpreter`` speedups against
-the matching interpreter key's ``current`` section.
+the matching interpreter key's ``current`` section, and a ``--floor``
+run records its interleaved per-app ratios under ``floor``.
 """
 
 from __future__ import annotations
@@ -260,6 +266,38 @@ def run_suite(
     return {"apps": per_app, "aggregate": aggregate}
 
 
+def interleaved_ratios(
+    apps: Dict[str, dict],
+    repeat: int,
+    backend: str,
+    sample_rate: int = 1,
+) -> Dict[str, float]:
+    """Per-app instrumented wall-time ratio, interpreter / ``backend``.
+
+    Each app's runs alternate between the two backends in this one
+    process (the leading backend alternates too), ``repeat`` runs each,
+    and the ratio is of the two trimmed means: a slow spell on a shared
+    machine lands on both sides instead of deciding the ratio.
+    """
+    ratios: Dict[str, float] = {}
+    for name, kwargs in apps.items():
+        walls: Dict[str, List[float]] = {"interpreter": [], backend: []}
+        for i in range(max(1, repeat)):
+            order = ("interpreter", backend) if i % 2 == 0 else (
+                backend, "interpreter"
+            )
+            for which in order:
+                walls[which].append(_run_app(
+                    name, kwargs, True, which, sample_rate
+                )["wall_s"])
+        ratios[name] = round(
+            _trimmed(walls["interpreter"]) / _trimmed(walls[backend]), 3
+        )
+        print(f"{name:>10}: instrumented {backend} vs interpreter "
+              f"{ratios[name]:.3f}x (interleaved)")
+    return ratios
+
+
 def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
     """Peak-RSS delta (KB) of one configuration, run in a forked child.
 
@@ -407,9 +445,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         "trimmed mean (min+max dropped when N >= 3)")
     parser.add_argument("--floor", type=float, default=None,
                         help="fail (exit 1) if any app's instrumented "
-                        "vs_interpreter speedup drops below this ratio "
-                        "(needs a non-interpreter --backend and a prior "
-                        "interpreter run of the same suite)")
+                        "speedup over the interpreter, timed with the two "
+                        "backends interleaved, drops below this ratio "
+                        "(needs a non-interpreter --backend)")
     parser.add_argument("--rss", action="store_true",
                         help="measure attributable analysis peak RSS on "
                         "the paper-scale RSS_APPS inputs instead of "
@@ -523,6 +561,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         section["vs_interpreter"] = vs
         print(f"vs interpreter ({base_key}): {vs['aggregate']}")
 
+    if args.floor is not None:
+        section["floor"] = {
+            "floor": args.floor,
+            "repeat": args.repeat,
+            "instrumented": interleaved_ratios(
+                apps, args.repeat, args.backend, args.sample_rate
+            ),
+        }
+
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(RESULT_FILE, "w") as f:
         json.dump(existing, f, indent=2, sort_keys=True)
@@ -530,17 +577,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"wrote {RESULT_FILE}")
 
     if args.floor is not None:
-        vs = section.get("vs_interpreter")
-        if vs is None:
-            print(f"--floor {args.floor}: no interpreter reference for "
-                  f"{base_key!r}; run the interpreter suite first",
-                  file=sys.stderr)
-            return 1
         slow = {
-            name: ratios["instrumented"]
-            for name, ratios in vs["apps"].items()
-            if ratios["instrumented"] is not None
-            and ratios["instrumented"] < args.floor
+            name: ratio
+            for name, ratio in section["floor"]["instrumented"].items()
+            if ratio < args.floor
         }
         if slow:
             print(f"--floor {args.floor}: apps below the per-app "

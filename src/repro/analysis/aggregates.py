@@ -65,6 +65,7 @@ from repro.analysis.reuse_distance import (
     _Fenwick,
 )
 from repro.errors import AnalysisError
+from repro.passes.pipeline import ANALYSIS_MODES
 
 #: Initial (and minimum) time-axis capacity of an online Fenwick tree.
 #: Small on purpose: one cursor lives per (CTA, model) for the whole
@@ -822,7 +823,7 @@ def advisor_plan(
 
 def full_plan(
     line_size: int,
-    modes: Sequence[str] = ("memory", "blocks", "arith"),
+    modes: Sequence[str] = ANALYSIS_MODES,
     write_restart: bool = True,
     divergence_threshold: int = 2,
     heatmap_cell_rows: Optional[int] = None,

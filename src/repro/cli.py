@@ -39,14 +39,10 @@ from repro.apps import APP_NAMES, TABLE2, build_app
 from repro.backend import lower_module_to_ptx
 from repro.errors import ReproError
 from repro.frontend.dsl import compile_kernels
-from repro.gpu.arch import KEPLER_K40C, PASCAL_P100, kepler_with_l1
+from repro.config import ARCHES, FAILURE_POLICIES, ConfigError, ProfileConfig
+from repro.gpu.arch import kepler_with_l1
 from repro.optim.advisor import CUDAAdvisor
 from repro.passes import optimization_pipeline
-from repro.reliability import FAILURE_POLICIES
-
-ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
-BACKENDS = ("interpreter", "batched")
-MODES = ("memory", "blocks", "arith")
 
 
 class _UsageError(Exception):
@@ -60,31 +56,65 @@ def _check_app(name: str) -> str:
     return name
 
 
-def _parse_modes(spec: str) -> tuple:
-    modes = tuple(m.strip() for m in spec.split(",") if m.strip())
-    if not modes:
-        raise _UsageError("--modes needs at least one of: " + ", ".join(MODES))
-    for mode in modes:
-        if mode not in MODES:
-            raise _UsageError(
-                f"unknown analysis mode {mode!r}: expected a comma-separated "
-                f"subset of {', '.join(MODES)}"
-            )
-    return modes
+def _split_modes(spec: str) -> tuple:
+    return tuple(m.strip() for m in spec.split(",") if m.strip())
+
+
+def _config(**settings) -> ProfileConfig:
+    """A validated ProfileConfig; an invalid setting is a usage error
+    worded with its flag (``--sample-rate must be >= 1``)."""
+    try:
+        return ProfileConfig(**settings)
+    except ConfigError as exc:
+        message = str(exc)
+        if message.startswith(exc.field):
+            flag = "--" + exc.field.replace("_", "-")
+            message = flag + message[len(exc.field):]
+        raise _UsageError(message) from None
+
+
+def _config_from_args(args) -> ProfileConfig:
+    """The ProfileConfig of a profile, export or serve invocation.
+
+    The flags are mapped by hand, not generated from the config's
+    fields: their spellings are the user's (``--no-overhead``), and
+    they differ per command (``--heatmap`` on profile, the heat map
+    follows ``--modes`` on export, ``--columnar`` is export's only).
+    """
+    settings = dict(arch=args.arch, modes=_split_modes(args.modes),
+                    sample_rate=args.sample_rate,
+                    measure_overhead=not args.no_overhead)
+    if args.command != "serve":
+        settings.update(buffer_capacity=args.buffer_capacity,
+                        backend=args.backend,
+                        failure_policy=args.failure_policy,
+                        heatmap_cell_rows=args.heatmap_cell_rows,
+                        time_buckets=args.time_buckets)
+    if args.command == "profile":
+        settings["heatmap"] = args.heatmap
+    if args.command == "export":
+        settings["heatmap"] = "memory" in settings["modes"]
+        settings["columnar"] = args.columnar
+    return _config(**settings)
+
+
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    """The settings `profile`, `export` and `serve` share."""
+    parser.add_argument("--arch", choices=sorted(ARCHES), default="kepler")
+    parser.add_argument("--modes", default="memory,blocks",
+                        help="comma-separated: memory, blocks, arith")
+    parser.add_argument("--no-overhead", action="store_true",
+                        help="skip the baseline run (faster; no Figure "
+                        "10 metric)")
+    parser.add_argument("--sample-rate", type=int, default=1,
+                        help="keep every Nth trace record (drain-time "
+                        "stride sampling)")
 
 
 def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
     """The knobs `profile` and `export` share (one advisor underneath)."""
     profile.add_argument("app")
-    profile.add_argument("--arch", choices=sorted(ARCHES), default="kepler")
-    profile.add_argument(
-        "--modes", default="memory,blocks",
-        help="comma-separated: memory, blocks, arith",
-    )
-    profile.add_argument(
-        "--no-overhead", action="store_true",
-        help="skip the baseline run (faster; no Figure 10 metric)",
-    )
+    _add_config_args(profile)
     profile.add_argument(
         "--backend", default=None,
         help="execution backend: interpreter or batched",
@@ -93,10 +123,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         "--failure-policy", default=None, choices=FAILURE_POLICIES,
         help="how launches react when they cannot run as requested "
         "(default: degrade; see docs/reliability.md)",
-    )
-    profile.add_argument(
-        "--sample-rate", type=int, default=1,
-        help="keep every Nth trace record (drain-time stride sampling)",
     )
     profile.add_argument(
         "--buffer-capacity", type=int, default=None,
@@ -208,12 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--failure-policy", default="degrade",
                        choices=FAILURE_POLICIES,
                        help="job-scope failure ladder (docs/service.md)")
-    serve.add_argument("--arch", choices=sorted(ARCHES), default="kepler")
-    serve.add_argument("--modes", default="memory,blocks",
-                       help="comma-separated: memory, blocks, arith")
-    serve.add_argument("--sample-rate", type=int, default=1)
-    serve.add_argument("--no-overhead", action="store_true",
-                       help="skip the baseline run inside each job")
+    _add_config_args(serve)
     serve.add_argument("-o", "--output-dir", default=None,
                        help="also write each job's export document here "
                        "(atomic, one file per job)")
@@ -251,71 +272,12 @@ def _cmd_list() -> int:
     return 0
 
 
-def _advisor_from_args(args, modes, heatmap: bool) -> CUDAAdvisor:
-    """Validate the shared profiling knobs and build the advisor."""
-    if args.backend is not None and args.backend not in BACKENDS:
-        raise _UsageError(
-            f"unknown backend {args.backend!r}: expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if args.sample_rate < 1:
-        raise _UsageError("--sample-rate must be >= 1")
-    if args.heatmap_cell_rows is not None and args.heatmap_cell_rows < 1:
-        raise _UsageError("--heatmap-cell-rows must be >= 1")
-    if args.time_buckets < 1:
-        raise _UsageError("--time-buckets must be >= 1")
-    if heatmap and "memory" not in modes:
-        raise _UsageError(
-            "the heat map is built from memory instrumentation: "
-            "include 'memory' in --modes"
-        )
-    kwargs = {}
-    if args.heatmap_cell_rows is not None:
-        kwargs["heatmap_cell_rows"] = args.heatmap_cell_rows
-    return CUDAAdvisor(
-        arch=ARCHES[args.arch],
-        modes=modes,
-        measure_overhead=not args.no_overhead,
-        buffer_capacity=args.buffer_capacity,
-        sample_rate=args.sample_rate,
-        backend=args.backend,
-        failure_policy=args.failure_policy,
-        heatmap=heatmap,
-        **kwargs,
-    )
-
-
-def _submit_config(args, modes, heatmap) -> dict:
-    """submit() config equivalent to this invocation's advisor knobs."""
-    config = {
-        "arch": args.arch,
-        "modes": modes,
-        "sample_rate": args.sample_rate,
-        "buffer_capacity": args.buffer_capacity,
-        "measure_overhead": not args.no_overhead,
-        "heatmap": heatmap,
-        "time_buckets": args.time_buckets,
-        "columnar": getattr(args, "columnar", False),
-    }
-    if args.heatmap_cell_rows is not None:
-        config["heatmap_cell_rows"] = args.heatmap_cell_rows
-    for hint, value in (
-        ("backend", args.backend),
-        ("failure_policy", args.failure_policy),
-    ):
-        if value is not None:
-            config[hint] = value
-    return config
-
-
-def _cached_export_payload(args, modes, heatmap) -> str:
+def _cached_export_payload(args, config: ProfileConfig) -> str:
     """Serve (or simulate-and-fill) the export document via the cache."""
     from repro.service import ProfilingService
 
     with ProfilingService(workers=0, cache_dir=args.cache_dir) as svc:
-        handle = svc.submit(
-            _check_app(args.app), _submit_config(args, modes, heatmap)
-        )
+        handle = svc.submit(_check_app(args.app), config)
         result = handle.result()
         print(
             f"cache {result.source}: key {handle.key[:12]} "
@@ -326,17 +288,16 @@ def _cached_export_payload(args, modes, heatmap) -> str:
 
 
 def _cmd_profile(args) -> int:
-    modes = _parse_modes(args.modes)
-    advisor = _advisor_from_args(args, modes, heatmap=args.heatmap)
+    config = _config_from_args(args)
     if args.cache_dir is not None:
         if args.format != "json" or args.json:
             raise _UsageError(
                 "--cache-dir memoizes the export document: combine it "
                 "with --format json (text rendering needs a live report)"
             )
-        sys.stdout.write(_cached_export_payload(args, modes, args.heatmap))
+        sys.stdout.write(_cached_export_payload(args, config))
         return 0
-    report = advisor.profile(build_app(_check_app(args.app)))
+    report = CUDAAdvisor(config).profile(build_app(_check_app(args.app)))
 
     if args.json:
         import json
@@ -348,7 +309,7 @@ def _cmd_profile(args) -> int:
         from repro.export import export_json, profile_export
 
         sys.stdout.write(export_json(
-            profile_export(report, time_buckets=args.time_buckets)
+            profile_export(report, time_buckets=config.time_buckets)
         ))
         return 0
 
@@ -369,7 +330,7 @@ def _cmd_profile(args) -> int:
     if report.heatmap is not None:
         print("### memory heat map")
         print(render_heatmap(
-            args.app, report.resolved_heatmap(args.time_buckets)
+            args.app, report.resolved_heatmap(config.time_buckets)
         ))
         print()
     if report.overhead is not None:
@@ -420,23 +381,20 @@ def _cmd_export(args) -> int:
         validate,
     )
 
-    modes = _parse_modes(args.modes)
-    advisor = _advisor_from_args(args, modes, heatmap="memory" in modes)
+    config = _config_from_args(args)
     if args.cache_dir is not None and args.include_runtime:
         raise _UsageError(
             "--include-runtime adds run-variant data and cannot be "
             "served from the cache: drop one of the two flags"
         )
     if args.cache_dir is not None:
-        doc = json_mod.loads(
-            _cached_export_payload(args, modes, "memory" in modes)
-        )
+        doc = json_mod.loads(_cached_export_payload(args, config))
     else:
-        report = advisor.profile(build_app(_check_app(args.app)))
+        report = CUDAAdvisor(config).profile(build_app(_check_app(args.app)))
         doc = profile_export(
             report,
-            time_buckets=args.time_buckets,
-            columnar=args.columnar,
+            time_buckets=config.time_buckets,
+            columnar=config.columnar,
             include_runtime=args.include_runtime,
         )
         # The bundled schema is the emitter's own contract: a document
@@ -466,18 +424,12 @@ def _cmd_serve(args) -> int:
     from repro.ioutil import atomic_write_text
     from repro.service import ProfilingService
 
-    modes = _parse_modes(args.modes)
+    config = _config_from_args(args)
     if args.workers < 0:
         raise _UsageError("--workers must be >= 0")
     if args.repeat < 1:
         raise _UsageError("--repeat must be >= 1")
     apps = [_check_app(app) for app in args.apps]
-    config = {
-        "arch": args.arch,
-        "modes": modes,
-        "sample_rate": args.sample_rate,
-        "measure_overhead": not args.no_overhead,
-    }
     if args.cache_max_bytes is not None and args.cache_max_bytes < 1:
         raise _UsageError("--cache-max-bytes must be >= 1")
     with ProfilingService(
@@ -489,7 +441,7 @@ def _cmd_serve(args) -> int:
         failure_policy=args.failure_policy,
     ) as svc:
         handles = [
-            svc.submit(app, dict(config))
+            svc.submit(app, config)
             for _ in range(args.repeat)
             for app in apps
         ]
@@ -561,7 +513,7 @@ def _cmd_instrument(args) -> int:
     module = compile_kernels(list(app.kernels), args.app)
     if not args.no_optimize:
         optimization_pipeline().run(module)
-    modes = _parse_modes(args.modes)
+    modes = _config(modes=_split_modes(args.modes)).modes
     instrumentation_pipeline(modes).run(module)
     print(print_module(module))
     return 0

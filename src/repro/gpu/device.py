@@ -41,6 +41,9 @@ from repro.ir.values import GlobalString, GlobalVariable
 #: Constant-arena (strings) addresses start here; disjoint by addrspace.
 CONSTANT_BASE = 0x100
 
+#: execution backends a device can run launches on (``Device.backend``).
+BACKENDS = ("interpreter", "batched")
+
 _DONE = WarpStatus.DONE
 
 
@@ -447,10 +450,10 @@ class Device:
             l1_warps_per_cta = tuple(l1_warps_per_cta)
             if not l1_warps_per_cta:
                 raise LaunchError("a threshold sweep needs a threshold")
-        if self.backend not in ("interpreter", "batched"):
+        if self.backend not in BACKENDS:
             raise LaunchError(
                 f"unknown execution backend {self.backend!r}: expected "
-                f"'interpreter' or 'batched'"
+                + " or ".join(map(repr, BACKENDS))
             )
         self.supervisor.policy  # an unknown failure policy fails here
         backend = self.backend

@@ -15,19 +15,16 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.config import ProfileConfig
 from repro.errors import AnalysisError
 from repro.analysis.aggregates import advisor_plan
 from repro.analysis.arithmetic import ArithmeticProfile
 from repro.analysis.divergence_branch import BranchDivergenceProfile
 from repro.analysis.divergence_memory import MemoryDivergenceProfile
-from repro.analysis.heatmap import (
-    DEFAULT_CELL_ROWS,
-    HeatmapTable,
-    MemoryHeatmap,
-)
+from repro.analysis.heatmap import HeatmapTable, MemoryHeatmap
 from repro.analysis.overhead import OverheadReport, overhead_report
 from repro.analysis.reuse_distance import (
     ReuseDistanceHistogram,
@@ -42,7 +39,7 @@ from repro.analysis import (  # noqa: F401
 )
 from repro.analysis.heatmap import heatmap_analysis  # noqa: F401
 from repro.frontend.dsl import KernelSource, compile_kernels
-from repro.gpu.arch import GPUArchitecture, KEPLER_K40C
+from repro.gpu.arch import GPUArchitecture
 from repro.gpu.device import Device, LaunchResult
 from repro.host.runtime import CudaRuntime
 from repro.optim.bypass_model import BypassPrediction, predict_optimal_warps
@@ -343,76 +340,78 @@ def _baseline_child(advisor, program, conn) -> None:
 
 
 class CUDAAdvisor:
-    """Compile -> instrument -> profile -> analyze -> advise."""
+    """Compile -> instrument -> profile -> analyze -> advise.
 
-    def __init__(
-        self,
-        arch: GPUArchitecture = KEPLER_K40C,
-        modes: Sequence[str] = ("memory", "blocks"),
-        optimize: bool = True,
-        measure_overhead: bool = True,
-        buffer_capacity: Optional[int] = None,
-        sample_rate: int = 1,
-        backend: Optional[str] = None,
-        failure_policy: Optional[str] = None,
-        fused_drain: bool = True,
-        heatmap: bool = False,
-        heatmap_cell_rows: int = DEFAULT_CELL_ROWS,
-    ):
-        self.arch = arch
-        self.modes = tuple(modes)
-        self.optimize = optimize
-        self.measure_overhead = measure_overhead
-        self.buffer_capacity = buffer_capacity
-        self.sample_rate = sample_rate
-        #: execution knobs forwarded to every Device this advisor builds
-        #: (None keeps the device default; see docs/reliability.md).
-        self.backend = backend
-        self.failure_policy = failure_policy
-        #: analyze rows *in flight*: buffered rows flush into the
-        #: analyzer bank at segment granularity during execution, so
-        #: the trace is never materialized. ``fused_drain=False`` keeps
-        #: the raw records on every profile instead (for re-analysis
-        #: with other parameters and record inspection) and feeds them
-        #: through the same aggregates once the run ends; the results
-        #: are byte-identical. Launches that need raw records (pc
-        #: sampling) keep them as well as feeding the bank, so their
-        #: profiles carry both.
-        self.fused_drain = fused_drain
-        #: build the per-allocation x time heat map (needs "memory" mode);
-        #: cell_rows sets kept memory instructions per CTA per time cell.
-        self.heatmap = heatmap
-        self.heatmap_cell_rows = heatmap_cell_rows
+    Every setting lives in one :class:`~repro.config.ProfileConfig`
+    (see it for each field): pass one as ``config``, or its fields as
+    keywords (``CUDAAdvisor(arch=PASCAL_P100, modes=("memory",))``),
+    which override a given ``config``'s. An invalid setting raises
+    :class:`~repro.config.ConfigError` here, before anything runs.
+    """
 
-    # -- compilation helpers ---------------------------------------------------
+    def __init__(self, config: Optional[ProfileConfig] = None, **settings):
+        if config is None:
+            config = ProfileConfig(**settings)
+        elif settings:
+            config = replace(config, **settings)
+        self.config = config
+
+    @property
+    def arch(self) -> GPUArchitecture:
+        return self.config.arch
+
+    @property
+    def backend(self) -> str:
+        return self.config.backend
+
     def _compile(self, program: GPUProgram, instrument: bool,
                  bypass: bool = False):
         module = compile_kernels(list(program.kernels), program.name)
-        if self.optimize:
-            optimization_pipeline().run(module)
+        optimization_pipeline().run(module)
         if bypass:
             PassManager([HorizontalBypassPass()]).run(module)
         if instrument:
-            instrumentation_pipeline(self.modes).run(module)
+            instrumentation_pipeline(self.config.modes).run(module)
         return module
 
     def _fresh_runtime(self, profiler=None):
         device = Device(self.arch)
-        if self.backend is not None:
-            device.backend = self.backend
-        if self.failure_policy is not None:
-            device.failure_policy = self.failure_policy
+        device.backend = self.backend
+        if self.config.failure_policy is not None:
+            device.failure_policy = self.config.failure_policy
         return CudaRuntime(device, profiler=profiler)
 
     def _plan(self):
         """The analyzer plan every profile's rows stream through."""
-        return advisor_plan(
-            self.arch.l1_line_size,
-            self.modes,
-            heatmap_cell_rows=(
-                self.heatmap_cell_rows if self.heatmap else None
-            ),
-        )
+        config = self.config
+        cell_rows = config.cell_rows if config.heatmap else None
+        return advisor_plan(config.arch.l1_line_size, config.modes,
+                            heatmap_cell_rows=cell_rows)
+
+    def _baseline_run(
+        self, program: GPUProgram
+    ) -> Tuple[List[LaunchResult], bool]:
+        """One uninstrumented run: its results and whether its check passed."""
+        rt = self._fresh_runtime()
+        module = self._compile(program, instrument=False)
+        image = rt.device.load_module(module)
+        state = program.prepare(rt)
+        results = list(program.run(rt, image, state))
+        return results, bool(program.check(rt, state))
+
+    def _checked_baseline(
+        self, program: GPUProgram,
+        delivered: Optional[Tuple[List[LaunchResult], bool]],
+    ) -> List[LaunchResult]:
+        """The baseline's results, raising if its check failed. Without
+        what a child ``delivered`` the baseline runs here, which
+        reproduces any program error exactly."""
+        results, passed = delivered or self._baseline_run(program)
+        if not passed:
+            raise AnalysisError(
+                f"{program.name}: baseline run failed validation"
+            )
+        return results
 
     # -- main entry points ----------------------------------------------------------
     def profile(self, program: GPUProgram) -> AdvisorReport:
@@ -428,7 +427,8 @@ class CUDAAdvisor:
         """
         baseline_results: List[LaunchResult] = []
         baseline = None
-        if self.measure_overhead:
+        config = self.config
+        if config.measure_overhead:
             if _overlap_available():
                 baseline = _BaselineChild(self, program)
             else:
@@ -438,9 +438,9 @@ class CUDAAdvisor:
             # into the plan's bank in flight (fused_drain=True), or into
             # kept records that _analyze feeds through the same plan.
             session = ProfilingSession(
-                buffer_capacity=self.buffer_capacity,
-                sample_rate=self.sample_rate,
-                fused=self._plan() if self.fused_drain else None,
+                buffer_capacity=config.buffer_capacity,
+                sample_rate=config.sample_rate,
+                fused=self._plan() if config.fused_drain else None,
             )
             rt = self._fresh_runtime(profiler=session)
             module = self._compile(program, instrument=True)
@@ -470,7 +470,7 @@ class CUDAAdvisor:
         report = AdvisorReport(
             program=program.name,
             arch=self.arch,
-            modes=self.modes,
+            modes=config.modes,
             session=session,
             baseline_results=baseline_results,
             instrumented_results=instrumented_results,
@@ -480,38 +480,8 @@ class CUDAAdvisor:
         self._analyze(report, program)
         return report
 
-    def _baseline_run(
-        self, program: GPUProgram
-    ) -> Tuple[List[LaunchResult], bool]:
-        """One uninstrumented run: its launch results and whether the
-        program's own check passed."""
-        rt = self._fresh_runtime()
-        module = self._compile(program, instrument=False)
-        image = rt.device.load_module(module)
-        state = program.prepare(rt)
-        results = list(program.run(rt, image, state))
-        return results, bool(program.check(rt, state))
-
-    def _checked_baseline(
-        self, program: GPUProgram,
-        delivered: Optional[Tuple[List[LaunchResult], bool]],
-    ) -> List[LaunchResult]:
-        """The baseline's results, raising if its check failed.
-
-        ``delivered`` is what a child sent; without it the baseline runs
-        here, which reproduces any program error exactly.
-        """
-        results, passed = (
-            delivered if delivered is not None
-            else self._baseline_run(program)
-        )
-        if not passed:
-            raise AnalysisError(
-                f"{program.name}: baseline run failed validation"
-            )
-        return results
-
     def _analyze(self, report: AdvisorReport, program: GPUProgram) -> None:
+        config = self.config
         session = report.session
         plan = self._plan()
         banks = [
@@ -524,7 +494,7 @@ class CUDAAdvisor:
                 into.merge(bank.result(name))
             return into
 
-        if "memory" in self.modes and banks:
+        if "memory" in config.modes and banks:
             report.reuse_element = merged(
                 ReuseDistanceHistogram(model=ReuseDistanceModel.ELEMENT),
                 "reuse_element",
@@ -537,9 +507,9 @@ class CUDAAdvisor:
                 MemoryDivergenceProfile(line_size=self.arch.l1_line_size),
                 "memory_divergence",
             )
-            if self.heatmap:
+            if config.heatmap:
                 report.heatmap = merged(
-                    HeatmapTable(cell_rows=self.heatmap_cell_rows), "heatmap"
+                    HeatmapTable(cell_rows=config.cell_rows), "heatmap"
                 )
             num_ctas = max(p.num_ctas for p in session.profiles)
             report.bypass_prediction = predict_optimal_warps(
@@ -549,17 +519,17 @@ class CUDAAdvisor:
                 num_ctas=num_ctas,
                 warps_per_cta=program.warps_per_cta,
             )
-        if "blocks" in self.modes and banks:
+        if "blocks" in config.modes and banks:
             report.branch_divergence = merged(
                 BranchDivergenceProfile(), "branch_divergence"
             )
-        if "arith" in self.modes and banks:
+        if "arith" in config.modes and banks:
             report.arithmetic = merged(ArithmeticProfile(), "arithmetic")
-        if self.measure_overhead and report.baseline_results:
+        if config.measure_overhead and report.baseline_results:
             report.overhead = overhead_report(
                 report.program,
                 self.arch.name,
-                self.modes,
+                config.modes,
                 report.baseline_results,
                 report.instrumented_results,
             )

@@ -1,14 +1,14 @@
 """Job descriptions, handles and reason codes for the profiling service.
 
 A **job** is one whole profiling request: "profile app X with config Y
-and hand back the canonical export document".  :class:`JobSpec` pins
-everything that *determines the result bytes* -- those fields (plus the
-module IR hash and the export schema version) form the cache key.
-Execution hints (the failure policy) change how a job runs,
-never what it returns, so they ride along outside the key. The
-execution ``backend`` is part of the spec: batched runs add a
-``jit_cache`` section to the document, so the two backends' bytes
-differ.
+and hand back the canonical export document". :class:`JobSpec` is the
+app, its inputs and one :class:`~repro.config.ProfileConfig`. The
+config's result-affecting fields (plus the module IR hash and the
+export schema version) form the cache key; its execution hints (the
+failure policy) change how a job runs, never what it returns, so they
+ride inside the spec but stay out of the key. The execution
+``backend`` is result-affecting: batched runs add a ``jit_cache``
+section to the document, so the two backends' bytes differ.
 
 :class:`JobHandle` is the client's view of a submitted job: ``poll()``
 for the current state, ``wait()``/``result()`` to block, ``events`` for
@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.heatmap import DEFAULT_CELL_ROWS
+from repro.config import ProfileConfig
 from repro.errors import ReproError
 
 # -- job states --------------------------------------------------------------
@@ -73,54 +73,33 @@ class ServiceError(ReproError):
     """A profiling-service failure (bad submit, failed job under strict)."""
 
 
+#: a job's settings where submit() leaves them out: the advisor's
+#: defaults, except that a job skips the overhead baseline unless asked.
+JOB_DEFAULTS = ProfileConfig(measure_overhead=False)
+
+
 @dataclass(frozen=True)
 class JobSpec:
-    """Everything that determines a job's result bytes.
+    """Everything that determines a job's result bytes, plus its hints.
 
     ``app_kwargs`` is a canonicalized ``(key, value)`` tuple so specs
-    stay hashable and pickle cleanly across the worker pipe.  All
-    fields here feed :meth:`cache_key`; anything that must *not*
-    affect the result (execution hints) lives outside this class.
+    stay hashable and pickle cleanly across the worker pipe.
     """
 
     app: str
     app_kwargs: Tuple[Tuple[str, object], ...] = ()
-    arch: str = "kepler"
-    modes: Tuple[str, ...] = ("memory", "blocks")
-    sample_rate: int = 1
-    buffer_capacity: Optional[int] = None
-    measure_overhead: bool = False
-    heatmap: bool = False
-    heatmap_cell_rows: Optional[int] = None
-    time_buckets: int = 64
-    columnar: bool = False
-    backend: str = "interpreter"
-
-    def __post_init__(self):
-        # spelling out the default binning is the same job as leaving
-        # it unset: one spec, one cache key, one coalescing slot
-        if self.heatmap_cell_rows == DEFAULT_CELL_ROWS:
-            object.__setattr__(self, "heatmap_cell_rows", None)
+    config: ProfileConfig = JOB_DEFAULTS
 
     def cache_key(self, ir_hash: str, schema_version: str) -> str:
-        """Content address: (module IR hash, app config, instrumentation
-        knobs, export schema version) -> hex digest."""
+        """Content address: (module IR hash, app config, result-affecting
+        settings, export schema version) -> hex digest."""
         material = json.dumps(
             {
                 "schema_version": schema_version,
                 "ir_hash": ir_hash,
                 "app": self.app,
                 "app_kwargs": [[k, v] for k, v in self.app_kwargs],
-                "arch": self.arch,
-                "modes": list(self.modes),
-                "sample_rate": self.sample_rate,
-                "buffer_capacity": self.buffer_capacity,
-                "measure_overhead": self.measure_overhead,
-                "heatmap": self.heatmap,
-                "heatmap_cell_rows": self.heatmap_cell_rows,
-                "time_buckets": self.time_buckets,
-                "columnar": self.columnar,
-                "backend": self.backend,
+                **self.config.key_material(),
             },
             sort_keys=True,
         )

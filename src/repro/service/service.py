@@ -40,8 +40,10 @@ import itertools
 import re
 import time
 import warnings
-from typing import Dict, List, Iterator, Optional
+from dataclasses import fields, replace
+from typing import Dict, List, Iterator, Optional, Union
 
+from repro.config import FAILURE_POLICIES, ConfigError, ProfileConfig
 from repro.errors import LaunchDegradedWarning, ReproError
 from repro.export import SCHEMA_VERSION
 from repro.service import pool as poolmod
@@ -53,6 +55,7 @@ from repro.service.jobs import (
     DONE,
     FAILED,
     FRESH,
+    JOB_DEFAULTS,
     JOB_SERIAL_FALLBACK,
     JOB_TIMEOUT,
     JOB_WORKER_CRASH,
@@ -81,17 +84,19 @@ _FAULT_REASONS = {
     poolmod.ERR: JOB_WORKER_ERROR,
 }
 
-#: JobSpec fields settable through a submit() config dict.
-_SPEC_FIELDS = (
-    "arch", "modes", "sample_rate", "buffer_capacity", "measure_overhead",
-    "heatmap", "heatmap_cell_rows", "time_buckets", "columnar", "backend",
-)
+#: submit() config keys: every ProfileConfig setting but fused_drain
+#: (a job never needs raw records, so it always analyzes in flight).
+_JOB_SETTINGS = {f.name for f in fields(ProfileConfig)} - {"fused_drain"}
 
-#: execution-hint keys forwarded to the worker (never part of the key).
-_HINT_FIELDS = ("failure_policy",)
 
-#: execution backends a job may run on (``JobSpec.backend``).
-_BACKENDS = ("interpreter", "batched")
+def _job_config(settings: dict) -> ProfileConfig:
+    """A submit() config dict over the job defaults."""
+    unknown = sorted(set(settings) - _JOB_SETTINGS)
+    if unknown:
+        raise ConfigError(
+            unknown[0], "unknown submit() config keys: " + ", ".join(unknown)
+        )
+    return replace(JOB_DEFAULTS, **settings)
 
 
 def _canonical_kwargs(app_kwargs: Optional[dict]) -> tuple:
@@ -138,7 +143,7 @@ class ProfilingService:
         heartbeat_interval: float = 0.1,
         max_respawns: Optional[int] = None,
     ):
-        if failure_policy not in ("strict", "degrade", "best_effort"):
+        if failure_policy not in FAILURE_POLICIES:
             raise ServiceError(
                 f"unknown failure policy {failure_policy!r}"
             )
@@ -164,7 +169,6 @@ class ProfilingService:
         self._running: Dict[str, int] = {}  # job id -> worker id
         self._coalesced: Dict[str, List[str]] = {}  # primary -> followers
         self._inflight_by_key: Dict[str, str] = {}  # cache key -> primary
-        self._hints: Dict[str, dict] = {}  # job id -> exec hints
         self._ids = itertools.count(1)
         self._ir_hash_memo: Dict[str, str] = {}
         self._warned = set()
@@ -197,53 +201,34 @@ class ProfilingService:
             self.pool.shutdown()
 
     # -- submit --------------------------------------------------------------
-    def submit(self, app: str, config: Optional[dict] = None,
+    def submit(self, app: str,
+               config: Union[ProfileConfig, dict, None] = None,
                app_kwargs: Optional[dict] = None) -> JobHandle:
         """Enqueue one profiling job; returns immediately with a handle.
 
-        ``config`` may carry result-shaping knobs (``modes``, ``arch``,
-        ``sample_rate``, ``heatmap``, ``backend``...; these feed the
-        cache key) and execution hints (``failure_policy``; these do
-        not).  A cache hit resolves the handle before ``submit``
+        ``config`` is a :class:`~repro.config.ProfileConfig`, or a dict
+        of its fields (all but ``fused_drain``) over
+        :data:`~repro.service.jobs.JOB_DEFAULTS`. Its result-affecting
+        settings (``modes``, ``arch``, ``sample_rate``, ``heatmap``,
+        ``backend``...) feed the cache key; its execution hints
+        (``failure_policy``) do not. An unknown key or an invalid
+        setting raises :class:`ServiceError` here, before the job gets
+        an id. A cache hit resolves the handle before ``submit``
         returns; an identical in-flight spec is coalesced instead of
         re-simulated.
         """
-        config = dict(config or {})
-        spec_kwargs = {
-            k: config.pop(k) for k in list(config) if k in _SPEC_FIELDS
-        }
-        hints = {k: config.pop(k) for k in list(config) if k in _HINT_FIELDS}
-        if config:
-            raise ServiceError(
-                "unknown submit() config keys: "
-                + ", ".join(sorted(config))
-            )
-        if "modes" in spec_kwargs:
-            spec_kwargs["modes"] = tuple(spec_kwargs["modes"])
-        backend = spec_kwargs.get("backend", "interpreter")
-        if backend is None:
-            del spec_kwargs["backend"]  # the device default
-        elif backend not in _BACKENDS:
-            raise ServiceError(
-                f"unknown backend {backend!r}: expected one of "
-                f"{', '.join(_BACKENDS)}"
-            )
-        spec = JobSpec(
-            app=app, app_kwargs=_canonical_kwargs(app_kwargs), **spec_kwargs
-        )
-        if spec.heatmap and "memory" not in spec.modes:
-            raise ServiceError(
-                "heatmap=True needs the 'memory' instrumentation mode"
-            )
         try:
-            ir_hash = self._module_ir_hash(app)
+            if not isinstance(config, ProfileConfig):
+                config = _job_config(config or {})
+            spec = JobSpec(app, _canonical_kwargs(app_kwargs), config)
+            key = spec.cache_key(self._module_ir_hash(app), SCHEMA_VERSION)
+        except ConfigError as exc:
+            raise ServiceError(str(exc)) from exc
         except ReproError as exc:
             raise ServiceError(f"cannot submit {app!r}: {exc}") from exc
-        key = spec.cache_key(ir_hash, SCHEMA_VERSION)
         job_id = f"job-{next(self._ids)}"
         handle = JobHandle(job_id, spec, key, self)
         self.handles[job_id] = handle
-        self._hints[job_id] = hints
         self.counters["submitted"] += 1
         handle.record("submitted", app=app, key=key)
 
@@ -407,7 +392,6 @@ class ProfilingService:
                 "id": job_id,
                 "attempt": handle.attempts,
                 "spec": handle.spec,
-                "hints": self._hints.get(job_id, {}),
             }
             if self.pool.dispatch(worker_id, message):
                 self._queue.pop(0)
@@ -479,7 +463,7 @@ class ProfilingService:
                 "attempts and re-ran serially in the service process",
             )
         try:
-            result = run_job(handle.spec, hints=self._hints.get(handle.id))
+            result = run_job(handle.spec)
         except Exception as exc:  # noqa: BLE001 -- job, not service, fails
             handle.error = f"{type(exc).__name__}: {exc}"
             handle.record(FAILED, error=handle.error)
@@ -519,7 +503,6 @@ class ProfilingService:
     def _clear_inflight(self, handle: JobHandle) -> None:
         if self._inflight_by_key.get(handle.key) == handle.id:
             del self._inflight_by_key[handle.key]
-        self._hints.pop(handle.id, None)
         # a failed primary fails its coalesced followers too
         if handle.state == FAILED:
             for follower_id in self._coalesced.pop(handle.id, []):

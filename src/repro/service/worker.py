@@ -3,7 +3,10 @@
 :func:`run_job` is the single definition of "execute one job" -- the
 forked pool workers call it, and the service parent calls the very same
 function for its serial fallback, which is what makes a degraded-serial
-result byte-identical to a fresh pooled one.
+result byte-identical to a fresh pooled one. A job carries everything
+it needs in its spec's :class:`~repro.config.ProfileConfig`: the
+advisor is ``CUDAAdvisor(spec.config)``, and the export takes the
+config's ``time_buckets`` and ``columnar``.
 
 :func:`worker_main` is the long-lived loop a pool process runs: receive
 a job message, acknowledge it, heartbeat from a background thread while
@@ -16,55 +19,33 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, Optional
 
-from repro.errors import ReproError
 from repro.export import export_json, profile_export, validate
-from repro.gpu.arch import KEPLER_K40C, PASCAL_P100
 from repro.optim.advisor import CUDAAdvisor
 from repro.service.jobs import JobSpec
-
-#: arch-name -> architecture resolution for picklable job specs.
-SERVICE_ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
 
 #: heartbeat cadence of a busy worker (seconds); the service's job
 #: timeout should be a small multiple of this.
 HEARTBEAT_INTERVAL = 0.1
 
 
-def run_job(spec: JobSpec, hints: Optional[Dict[str, object]] = None) -> dict:
+def run_job(spec: JobSpec) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
-    ``hints`` carries execution knobs that may change *how* the job
-    runs but never its payload bytes (the failure policy).
-    Jobs run with the advisor's default fused analysis (in flight, no
-    trace round-trip): a job never needs raw records.
+    The advisor runs the spec's :class:`~repro.config.ProfileConfig`
+    as it stands: it was validated when the spec was built, and its
+    execution hints (the failure policy) change how the job runs,
+    never its payload bytes. Jobs analyze in flight (the advisor's
+    default fused analysis): a job never needs raw records.
     """
-    hints = hints or {}
-    if spec.arch not in SERVICE_ARCHES:
-        raise ReproError(
-            f"unknown arch {spec.arch!r}: expected one of "
-            f"{', '.join(sorted(SERVICE_ARCHES))}"
-        )
     from repro.apps import build_app
 
-    kwargs: Dict[str, object] = {}
-    if spec.heatmap_cell_rows is not None:
-        kwargs["heatmap_cell_rows"] = spec.heatmap_cell_rows
-    advisor = CUDAAdvisor(
-        arch=SERVICE_ARCHES[spec.arch],
-        modes=spec.modes,
-        measure_overhead=spec.measure_overhead,
-        buffer_capacity=spec.buffer_capacity,
-        sample_rate=spec.sample_rate,
-        heatmap=spec.heatmap,
-        backend=spec.backend,
-        failure_policy=hints.get("failure_policy"),
-        **kwargs,
+    config = spec.config
+    report = CUDAAdvisor(config).profile(
+        build_app(spec.app, **dict(spec.app_kwargs))
     )
-    report = advisor.profile(build_app(spec.app, **dict(spec.app_kwargs)))
     doc = profile_export(
-        report, time_buckets=spec.time_buckets, columnar=spec.columnar
+        report, time_buckets=config.time_buckets, columnar=config.columnar
     )
     # The emitter's own contract: a document that fails the bundled
     # schema is a bug caught in the worker, not at a cache consumer.
@@ -134,7 +115,7 @@ def worker_main(worker_id: int, conn, injector=None,
                 time.sleep(3600)
         try:
             with _Heartbeat(conn, lock, job_id, heartbeat_interval):
-                result = run_job(spec, hints=message.get("hints"))
+                result = run_job(spec)
         except Exception as exc:  # noqa: BLE001 -- report, don't die
             with lock:
                 conn.send(("err", (job_id, f"{type(exc).__name__}: {exc}")))

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.apps import build_app
+from repro.config import ARCHES, BACKENDS
 from repro.frontend import compile_kernels
 from repro.gpu import Device
-from repro.gpu.arch import KEPLER_K40C, PASCAL_P100
+from repro.gpu.arch import KEPLER_K40C
 from repro.gpu.cache import MSHRFile, SetAssociativeCache
 from repro.gpu.timing import SMTimingModel, TimingTape, model_global_lines
 from repro.host import CudaRuntime
@@ -31,7 +32,6 @@ from repro.passes.pipeline import optimization_pipeline
 MANIFEST = json.loads(
     (Path(__file__).resolve().parent / "goldens" / "manifest.json").read_text()
 )
-ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
 #: every registry app with a threshold to search, at the golden inputs
 SWEPT = [
     app for app, inputs in MANIFEST["inputs"].items()
@@ -41,7 +41,7 @@ CASES = [
     (app, arch, backend)
     for app in SWEPT
     for arch in ARCHES
-    for backend in ("interpreter", "batched")
+    for backend in BACKENDS
 ]
 
 

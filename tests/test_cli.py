@@ -175,6 +175,17 @@ class TestServe:
         assert main(["serve", "nn", "--cache-max-bytes", "0"]) == 2
         assert "--cache-max-bytes must be >= 1" in capsys.readouterr().err
 
+    def test_serve_invalid_setting_starts_no_pool(self, capsys,
+                                                  monkeypatch):
+        # the job settings are validated before the service exists, so
+        # a bad one never reaches a pool worker
+        def no_service(*args, **kwargs):
+            raise AssertionError("the service must not start")
+
+        monkeypatch.setattr("repro.service.ProfilingService", no_service)
+        assert main(["serve", "syrk", "--sample-rate", "0"]) == 2
+        assert "--sample-rate must be >= 1" in capsys.readouterr().err
+
     def test_serve_unknown_app_rejected(self, capsys):
         assert main(["serve", "doom"]) == 2
         assert "unknown app 'doom'" in capsys.readouterr().err

@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps import build_app
 from repro.cli import main
+from repro.config import ANALYSIS_MODES as MODES
 from repro.export import (
     SCHEMA_VERSION,
     SchemaError,
@@ -33,8 +34,6 @@ from repro.export import (
     validate,
 )
 from repro.optim.advisor import CUDAAdvisor
-
-MODES = ("memory", "blocks", "arith")
 
 
 def _profile(app="nn", **kwargs):

@@ -17,12 +17,10 @@ import pytest
 
 from repro.apps import build_app
 from repro.export import export_json, profile_export
-from repro.gpu.arch import KEPLER_K40C, PASCAL_P100
 from repro.optim.advisor import CUDAAdvisor
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 MANIFEST = json.loads((GOLDEN_DIR / "manifest.json").read_text())
-ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
 
 CASES = [
     (app, arch)
@@ -39,14 +37,7 @@ PATHS = {
 @pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("app,arch", CASES, ids=[f"{a}-{b}" for a, b in CASES])
 def test_export_matches_golden(app, arch, path):
-    config = MANIFEST["config"]
-    advisor = CUDAAdvisor(
-        arch=ARCHES[arch],
-        modes=tuple(config["modes"]),
-        heatmap=config["heatmap"],
-        measure_overhead=config["measure_overhead"],
-        **PATHS[path],
-    )
+    advisor = CUDAAdvisor(arch=arch, **MANIFEST["config"], **PATHS[path])
     report = advisor.profile(build_app(app, **MANIFEST["inputs"][app]))
     expected = (GOLDEN_DIR / f"{app}-{arch}.json").read_text(encoding="utf-8")
     assert export_json(profile_export(report)) == expected

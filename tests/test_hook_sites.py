@@ -10,6 +10,7 @@ and that the two backends produce the same trace columns.
 import numpy as np
 import pytest
 
+from repro.config import BACKENDS
 from repro.errors import ExecutionError, LaunchError, ProfilerError
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
@@ -21,8 +22,6 @@ from repro.passes.instrument_blocks import declare_block_hook
 from repro.passes.instrument_memory import declare_record_hook
 from repro.profiler import HookRuntime, ProfilingSession
 from tests.conftest import KERNELS
-
-BACKENDS = ("interpreter", "batched")
 
 
 def _launch(module, backend):

@@ -8,11 +8,12 @@ API, coalescing, serial (workers=0) mode and the strict failure policy.
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.heatmap import DEFAULT_CELL_ROWS
-from repro.errors import ReproError
+from repro.errors import LaunchDegradedWarning, ReproError
 from repro.export import SCHEMA_VERSION, export_json
 from repro.reliability import FaultInjector
 from repro.service import (
@@ -25,9 +26,15 @@ from repro.service import (
     ServiceError,
     run_job,
 )
+from repro.service.jobs import JOB_DEFAULTS
 
 SYRK = {"app": "syrk", "app_kwargs": (("m", 16), ("n", 16))}
 SYRK_KW = {"n": 16, "m": 16}
+
+
+def _spec(app_kwargs=SYRK["app_kwargs"], **settings):
+    """A syrk job spec with ``settings`` over the job defaults."""
+    return JobSpec("syrk", app_kwargs, replace(JOB_DEFAULTS, **settings))
 
 
 # -- cache keys --------------------------------------------------------------
@@ -52,22 +59,20 @@ class TestCacheKey:
         ("backend", "batched"),
     ])
     def test_every_knob_feeds_the_key(self, field, value):
-        base = JobSpec(**SYRK)
-        changed = JobSpec(**{**SYRK, field: value})
+        base = _spec()
+        changed = _spec(**{field: value})
         assert base.cache_key("ir", SCHEMA_VERSION) != (
             changed.cache_key("ir", SCHEMA_VERSION)
         )
 
     def test_default_cell_rows_spelled_out_is_one_key(self):
-        unset = JobSpec(**SYRK, heatmap=True)
-        spelled = JobSpec(
-            **SYRK, heatmap=True, heatmap_cell_rows=DEFAULT_CELL_ROWS
-        )
+        unset = _spec(heatmap=True)
+        spelled = _spec(heatmap=True, heatmap_cell_rows=DEFAULT_CELL_ROWS)
         assert spelled == unset
         assert spelled.cache_key("ir", SCHEMA_VERSION) == (
             unset.cache_key("ir", SCHEMA_VERSION)
         )
-        other = JobSpec(**SYRK, heatmap=True, heatmap_cell_rows=64)
+        other = _spec(heatmap=True, heatmap_cell_rows=64)
         assert other.cache_key("ir", SCHEMA_VERSION) != (
             unset.cache_key("ir", SCHEMA_VERSION)
         )
@@ -310,7 +315,7 @@ class TestServiceAPI:
             handles["batched"].result().payload
         )
         for backend, handle in handles.items():
-            fresh = run_job(JobSpec(**SYRK, backend=backend))
+            fresh = run_job(_spec(backend=backend))
             assert handle.result().payload == fresh["payload"]
         # the device default and an explicit "interpreter" are one spec
         with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
@@ -336,6 +341,31 @@ class TestServiceAPI:
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match="memory"):
                 svc.submit("syrk", {"modes": ("blocks",), "heatmap": True})
+
+    @pytest.mark.parametrize("field,config", [
+        ("arch", {"arch": "volta"}),
+        ("sample_rate", {"sample_rate": 0}),
+        ("modes", {"modes": ("bogus",)}),
+        ("heatmap", {"modes": ("blocks",), "heatmap": True}),
+        ("heatmap_cell_rows", {"heatmap_cell_rows": 0}),
+        ("time_buckets", {"time_buckets": 0}),
+        ("backend", {"backend": "warp-drive"}),
+        ("failure_policy", {"failure_policy": "bogus"}),
+    ])
+    def test_malformed_job_rejected_at_submit(self, field, config):
+        # rejected before it gets a job id: nothing is dispatched, so
+        # nothing fails in a worker and nothing degrades
+        import warnings
+
+        with ProfilingService(workers=1) as svc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LaunchDegradedWarning)
+                with pytest.raises(ServiceError) as info:
+                    svc.submit("syrk", config, app_kwargs=SYRK_KW)
+            assert info.value.__cause__.field == field
+            assert svc.handles == {}
+            assert svc.counters["submitted"] == 0
+            assert svc.counters["dispatched"] == 0
 
     def test_unknown_app_rejected_at_submit(self):
         with ProfilingService(workers=0) as svc:

@@ -10,6 +10,7 @@ session; the smaller tests pin each rung of the failure ladder.
 """
 
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -25,16 +26,15 @@ from repro.service import (
     ProfilingService,
     run_job,
 )
+from repro.service.jobs import JOB_DEFAULTS
 
 SYRK = ("syrk", {"n": 16, "m": 16}, {})
 
 
 def _spec(app, app_kwargs, config):
-    config = dict(config)
-    if "modes" in config:
-        config["modes"] = tuple(config["modes"])
     return JobSpec(
-        app=app, app_kwargs=tuple(sorted(app_kwargs.items())), **config
+        app, tuple(sorted(app_kwargs.items())),
+        replace(JOB_DEFAULTS, **config),
     )
 
 

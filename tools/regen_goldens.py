@@ -49,8 +49,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.apps import build_app  # noqa: E402
+from repro.config import ARCHES  # noqa: E402
 from repro.export import export_json, profile_export  # noqa: E402
-from repro.gpu.arch import KEPLER_K40C, PASCAL_P100  # noqa: E402
 from repro.ioutil import atomic_write_text  # noqa: E402
 from repro.optim.advisor import CUDAAdvisor  # noqa: E402
 
@@ -76,8 +76,6 @@ RESULTS_LEFT_OUT = {
     "BENCH_simulator.json": "wall-clock timings, different on every run",
 }
 
-ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
-
 #: Small inputs (legal shapes, well under a second per app) for every app.
 GOLDEN_INPUTS = {
     "backprop": {"input_units": 128},
@@ -92,7 +90,8 @@ GOLDEN_INPUTS = {
     "syr2k": {"n": 16, "m": 16},
 }
 
-#: Advisor knobs: every analysis the export carries, no baseline run.
+#: ProfileConfig settings: every analysis the export carries, no
+#: baseline run.
 GOLDEN_CONFIG = {
     "modes": ["memory", "blocks", "arith"],
     "heatmap": True,
@@ -104,17 +103,9 @@ def golden_name(app: str, arch: str) -> str:
     return f"{app}-{arch}.json"
 
 
-def render(app: str, arch: str, inputs: dict, config: dict,
-           **advisor_kwargs) -> str:
+def render(app: str, arch: str, inputs: dict, config: dict) -> str:
     """The canonical export text of one golden case."""
-    advisor = CUDAAdvisor(
-        arch=ARCHES[arch],
-        modes=tuple(config["modes"]),
-        heatmap=config["heatmap"],
-        measure_overhead=config["measure_overhead"],
-        **advisor_kwargs,
-    )
-    report = advisor.profile(build_app(app, **inputs))
+    report = CUDAAdvisor(arch=arch, **config).profile(build_app(app, **inputs))
     return export_json(profile_export(report))
 
 
