@@ -5,17 +5,22 @@ barriers/shared/atomics, and partial warps -- plus loud degradation
 when a requested fast path cannot be honoured."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import build_app
+from repro.config import BACKENDS
 from repro.errors import LaunchDegradedWarning, LaunchError
+from repro.export import export_json, profile_export
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.gpu.vecops import _bank_conflict_degree, _bank_conflict_degrees
 from repro.host import CudaRuntime
+from repro.optim.advisor import CUDAAdvisor
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
 from repro.profiler.pc_sampling import PCSampler
@@ -186,3 +191,24 @@ def test_bank_conflict_degree_matches_batched_and_reference(rows):
         degree = _bank_conflict_degree(addrs[row], masks[row])
         assert degree == batched[row]
         assert degree == _numpy_bank_conflict_degree(addrs[row], masks[row])
+
+
+def test_staging_after_fallback_limit_skips_batching():
+    """lavaMD has 8 CTAs and this device 4 resident slots: the first 4
+    CTAs' machines all fall back, so the 4 staged at refills come after
+    the per-kernel count has passed the limit and run unbatched."""
+    arch = replace(KEPLER_K40C, num_sms=2, max_ctas_per_sm=2)
+    reports = {
+        backend: CUDAAdvisor(
+            arch=arch, backend=backend, measure_overhead=False,
+            modes=("memory", "blocks", "arith"),
+        ).profile(build_app("lavaMD", boxes1d=2, par_per_box=16))
+        for backend in BACKENDS
+    }
+    device = reports["batched"].session.runtime.device
+    assert device._batch_fallbacks == {"lavamd_kernel": 4}
+    batched = profile_export(reports["batched"])
+    del batched["jit_cache"]
+    assert export_json(batched) == export_json(
+        profile_export(reports["interpreter"])
+    )

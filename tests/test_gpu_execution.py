@@ -4,6 +4,7 @@ partial warps, atomics, launch plumbing and failure modes."""
 import numpy as np
 import pytest
 
+from repro.config import BACKENDS
 from repro.errors import ExecutionError, LaunchError
 from repro.frontend import (
     compile_kernels,
@@ -271,7 +272,10 @@ class TestLaunchValidation:
         with pytest.raises(LaunchError, match="too large"):
             kepler_device.launch(img, "saxpy", 1, 2048, [dx, dx, 1.0, 8])
 
-    def test_infinite_loop_detected(self):
+    # One warp; multi-warp CTAs; single-warp CTAs that gang across SMs.
+    @pytest.mark.parametrize("grid,block", [(1, 32), (2, 64), (40, 32)])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_infinite_loop_detected(self, backend, grid, block):
         @kernel
         def spin(out: ptr_i32):
             x = 1
@@ -281,10 +285,14 @@ class TestLaunchValidation:
 
         module = compile_kernels([spin], "m")
         dev = Device(KEPLER_K40C)
+        dev.backend = backend
         dev.max_steps = 10_000
         img = dev.load_module(module)
-        with pytest.raises(ExecutionError, match="step budget"):
-            dev.launch(img, "spin", 1, 32, [dev.malloc(4)])
+        with pytest.raises(
+            ExecutionError,
+            match=r"kernel exceeded the step budget \(infinite loop\?\)",
+        ):
+            dev.launch(img, "spin", grid, block, [dev.malloc(4)])
 
 
 class TestSchedulers:
