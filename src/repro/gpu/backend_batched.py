@@ -35,7 +35,7 @@ reconvergence-aware rewrite, keeps executing through *divergence*:
   log is drained warp by warp, and the CTA finishes on the
   interpreter. Fallbacks are counted per kernel on the device; a kernel
   that keeps falling back skips the batched attempt for later CTAs
-  (``device.batch_fallback_limit``).
+  (``FALLBACK_LIMIT``).
 
 Register values are numpy arrays broadcastable to ``(W, warp_size)``:
 scalars and decode-time ``(warp_size,)`` immediates are shared by every
@@ -101,7 +101,6 @@ from repro.gpu.decode import (
     _mo_st_shared,
     _undef,
 )
-from repro.gpu.interpreter import WarpInterpreter
 from repro.gpu.simt import Frame, WarpStatus
 from repro.gpu.vecops import _apply_math, _bank_conflict_degrees
 
@@ -122,6 +121,12 @@ _ADMIN = 5    # (kind, members, count, done)           steps, no instr
 #: int64: lines sit in the low 40 bits (addresses are far below 2^40).
 _LINE_SHIFT = 40
 _LINE_MASK = (1 << _LINE_SHIFT) - 1
+
+#: fallbacks per kernel after which later CTAs skip the batched attempt
+#: (a speed heuristic, never a semantic one: fallbacks are exact)
+FALLBACK_LIMIT = 2
+#: max rows in a CTA gang (single-warp CTAs fused into one machine)
+GANG_WIDTH = 16
 
 
 class _MEntry:
@@ -1075,7 +1080,7 @@ class BatchedCTA:
                     return False
                 # Live warps that can never proceed (e.g. a barrier some
                 # exited warps will never reach): hand the CTA back so
-                # the serial driver raises its exact deadlock diagnostic.
+                # the SM drive loop raises its exact deadlock diagnostic.
                 self._fallback()
                 return False
         except (_Fallback, ExecutionError):
@@ -1618,7 +1623,7 @@ class BatchedCTA:
 
         Returns ``(steps, progressed, debatched)``; ``debatched`` turns
         True once a fallback has fully drained and the CTA should hand
-        its warps to the serial driver."""
+        its warps to the interpreter."""
         progressed = False
         for w in (range(self.W) if rows is None else rows):
             warp = self.warps[w]
@@ -1643,192 +1648,34 @@ class BatchedCTA:
         return True
 
 
-def _max_resident_ctas(device, image) -> int:
-    max_resident = device.arch.max_ctas_per_sm
-    if image.shared_bytes_per_cta > 0:
-        by_shared = device.arch.shared_mem_per_sm // image.shared_bytes_per_cta
-        max_resident = max(1, min(max_resident, by_shared))
-    return max_resident
+def form_machines(device, fresh, budget: int) -> None:
+    """Attach batched machines to newly resident CTAs.
 
-
-def form_launch_gangs(device, sms, image, total_budget: int) -> None:
-    """Launch-wide batching pre-pass for the batched backend.
-
-    Stages each SM's initial resident set, then fuses *single-warp*
-    CTAs into lock-step gang machines **across SMs**: grids that
-    round-robin one small CTA per SM (e.g. nw's 16-thread tiles) would
-    otherwise never see two batchable warps on the same SM. Rows are
-    ordered SM-major (the serial driver runs SMs to completion in
-    index order), and each SM's drive loop replays only its own rows.
-    Multi-warp CTAs get their usual per-CTA machine here too, since
-    ``run_sm_batched``'s refill only sees CTAs it stages itself.
+    The launch's first staging passes every SM's resident CTAs in
+    SM-major order (the order SMs run in); each refill passes the CTAs
+    it staged. A multi-warp CTA gets its own machine. Single-warp CTAs
+    -- where per-CTA batching has nothing to batch -- are fused, up to
+    ``GANG_WIDTH`` at a time, into one **gang** machine whose rows are
+    the CTAs' lone warps: they execute the same kernel in lock step,
+    with per-row shared-memory arenas and trivially-satisfied barriers.
+    A gang formed at launch staging spans SMs, so grids that
+    round-robin one small CTA per SM (e.g. nw's 16-thread tiles) still
+    batch; each SM's drive loop replays only its own rows. All CTAs of
+    a launch share one kernel and one warp count.
     """
-    max_resident = _max_resident_ctas(device, image)
-    fresh = []
-    for index in sorted(sms):
-        sm = sms[index]
-        while sm.pending and len(sm.resident) < max_resident:
-            ctx = sm.pending.pop(0)
-            ctx.interp = WarpInterpreter(ctx)
-            ctx.batched = None
-            sm.resident.append(ctx)
-            fresh.append(ctx)
     if not fresh:
         return
-    fn = fresh[0].warps[0].frames[-1].function
-    if (device._batch_fallbacks.get(fn.name, 0)
-            >= device.batch_fallback_limit):
+    name = fresh[0].warps[0].frames[-1].function.name
+    if device._batch_fallbacks.get(name, 0) >= FALLBACK_LIMIT:
         return
-    singles = [c for c in fresh if len(c.warps) == 1]
-    for ctx in fresh:
-        if len(ctx.warps) >= 2:
-            ctx.batched = BatchedCTA(
-                device, ctx, device._launch_spec, total_budget
-            )
-    width = device.batch_gang_width
-    for i in range(0, len(singles), width):
-        members = singles[i: i + width]
-        if len(members) < 2:
-            break
-        machine = BatchedCTA(
-            device, members, device._launch_spec, total_budget
-        )
-        for row, c in enumerate(members):
-            c.batched = machine
-            c.gang_row = row
-
-
-def run_sm_batched(device, sm, image, total_budget: int) -> int:
-    """Drive one SM with batched CTAs; mirrors ``Device._run_sm``."""
-    steps = 0
-    quantum = device.scheduler_quantum if device.scheduler == "gto" else 1
-    rotate_on_mem = device.scheduler == "gto"
-    finished: list = []
-
-    max_resident = _max_resident_ctas(device, image)
-
-    def form_machines(fresh) -> None:
-        """Attach batched machines to newly-resident CTAs.
-
-        A multi-warp CTA gets its own machine. Consecutive runs of
-        *single-warp* CTAs -- where per-CTA batching has nothing to
-        batch -- are fused into one **gang** machine whose rows are the
-        CTAs' lone warps: they execute the same kernel from the same
-        launch in lock step, with per-row shared-memory arenas and
-        trivially-satisfied barriers. Contiguity preserves the serial
-        scheduler's replay order (rows replay in resident order, with
-        no other CTA interleaved between gang members).
-        """
-        i = 0
-        n = len(fresh)
-        while i < n:
-            ctx = fresh[i]
-            fn = ctx.warps[0].frames[-1].function
-            if (device._batch_fallbacks.get(fn.name, 0)
-                    >= device.batch_fallback_limit):
-                i += 1
-                continue
-            if len(ctx.warps) >= 2:
-                ctx.batched = BatchedCTA(
-                    device, ctx, device._launch_spec, total_budget
-                )
-                i += 1
-                continue
-            j = i
-            while (j < n and len(fresh[j].warps) == 1
-                   and j - i < device.batch_gang_width):
-                j += 1
-            if j - i >= 2:
-                members = fresh[i:j]
-                machine = BatchedCTA(
-                    device, members, device._launch_spec, total_budget
-                )
-                for row, c in enumerate(members):
-                    c.batched = machine
-                    c.gang_row = row
-            i = max(j, i + 1)
-
-    def refill() -> None:
-        added = []
-        while sm.pending and len(
-            [c for c in sm.resident if c not in finished]
-        ) < max_resident:
-            ctx = sm.pending.pop(0)
-            ctx.interp = WarpInterpreter(ctx)
-            ctx.batched = None
-            sm.resident.append(ctx)
-            added.append(ctx)
-        if added:
-            form_machines(added)
-        live_warps = sum(
-            1
-            for c in sm.resident
-            if c not in finished
-            for w in c.warps
-            if not w.done
-        )
-        sm.timing.set_resident_warps(live_warps)
-
-    refill()
-    while True:
-        active_ctxs = [c for c in sm.resident if c not in finished]
-        if not active_ctxs:
-            break
-        progressed = False
-        ran: set = set()       # machines already run this round
-        retired: list = []     # machines that drained after a fallback
-        for ctx in active_ctxs:
-            machine = getattr(ctx, "batched", None)
-            if machine is not None:
-                # A gang machine spans several CTAs: run it once, at
-                # its first member's slot (rows replay in member
-                # order, matching the serial scheduler's CTA order).
-                if id(machine) not in ran:
-                    ran.add(id(machine))
-                    rows = None
-                    if machine.gang:
-                        rows = [
-                            c.gang_row for c in active_ctxs
-                            if getattr(c, "batched", None) is machine
-                        ]
-                    steps, progress, debatched = machine.run_round(
-                        quantum, rotate_on_mem, steps, total_budget, rows
-                    )
-                    progressed = progressed or progress
-                    if debatched:
-                        retired.append(machine)
-                        name = machine.entry_function.name
-                        device._batch_fallbacks[name] = (
-                            device._batch_fallbacks.get(name, 0) + 1
-                        )
-            else:
-                for warp in ctx.warps:
-                    if warp.status != WarpStatus.READY:
-                        continue
-                    before = steps
-                    steps = device._visit_warp(
-                        ctx.interp, warp, quantum, rotate_on_mem, steps,
-                        total_budget,
-                    )
-                    progressed = progressed or steps != before
-            live = [w for w in ctx.warps if not w.done]
-            if live and all(
-                w.status == WarpStatus.AT_BARRIER for w in live
-            ):
-                for w in live:
-                    w.status = WarpStatus.READY
-                progressed = True
-            if all(w.done for w in ctx.warps):
-                finished.append(ctx)
-                refill()
-        for machine in retired:
-            # Detach only after the round: members later in the list
-            # already had their quantum replayed by the machine.
-            for c in machine.ctxs:
-                c.batched = None
-        if not progressed:
-            raise ExecutionError(
-                "SM deadlock: warps waiting at a barrier that can never "
-                "complete (diverged exits before __syncthreads()?)"
-            )
-    return steps
+    spec = device._launch_spec
+    if len(fresh[0].warps) >= 2:
+        for ctx in fresh:
+            ctx.batched = BatchedCTA(device, ctx, spec, budget)
+        return
+    for i in range(0, len(fresh) - 1, GANG_WIDTH):
+        members = fresh[i:i + GANG_WIDTH]
+        machine = BatchedCTA(device, members, spec, budget)
+        for row, ctx in enumerate(members):
+            ctx.batched = machine
+            ctx.gang_row = row

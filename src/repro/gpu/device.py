@@ -7,33 +7,33 @@ addresses in a constant arena, per-function ipostdom tables are
 precomputed for the reconvergence stacks.
 
 ``Device.launch`` enumerates CTAs over the grid, assigns them
-round-robin to SMs (each SM runs up to ``max_ctas_per_sm`` co-resident
-CTAs with per-instruction round-robin warp scheduling), executes to
-completion, and returns a :class:`LaunchResult` with hardware-level
+round-robin to SMs (each SM runs as many co-resident CTAs as its CTA
+limit and shared memory allow, with per-instruction round-robin warp
+scheduling), executes to completion on either backend through one SM
+drive loop, and returns a :class:`LaunchResult` with hardware-level
 statistics (cycles, cache stats, divergence counts).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40C
-from repro.gpu.backend_batched import form_launch_gangs, run_sm_batched
+from repro.gpu.backend_batched import form_machines
 from repro.gpu.cache import CacheStats, MSHRFile, SetAssociativeCache
-from repro.gpu.decode import decode_module
-from repro.gpu.interpreter import BarrierReached, WarpInterpreter
+from repro.gpu.decode import BarrierReached
+from repro.gpu.interpreter import WarpInterpreter
 from repro.gpu.jit_cache import JitTraceCache
 from repro.gpu.memory import Allocation, GlobalMemory, LocalMemory, SharedMemory
 from repro.gpu.simt import Warp, WarpStatus
 from repro.gpu.timing import SMTimingModel, TimingParams, TimingTape
 from repro.ir.cfg import immediate_post_dominators
 from repro.reliability.supervisor import PC_SAMPLING_BATCHED, LaunchSupervisor
-from repro.ir.instructions import Phi
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import AddressSpace, FloatType, IntType, PointerType
 from repro.ir.values import GlobalString, GlobalVariable
@@ -122,18 +122,9 @@ class DeviceModuleImage:
 
         # Per-function CFG metadata.
         self._ipostdom: Dict[str, Dict[BasicBlock, Optional[BasicBlock]]] = {}
-        self._first_non_phi: Dict[int, int] = {}
         for fn in module.functions.values():
-            if fn.is_declaration:
-                continue
-            self._ipostdom[fn.name] = immediate_post_dominators(fn)
-            for block in fn.blocks:
-                index = 0
-                for inst in block.instructions:
-                    if not isinstance(inst, Phi):
-                        break
-                    index += 1
-                self._first_non_phi[id(block)] = index
+            if not fn.is_declaration:
+                self._ipostdom[fn.name] = immediate_post_dominators(fn)
 
         # Function table for code-centric profiling: id <-> function.
         self.function_ids: Dict[str, int] = {}
@@ -152,9 +143,6 @@ class DeviceModuleImage:
     # -- queries used by the interpreter ------------------------------------
     def ipostdom(self, fn: Function, block: BasicBlock) -> Optional[BasicBlock]:
         return self._ipostdom[fn.name].get(block)
-
-    def first_non_phi(self, block: BasicBlock) -> int:
-        return self._first_non_phi.get(id(block), 0)
 
     def address_of(self, value) -> int:
         if isinstance(value, GlobalString):
@@ -235,9 +223,9 @@ class _CTAContext:
         self.pc_sampler = pc_sampler
         self.transactions = 0
         self.warps: List[Warp] = []
-
-    def record_transactions(self, count: int) -> None:
-        self.transactions += count
+        self.interp = WarpInterpreter(self)
+        #: the batched machine this CTA runs on (batched launches only)
+        self.batched = None
 
 
 class _SM:
@@ -259,13 +247,29 @@ class _SM:
             self.timing = self.tape
         self.cycles_by_threshold: Optional[Dict[Optional[int], float]] = None
         self.pending: List[_CTAContext] = []
+        #: every CTA staged so far, and the unfinished ones among them
         self.resident: List[_CTAContext] = []
+        self.active: List[_CTAContext] = []
 
     def _fresh_timing(self) -> None:
         arch = self.arch
         self.l1 = SetAssociativeCache(arch.l1_size, arch.l1_line_size, arch.l1_assoc)
         self.mshr = MSHRFile(arch.mshr_entries)
         self.timing = SMTimingModel(arch, self.params)
+
+    def stage(self, max_resident: int) -> List[_CTAContext]:
+        """Move pending CTAs into free resident slots and return them;
+        the timing model learns the new resident-warp count."""
+        staged = []
+        while self.pending and len(self.active) < max_resident:
+            ctx = self.pending.pop(0)
+            self.resident.append(ctx)
+            self.active.append(ctx)
+            staged.append(ctx)
+        self.timing.set_resident_warps(
+            sum(1 for c in self.active for w in c.warps if not w.done)
+        )
+        return staged
 
     def replay_tape(self) -> None:
         """Charge the recorded events once per threshold, in order.
@@ -353,18 +357,10 @@ class Device:
         #: unsupported micro-ops (see docs/architecture.md). Both
         #: backends produce byte-identical traces and statistics.
         self.backend = "interpreter"
-        self._launch_backend = "interpreter"  # resolved per launch
         self._launch_spec = None  # JIT spec resolved per batched launch
-        #: per-kernel count of CTAs that fell back from the batched
-        #: machine; once it reaches ``batch_fallback_limit`` later CTAs
-        #: skip the batched attempt (a speed heuristic, never a
-        #: semantic one -- fallbacks are always exact).
+        #: per-kernel count of batched machines that fell back to the
+        #: interpreter (``backend_batched.FALLBACK_LIMIT``)
         self._batch_fallbacks: Dict[str, int] = {}
-        self.batch_fallback_limit = 2
-        #: max rows in a CTA *gang*: single-warp CTAs (where per-CTA
-        #: batching has nothing to batch) fused into one lock-step
-        #: machine, one CTA per row.
-        self.batch_gang_width = 16
         self._jit_cache = None
         #: how launches react when they cannot run as requested:
         #: "strict" raises LaunchDegradedError, "degrade" (default)
@@ -469,11 +465,9 @@ class Device:
         if pc_sampler is not None and hooks is not None:
             # Sample attribution reads the raw trace records.
             hooks.keep_records()
-        self._launch_backend = backend
+        batched = backend == "batched"
         self._launch_spec = (
-            self.jit_cache.specialize(image, kernel_name)
-            if backend == "batched"
-            else None
+            self.jit_cache.specialize(image, kernel_name) if batched else None
         )
         kernel = image.kernel(kernel_name)
         grid3 = _as_dim3(grid)
@@ -503,13 +497,20 @@ class Device:
             image, kernel_name, grid3, block3, bound_args, hooks,
             l1_warps_per_cta, pc_sampler, warps_per_cta,
         )
-        if self._launch_backend == "batched":
-            form_launch_gangs(self, sms, image, self.max_steps)
+        # Occupancy: CTA residency is limited by the hardware cap and by
+        # shared-memory capacity (each CTA reserves its static arena).
+        max_resident = self.arch.max_ctas_per_sm
+        if image.shared_bytes_per_cta > 0:
+            by_shared = self.arch.shared_mem_per_sm // image.shared_bytes_per_cta
+            max_resident = max(1, min(max_resident, by_shared))
+        staged = [ctx for sm in sms for ctx in sm.stage(max_resident)]
+        if batched:
+            form_machines(self, staged, self.max_steps)
         total_steps = 0
-        for index in sorted(sms):
-            total_steps += self._run_sm_any(
-                sms[index], image, total_budget=self.max_steps
-            )
+        for sm in sms:
+            total_steps += self._run_sm(sm, max_resident, batched)
+            if sm.tape is not None:
+                sm.replay_tape()
         result = self._collect_result(
             kernel_name, grid3, block3, sms, total_steps, num_ctas,
             warps_per_cta, start,
@@ -528,7 +529,7 @@ class Device:
         l1_warps_per_cta: L1Thresholds,
         pc_sampler,
         warps_per_cta: int,
-    ) -> Dict[int, _SM]:
+    ) -> List[_SM]:
         """Build SMs and their CTAs, round-robin over the grid.
 
         A tuple ``l1_warps_per_cta`` builds threshold-sweep SMs.
@@ -539,8 +540,8 @@ class Device:
         thresholds = None
         if isinstance(l1_warps_per_cta, tuple):
             thresholds, l1_warps_per_cta = l1_warps_per_cta, None
-        sms = {i: _SM(self.arch, self.timing_params, thresholds)
-               for i in range(num_sms)}
+        sms = [_SM(self.arch, self.timing_params, thresholds)
+               for _ in range(num_sms)]
         global_warp_id = 0
         cta_linear = 0
         for cz in range(grid3[2]):
@@ -584,7 +585,7 @@ class Device:
         kernel_name: str,
         grid3: Tuple[int, int, int],
         block3: Tuple[int, int, int],
-        sms: Dict[int, _SM],
+        sms: List[_SM],
         total_steps: int,
         num_ctas: int,
         warps_per_cta: int,
@@ -594,22 +595,20 @@ class Device:
             kernel=kernel_name,
             grid=grid3,
             block=block3,
-            cycles=max(sm.timing.cycles for sm in sms.values()),
+            cycles=max(sm.timing.cycles for sm in sms),
             cycles_by_threshold=_max_by_threshold(
-                sm.cycles_by_threshold for sm in sms.values()
+                sm.cycles_by_threshold for sm in sms
             ),
             instructions=total_steps,
-            transactions=sum(
-                c.transactions for sm in sms.values() for c in sm.resident
-            ),
-            cache=self._merge_cache_stats(list(sms.values())),
+            transactions=sum(c.transactions for sm in sms for c in sm.resident),
+            cache=self._merge_cache_stats(sms),
             branches=0,
             divergent_branches=0,
             wall_seconds=time.perf_counter() - start,
             num_ctas=num_ctas,
             warps_per_cta=warps_per_cta,
         )
-        for sm in sms.values():
+        for sm in sms:
             for ctx in sm.resident:
                 for warp in ctx.warps:
                     result.branches += warp.branch_count
@@ -648,22 +647,6 @@ class Device:
                 raise LaunchError(f"unsupported parameter type {t}")
         return bound
 
-    def _run_sm_any(
-        self, sm: _SM, image: DeviceModuleImage, total_budget: int
-    ) -> int:
-        """Run one SM on the backend resolved for the current launch.
-
-        A threshold-sweep SM replays its tape as soon as it finishes:
-        every cost event of an SM is charged while that SM runs.
-        """
-        if self._launch_backend == "batched":
-            steps = run_sm_batched(self, sm, image, total_budget)
-        else:
-            steps = self._run_sm(sm, image, total_budget)
-        if sm.tape is not None:
-            sm.replay_tape()
-        return steps
-
     def _visit_warp(
         self,
         interp: WarpInterpreter,
@@ -678,7 +661,7 @@ class Device:
         Each step executes the warp's next micro-op, or pops an empty
         reconvergence entry or a finished frame (an admin step). Returns
         the updated SM step count; callers detect progress by comparing
-        it with the value they passed in. Shared by the serial driver
+        it with the value they passed in. Shared by the SM drive loop
         below and the batched backend's de-batch fallback.
         """
         timing = interp.timing
@@ -727,63 +710,67 @@ class Device:
             warp.status = WarpStatus.AT_BARRIER
         return steps
 
-    def _run_sm(self, sm: _SM, image: DeviceModuleImage, total_budget: int) -> int:
-        """Run one SM's CTAs to completion; returns instructions executed."""
+    def _run_sm(self, sm: _SM, max_resident: int, batched: bool) -> int:
+        """Run one SM's CTAs to completion; returns instructions executed.
+
+        Each round visits the unfinished CTAs in residency order. A CTA
+        on a batched machine runs one machine round (a gang once, at its
+        first member's slot, replaying only this SM's rows); every other
+        CTA gives each ready warp one scheduler visit.
+        """
         steps = 0
+        budget = self.max_steps
         quantum = self.scheduler_quantum if self.scheduler == "gto" else 1
         rotate_on_mem = self.scheduler == "gto"
-        finished: List[_CTAContext] = []
-
-        # Occupancy: CTA residency is limited by the hardware cap and by
-        # shared-memory capacity (each CTA reserves its static arena).
-        max_resident = self.arch.max_ctas_per_sm
-        if image.shared_bytes_per_cta > 0:
-            by_shared = self.arch.shared_mem_per_sm // image.shared_bytes_per_cta
-            max_resident = max(1, min(max_resident, by_shared))
-
-        def refill() -> None:
-            while sm.pending and len(
-                [c for c in sm.resident if c not in finished]
-            ) < max_resident:
-                ctx = sm.pending.pop(0)
-                ctx.interp = WarpInterpreter(ctx)
-                sm.resident.append(ctx)
-            live_warps = sum(
-                1
-                for c in sm.resident
-                if c not in finished
-                for w in c.warps
-                if not w.done
-            )
-            sm.timing.set_resident_warps(live_warps)
-
-        refill()
-        while True:
-            active_ctxs = [c for c in sm.resident if c not in finished]
-            if not active_ctxs:
-                break
+        while sm.active:
             progressed = False
-            for ctx in active_ctxs:
-                cta_progress = False
-                for warp in ctx.warps:
-                    if warp.status != WarpStatus.READY:
-                        continue
-                    before = steps
-                    steps = self._visit_warp(
-                        ctx.interp, warp, quantum, rotate_on_mem, steps,
-                        total_budget,
+            ran = set()    # machines already run this round
+            retired = []   # machines that drained after a fallback
+            round_ctxs = list(sm.active)
+            for ctx in round_ctxs:
+                machine = ctx.batched
+                if machine is None:
+                    for warp in ctx.warps:
+                        if warp.status != WarpStatus.READY:
+                            continue
+                        before = steps
+                        steps = self._visit_warp(
+                            ctx.interp, warp, quantum, rotate_on_mem, steps,
+                            budget,
+                        )
+                        progressed = progressed or steps != before
+                elif machine not in ran:
+                    ran.add(machine)
+                    rows = None
+                    if machine.gang:
+                        rows = [c.gang_row for c in round_ctxs
+                                if c.batched is machine]
+                    steps, progress, debatched = machine.run_round(
+                        quantum, rotate_on_mem, steps, budget, rows
                     )
-                    cta_progress = cta_progress or steps != before
-                    progressed = progressed or cta_progress
+                    progressed = progressed or progress
+                    if debatched:
+                        retired.append(machine)
+                        name = machine.entry_function.name
+                        self._batch_fallbacks[name] = (
+                            self._batch_fallbacks.get(name, 0) + 1
+                        )
                 # Barrier release: all live warps waiting.
                 live = [w for w in ctx.warps if not w.done]
                 if live and all(w.status == WarpStatus.AT_BARRIER for w in live):
                     for w in live:
                         w.status = WarpStatus.READY
                     progressed = True
-                if all(w.done for w in ctx.warps):
-                    finished.append(ctx)
-                    refill()
+                if not live:
+                    sm.active.remove(ctx)
+                    staged = sm.stage(max_resident)
+                    if batched:
+                        form_machines(self, staged, budget)
+            for machine in retired:
+                # Detach only after the round: members later in the list
+                # already had their quantum replayed by the machine.
+                for c in machine.ctxs:
+                    c.batched = None
             if not progressed:
                 raise ExecutionError(
                     "SM deadlock: warps waiting at a barrier that can never "

@@ -24,27 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.gpu.decode import BarrierReached
-from repro.gpu.simt import Frame, StackEntry, Warp, WarpStatus
-from repro.gpu.vecops import (
-    _active_and_nonzero,
-    _apply_atomic,
-    _apply_binop,
-    _apply_cmp,
-    _apply_math,
-    _bank_conflict_degree,
-)
-
-__all__ = [
-    "BarrierReached",
-    "WarpInterpreter",
-    "_active_and_nonzero",
-    "_apply_atomic",
-    "_apply_binop",
-    "_apply_cmp",
-    "_apply_math",
-    "_bank_conflict_degree",
-]
+from repro.gpu.simt import Warp, WarpStatus
 
 
 class WarpInterpreter:

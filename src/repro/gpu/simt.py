@@ -91,10 +91,6 @@ class Frame:
         self.returned_mask = np.zeros_like(mask)
         self.ret_values: Optional[np.ndarray] = None
 
-    @property
-    def top(self) -> StackEntry:
-        return self.stack[-1]
-
     @classmethod
     def resume(cls, decoded, block, index: int, regs, sp: int, base_sp: int,
                ret_slot, mask: np.ndarray) -> "Frame":
@@ -235,13 +231,6 @@ class Warp:
     @property
     def current_frame(self) -> Frame:
         return self.frames[-1]
-
-    @property
-    def active_mask(self) -> np.ndarray:
-        if not self.frames:
-            return np.zeros(self.warp_size, dtype=bool)
-        frame = self.current_frame
-        return frame.top.mask & ~frame.returned_mask
 
     @property
     def done(self) -> bool:

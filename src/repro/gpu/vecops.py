@@ -1,9 +1,11 @@
-"""Pure vector semantics shared by the decoder and the interpreter.
+"""Vector semantics too long for decode's one-line op tables.
 
-These functions define what each IR operation *means* on 32-lane numpy
-vectors, independent of how execution is driven. The decode layer
+The binary ops that need more than one numpy operator, the math
+intrinsics and the shared-memory bank-conflict model, on 32-lane (or,
+batched, ``(num_warps, 32)``) numpy vectors. The decode layer
 (:mod:`repro.gpu.decode`) binds them into micro-op handlers at module
-load time; the interpreter re-exports them for compatibility.
+load time; its ``_BINOP_FUNCS``, ``_CMP_FUNCS`` and ``_ATOMIC_FUNCS``
+tables define every other op.
 """
 
 from __future__ import annotations
@@ -13,64 +15,40 @@ from typing import List
 import numpy as np
 
 from repro.errors import ExecutionError
-from repro.ir.instructions import AtomicOp, CmpPred, Opcode
+from repro.ir.instructions import Opcode
 
 
 def _apply_binop(opcode: Opcode, lhs, rhs, mask) -> np.ndarray:
+    """The binary ops that take more than one numpy operator: logical
+    shift right and the divisions, whose inactive or zero divisors are
+    replaced by 1 so they never trap. Decode's ``_BINOP_FUNCS`` holds
+    every other binary op."""
     lhs = np.asarray(lhs)
     rhs = np.asarray(rhs)
-    if opcode == Opcode.ADD:
-        return lhs + rhs
-    if opcode == Opcode.SUB:
-        return lhs - rhs
-    if opcode == Opcode.MUL:
-        return lhs * rhs
-    if opcode == Opcode.FADD:
-        return lhs + rhs
-    if opcode == Opcode.FSUB:
-        return lhs - rhs
-    if opcode == Opcode.FMUL:
-        return lhs * rhs
-    if opcode == Opcode.AND:
-        return lhs & rhs
-    if opcode == Opcode.OR:
-        return lhs | rhs
-    if opcode == Opcode.XOR:
-        return lhs ^ rhs
-    if opcode == Opcode.SHL:
-        return lhs << rhs
-    if opcode in (Opcode.LSHR, Opcode.ASHR):
-        # ASHR on signed dtypes is arithmetic in numpy; LSHR shifts the
-        # same-width *unsigned* reinterpretation (sign-extending through
-        # a wider type would smear the sign bits back in).
-        if opcode == Opcode.LSHR:
-            unsigned_dtype = np.dtype(f"u{lhs.dtype.itemsize}")
-            unsigned = lhs.view(unsigned_dtype) if lhs.ndim else np.asarray(
-                lhs
-            ).astype(lhs.dtype).view(unsigned_dtype)
-            shifted = unsigned >> rhs.astype(unsigned_dtype)
-            return shifted.view(lhs.dtype) if shifted.ndim else np.asarray(
-                shifted
-            ).astype(lhs.dtype)
-        return lhs >> rhs
-    if opcode == Opcode.SMIN or opcode == Opcode.FMIN:
-        return np.minimum(lhs, rhs)
-    if opcode == Opcode.SMAX or opcode == Opcode.FMAX:
-        return np.maximum(lhs, rhs)
+    if opcode == Opcode.LSHR:
+        # Shift the same-width *unsigned* reinterpretation
+        # (sign-extending through a wider type would smear the sign
+        # bits back in).
+        unsigned_dtype = np.dtype(f"u{lhs.dtype.itemsize}")
+        unsigned = lhs.view(unsigned_dtype) if lhs.ndim else np.asarray(
+            lhs
+        ).astype(lhs.dtype).view(unsigned_dtype)
+        shifted = unsigned >> rhs.astype(unsigned_dtype)
+        return shifted.view(lhs.dtype) if shifted.ndim else np.asarray(
+            shifted
+        ).astype(lhs.dtype)
+    safe_rhs = np.where(_active_and_nonzero(rhs, mask), rhs, np.ones_like(rhs))
     if opcode == Opcode.FDIV:
-        safe_rhs = np.where(_active_and_nonzero(rhs, mask), rhs, np.ones_like(rhs))
         with np.errstate(divide="ignore", invalid="ignore"):
             return lhs / safe_rhs
     if opcode == Opcode.FREM:
-        safe_rhs = np.where(_active_and_nonzero(rhs, mask), rhs, np.ones_like(rhs))
         return np.fmod(lhs, safe_rhs)
-    if opcode in (Opcode.SDIV, Opcode.SREM, Opcode.UDIV, Opcode.UREM):
-        safe_rhs = np.where(_active_and_nonzero(rhs, mask), rhs, np.ones_like(rhs))
-        if opcode in (Opcode.UDIV, Opcode.UREM):
-            q = (lhs.astype(np.uint64) // safe_rhs.astype(np.uint64)).astype(lhs.dtype)
-            if opcode == Opcode.UDIV:
-                return q
-            return lhs - q * safe_rhs
+    if opcode in (Opcode.UDIV, Opcode.UREM):
+        q = (lhs.astype(np.uint64) // safe_rhs.astype(np.uint64)).astype(lhs.dtype)
+        if opcode == Opcode.UDIV:
+            return q
+        return lhs - q * safe_rhs
+    if opcode in (Opcode.SDIV, Opcode.SREM):
         # C-style truncating signed division.
         q = np.floor_divide(lhs, safe_rhs)
         r = lhs - q * safe_rhs
@@ -89,42 +67,6 @@ def _active_and_nonzero(rhs, mask) -> np.ndarray:
     if np.ndim(mask) and np.ndim(nonzero):
         return nonzero & mask
     return nonzero
-
-
-def _apply_cmp(pred: CmpPred, lhs, rhs) -> np.ndarray:
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
-    if pred == CmpPred.EQ:
-        return lhs == rhs
-    if pred == CmpPred.NE:
-        return lhs != rhs
-    if pred == CmpPred.LT:
-        return lhs < rhs
-    if pred == CmpPred.LE:
-        return lhs <= rhs
-    if pred == CmpPred.GT:
-        return lhs > rhs
-    return lhs >= rhs
-
-
-def _apply_atomic(op: AtomicOp, current, value):
-    if op == AtomicOp.ADD:
-        return current + value
-    if op == AtomicOp.SUB:
-        return current - value
-    if op == AtomicOp.MIN:
-        return min(current, value)
-    if op == AtomicOp.MAX:
-        return max(current, value)
-    if op == AtomicOp.EXCH:
-        return value
-    if op == AtomicOp.AND:
-        return current & value
-    if op == AtomicOp.OR:
-        return current | value
-    if op == AtomicOp.XOR:
-        return current ^ value
-    raise ExecutionError(f"unhandled atomic {op}")
 
 
 def _apply_math(name: str, args: List[np.ndarray], mask) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.frontend import compile_kernels, f32, i32, kernel, ptr_f32
 from repro.gpu import Device, KEPLER_K40C
-from repro.gpu.interpreter import _bank_conflict_degree
+from repro.gpu.vecops import _bank_conflict_degree
 from repro.passes import optimization_pipeline
 
 
