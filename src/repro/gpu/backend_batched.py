@@ -1661,7 +1661,8 @@ def form_machines(device, fresh, budget: int) -> None:
     A gang formed at launch staging spans SMs, so grids that
     round-robin one small CTA per SM (e.g. nw's 16-thread tiles) still
     batch; each SM's drive loop replays only its own rows. All CTAs of
-    a launch share one kernel and one warp count.
+    a launch share one kernel and one warp count. ``budget`` is the
+    steps the launch has left, which caps each machine's executor.
     """
     if not fresh:
         return

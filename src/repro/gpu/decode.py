@@ -47,14 +47,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
-from repro.gpu.coalescing import coalesce_lines
+from repro.gpu.coalescing import WarpAccess
 from repro.gpu.simt import StackEntry
 from repro.gpu.timing import model_global_lines
-from repro.gpu.vecops import (
-    _apply_binop,
-    _apply_math,
-    _bank_conflict_degree,
-)
+from repro.gpu.vecops import _apply_binop, _apply_math
 from repro.ir.debuginfo import DebugLoc
 from repro.ir.instructions import (
     Alloca,
@@ -198,12 +194,14 @@ def _undef(frame, slot: int):
     )
 
 
-def _apply_phi_moves(frame, moves, mask, warp_size: int) -> None:
+def _apply_phi_moves(frame, moves, mask, warp_size: int, full: bool) -> None:
     """Parallel-copy semantics for one CFG edge's phi prefix.
 
     All incoming values are read before any phi register is written,
     and only ``mask`` lanes are updated (predicated writes, which is
-    how hardware realises SSA merges under divergence).
+    how hardware realises SSA merges under divergence). ``full`` says
+    ``mask`` holds every lane: a phi whose dtype the value already has
+    then takes a plain copy.
     """
     regs = frame.regs
     vals = []
@@ -219,14 +217,10 @@ def _apply_phi_moves(frame, moves, mask, warp_size: int) -> None:
         vals.append(v)
     for (dst, _, _), v in zip(moves, vals):
         prev = regs[dst]
-        regs[dst] = v.copy() if prev is None else np.where(mask, v, prev)
-
-
-def _model_global(it, warp, addrs, mask, width: int, mode: int,
-                  is_write: bool) -> None:
-    """Coalesce and send transactions through L1 + MSHRs + timing."""
-    lines = coalesce_lines(addrs, mask, width, it.line_size)
-    _model_global_lines(it, warp, lines, mode, is_write)
+        if prev is None or (full and v.dtype == prev.dtype):
+            regs[dst] = v.copy()
+        else:
+            regs[dst] = np.where(mask, v, prev)
 
 
 def _model_global_lines(it, warp, lines, mode: int, is_write: bool) -> None:
@@ -254,7 +248,8 @@ def _model_global_lines(it, warp, lines, mode: int, is_write: bool) -> None:
 
 def _do_branch(frame, entry, target, moves, mask, warp_size) -> None:
     if moves:
-        _apply_phi_moves(frame, moves, mask, warp_size)
+        _apply_phi_moves(frame, moves, mask, warp_size,
+                         entry.nactive == warp_size)
     if entry.reconv is target:
         # This path reached its reconvergence point; its lanes are
         # already represented in the waiting entry's union mask.
@@ -380,17 +375,18 @@ def _read_addrs(op, it, frame):
 
 
 def _mo_ld_global(op, it, warp, frame, entry, mask):
-    addrs = _read_addrs(op, it, frame)
-    _model_global(it, warp, addrs, mask, op.c, op.d, False)
-    frame.regs[op.dst] = it.ctx.global_mem.gather(addrs, mask, op.b)
+    acc = WarpAccess(_read_addrs(op, it, frame), mask, entry.nactive)
+    _model_global_lines(it, warp, acc.lines(op.c, it.line_size), op.d,
+                        False)
+    frame.regs[op.dst] = it.ctx.global_mem.load(acc, op.b)
     entry.index += 1
     return "mem"
 
 
 def _mo_ld_shared(op, it, warp, frame, entry, mask):
-    addrs = _read_addrs(op, it, frame)
-    it.ctx.timing.shared_access(_bank_conflict_degree(addrs, mask))
-    frame.regs[op.dst] = it.ctx.shared_mem.gather(addrs, mask, op.b)
+    acc = WarpAccess(_read_addrs(op, it, frame), mask, entry.nactive)
+    it.ctx.timing.shared_access(acc.bank_degree())
+    frame.regs[op.dst] = it.ctx.shared_mem.load(acc, op.b)
     entry.index += 1
 
 
@@ -421,19 +417,20 @@ def _read_store_value(op, it, frame):
 
 
 def _mo_st_global(op, it, warp, frame, entry, mask):
-    addrs = _read_addrs(op, it, frame)
+    acc = WarpAccess(_read_addrs(op, it, frame), mask, entry.nactive)
     values = _read_store_value(op, it, frame)
-    _model_global(it, warp, addrs, mask, op.c.itemsize, op.d, True)
-    it.ctx.global_mem.scatter(addrs, mask, values)
+    _model_global_lines(it, warp, acc.lines(op.c.itemsize, it.line_size),
+                        op.d, True)
+    it.ctx.global_mem.store(acc, values)
     entry.index += 1
     return "mem"
 
 
 def _mo_st_shared(op, it, warp, frame, entry, mask):
-    addrs = _read_addrs(op, it, frame)
+    acc = WarpAccess(_read_addrs(op, it, frame), mask, entry.nactive)
     values = _read_store_value(op, it, frame)
-    it.ctx.timing.shared_access(_bank_conflict_degree(addrs, mask))
-    it.ctx.shared_mem.scatter(addrs, mask, values)
+    it.ctx.timing.shared_access(acc.bank_degree())
+    it.ctx.shared_mem.store(acc, values)
     entry.index += 1
 
 
@@ -447,8 +444,7 @@ def _mo_st_local(op, it, warp, frame, entry, mask):
 _ONE_LANE = np.ones(1, dtype=bool)
 
 
-def _run_atomic(op, it, warp, frame, entry, mask, arena):
-    addrs = _read_addrs(op, it, frame)
+def _run_atomic(op, it, warp, frame, entry, mask, arena, addrs):
     values = _read_store_value(op, it, frame)
     dtype = op.c
     lanes = np.flatnonzero(mask)
@@ -463,22 +459,24 @@ def _run_atomic(op, it, warp, frame, entry, mask, arena):
         arena.scatter(addr, _ONE_LANE, np.array([new], dtype=dtype))
     frame.regs[op.dst] = old
     entry.index += 1
-    return addrs
 
 
 def _mo_atomic_global(op, it, warp, frame, entry, mask):
     # Atomics always go to L2 on GPUs (bypass mode 1).
     addrs = _read_addrs(op, it, frame)
-    _model_global(it, warp, addrs, mask, op.c.itemsize, 1, True)
-    _run_atomic(op, it, warp, frame, entry, mask, it.ctx.global_mem)
+    acc = WarpAccess(addrs, mask, entry.nactive)
+    _model_global_lines(it, warp, acc.lines(op.c.itemsize, it.line_size),
+                        1, True)
+    _run_atomic(op, it, warp, frame, entry, mask, it.ctx.global_mem, addrs)
     return "mem"
 
 
 def _mo_atomic_shared(op, it, warp, frame, entry, mask):
+    addrs = _read_addrs(op, it, frame)
     it.ctx.timing.shared_access(
-        _bank_conflict_degree(_read_addrs(op, it, frame), mask)
+        WarpAccess(addrs, mask, entry.nactive).bank_degree()
     )
-    _run_atomic(op, it, warp, frame, entry, mask, it.ctx.shared_mem)
+    _run_atomic(op, it, warp, frame, entry, mask, it.ctx.shared_mem, addrs)
 
 
 def _mo_barrier(op, it, warp, frame, entry, mask):
@@ -593,15 +591,19 @@ def _mo_condbr(op, it, warp, frame, entry, mask):
         if cond is None:
             _undef(frame, op.a)
     if cond.ndim == 0:
-        cond = np.full(it.warp_size, cond, np.bool_)
+        # A uniform condition: every active lane takes one path.
+        target, moves = op.b if cond else op.c
+        _do_branch(frame, entry, target, moves, mask, it.warp_size)
+        return
     taken = cond & mask
-    not_taken = ~cond & mask
-    if not not_taken.any():
+    ntaken = np.count_nonzero(taken)
+    if ntaken == entry.nactive:
         _do_branch(frame, entry, op.b[0], op.b[1], mask, it.warp_size)
         return
-    if not taken.any():
+    if not ntaken:
         _do_branch(frame, entry, op.c[0], op.c[1], mask, it.warp_size)
         return
+    not_taken = mask ^ taken
 
     # Divergence: retarget this entry to the reconvergence point and
     # push one entry per path (paths that start at the reconvergence
@@ -613,7 +615,7 @@ def _mo_condbr(op, it, warp, frame, entry, mask):
     ws = it.warp_size
     for (target, moves), path_mask in ((op.c, not_taken), (op.b, taken)):
         if moves:
-            _apply_phi_moves(frame, moves, path_mask, ws)
+            _apply_phi_moves(frame, moves, path_mask, ws, False)
         if target is not reconv:
             frame.stack.append(StackEntry(target, 0, reconv, path_mask))
 

@@ -508,7 +508,7 @@ class Device:
             form_machines(self, staged, self.max_steps)
         total_steps = 0
         for sm in sms:
-            total_steps += self._run_sm(sm, max_resident, batched)
+            total_steps = self._run_sm(sm, max_resident, batched, total_steps)
             if sm.tape is not None:
                 sm.replay_tape()
         result = self._collect_result(
@@ -660,7 +660,7 @@ class Device:
 
         Each step executes the warp's next micro-op, or pops an empty
         reconvergence entry or a finished frame (an admin step). Returns
-        the updated SM step count; callers detect progress by comparing
+        the updated launch step count; callers detect progress by comparing
         it with the value they passed in. Shared by the SM drive loop
         below and the batched backend's de-batch fallback.
         """
@@ -687,7 +687,7 @@ class Device:
                     if mask is None:
                         mask = entry.mask & ~frame.returned_mask
                         entry.amask = mask
-                        entry.nactive = int(mask.sum())
+                        entry.nactive = np.count_nonzero(mask)
                     if entry.nactive:
                         op = block.ops[entry.index]
                         warp.instructions_executed += 1
@@ -710,15 +710,19 @@ class Device:
             warp.status = WarpStatus.AT_BARRIER
         return steps
 
-    def _run_sm(self, sm: _SM, max_resident: int, batched: bool) -> int:
-        """Run one SM's CTAs to completion; returns instructions executed.
+    def _run_sm(self, sm: _SM, max_resident: int, batched: bool,
+                steps: int) -> int:
+        """Run one SM's CTAs to completion.
+
+        ``steps`` is the launch's step count so far and the return value
+        the count after this SM: ``max_steps`` bounds the whole launch,
+        not each SM.
 
         Each round visits the unfinished CTAs in residency order. A CTA
         on a batched machine runs one machine round (a gang once, at its
         first member's slot, replaying only this SM's rows); every other
         CTA gives each ready warp one scheduler visit.
         """
-        steps = 0
         budget = self.max_steps
         quantum = self.scheduler_quantum if self.scheduler == "gto" else 1
         rotate_on_mem = self.scheduler == "gto"
@@ -765,7 +769,7 @@ class Device:
                     sm.active.remove(ctx)
                     staged = sm.stage(max_resident)
                     if batched:
-                        form_machines(self, staged, budget)
+                        form_machines(self, staged, budget - steps)
             for machine in retired:
                 # Detach only after the round: members later in the list
                 # already had their quantum replayed by the machine.

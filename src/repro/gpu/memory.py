@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import MemoryError_
+from repro.gpu.coalescing import WarpAccess
 from repro.ir.types import Type
 
 #: Device addresses start here so that 0/NULL and small ints fault.
@@ -38,7 +39,72 @@ class Allocation:
         return f"<Allocation {self.tag} [{self.base:#x}, {self.end:#x})>"
 
 
-class GlobalMemory:
+class _Arena:
+    """Warp-wide typed access to a flat byte arena (``self._buf``).
+
+    Elements are naturally aligned (allocator + GEP guarantee it), so an
+    element's index is its byte address over the item size. Each arena
+    defines ``_fault_check(active, itemsize)``, which raises its fault
+    for a vector of active-lane addresses, and ``_check_access(acc,
+    itemsize)``, which decides from a classified access's lowest and
+    highest address and calls ``_fault_check`` only for a fault, so the
+    error text is the same either way.
+    """
+
+    _buf: np.ndarray
+
+    def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """Load one element of ``dtype`` per active lane; inactive lanes get 0.
+
+        For lane vectors that were not classified (the batched backend's
+        whole-CTA vectors, one atomic lane), numpy takes the fault range.
+        """
+        nactive = np.count_nonzero(mask)
+        if not nactive:
+            return np.zeros(len(addrs), dtype=dtype)
+        full = nactive == len(addrs)
+        active = addrs if full else addrs[mask]
+        self._fault_check(active, dtype.itemsize)
+        return self._read(dtype, mask, active, full)
+
+    def scatter(self, addrs: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
+        """Store one element per active lane (last lane wins on conflicts)."""
+        nactive = np.count_nonzero(mask)
+        if nactive:
+            full = nactive == len(addrs)
+            active = addrs if full else addrs[mask]
+            self._fault_check(active, values.dtype.itemsize)
+            self._write(mask, active, values, full)
+
+    def load(self, acc: WarpAccess, dtype: np.dtype) -> np.ndarray:
+        """:meth:`gather` of a classified warp access."""
+        self._check_access(acc, dtype.itemsize)
+        return self._read(dtype, acc.mask, acc.active, acc.full)
+
+    def store(self, acc: WarpAccess, values: np.ndarray) -> None:
+        """:meth:`scatter` of a classified warp access."""
+        self._check_access(acc, values.dtype.itemsize)
+        self._write(acc.mask, acc.active, values, acc.full)
+
+    def _read(self, dtype, mask, active, full: bool) -> np.ndarray:
+        itemsize = dtype.itemsize
+        got = self._buf.view(dtype)[
+            active if itemsize == 1 else active // itemsize
+        ]
+        if full:
+            return got
+        result = np.zeros(len(mask), dtype=dtype)
+        result[mask] = got
+        return result
+
+    def _write(self, mask, active, values, full: bool) -> None:
+        itemsize = values.dtype.itemsize
+        self._buf.view(values.dtype)[
+            active if itemsize == 1 else active // itemsize
+        ] = values if full else values[mask]
+
+
+class GlobalMemory(_Arena):
     """The device's global memory arena."""
 
     def __init__(self, capacity: int = 64 * 1024 * 1024):
@@ -92,35 +158,12 @@ class GlobalMemory:
             )
 
     # -- warp-wide typed access ------------------------------------------------
-    def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """Load one element of ``dtype`` per active lane; inactive lanes get 0."""
-        itemsize = dtype.itemsize
-        result = np.zeros(len(addrs), dtype=dtype)
-        if not mask.any():
-            return result
-        active_addrs = addrs[mask]
-        self._fault_check(active_addrs, itemsize)
-        if itemsize == 1:
-            result[mask] = self._buf[active_addrs].view(dtype)
-        else:
-            # Elements are naturally aligned (allocator + GEP guarantee it).
-            view = self._buf.view(dtype)
-            result[mask] = view[active_addrs // itemsize]
-        return result
-
-    def scatter(self, addrs: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        """Store one element per active lane (last lane wins on conflicts)."""
-        if not mask.any():
-            return
-        dtype = values.dtype
-        itemsize = dtype.itemsize
-        active_addrs = addrs[mask]
-        self._fault_check(active_addrs, itemsize)
-        if itemsize == 1:
-            self._buf[active_addrs] = values[mask].view(np.uint8)
-        else:
-            view = self._buf.view(dtype)
-            view[active_addrs // itemsize] = values[mask]
+    def _check_access(self, acc: WarpAccess, itemsize: int) -> None:
+        hi = acc.hi + itemsize
+        if (acc.lo < GLOBAL_BASE or hi > self.capacity
+                or (hi > self._next and self.check_bounds
+                    and self._allocations)):
+            self._fault_check(acc.active, itemsize)
 
     def _fault_check(self, addrs: np.ndarray, itemsize: int) -> None:
         lo = int(addrs.min())
@@ -140,7 +183,7 @@ class GlobalMemory:
                 )
 
 
-class SharedMemory:
+class SharedMemory(_Arena):
     """One CTA's shared-memory arena (scratchpad)."""
 
     def __init__(self, nbytes: int):
@@ -150,29 +193,9 @@ class SharedMemory:
     def nbytes(self) -> int:
         return len(self._buf)
 
-    def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        itemsize = dtype.itemsize
-        result = np.zeros(len(addrs), dtype=dtype)
-        if not mask.any():
-            return result
-        active = addrs[mask]
-        self._fault_check(active, itemsize)
-        if itemsize == 1:
-            result[mask] = self._buf[active].view(dtype)
-        else:
-            result[mask] = self._buf.view(dtype)[active // itemsize]
-        return result
-
-    def scatter(self, addrs: np.ndarray, mask: np.ndarray, values: np.ndarray) -> None:
-        if not mask.any():
-            return
-        itemsize = values.dtype.itemsize
-        active = addrs[mask]
-        self._fault_check(active, itemsize)
-        if itemsize == 1:
-            self._buf[active] = values[mask].view(np.uint8)
-        else:
-            self._buf.view(values.dtype)[active // itemsize] = values[mask]
+    def _check_access(self, acc: WarpAccess, itemsize: int) -> None:
+        if acc.lo < 0 or acc.hi + itemsize > len(self._buf):
+            self._fault_check(acc.active, itemsize)
 
     def _fault_check(self, addrs: np.ndarray, itemsize: int) -> None:
         if int(addrs.min()) < 0 or int(addrs.max()) + itemsize > len(self._buf):

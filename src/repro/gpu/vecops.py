@@ -2,7 +2,10 @@
 
 The binary ops that need more than one numpy operator, the math
 intrinsics and the shared-memory bank-conflict model, on 32-lane (or,
-batched, ``(num_warps, 32)``) numpy vectors. The decode layer
+batched, ``(num_warps, 32)``) numpy vectors. The interpreter derives a
+uniformly strided access's bank degree in closed form
+(:meth:`repro.gpu.coalescing.WarpAccess.bank_degree`) and walks the
+lanes here for any other. The decode layer
 (:mod:`repro.gpu.decode`) binds them into micro-op handlers at module
 load time; its ``_BINOP_FUNCS``, ``_CMP_FUNCS`` and ``_ATOMIC_FUNCS``
 tables define every other op.
@@ -124,12 +127,18 @@ def _bank_conflict_degree(addrs: np.ndarray, mask: np.ndarray) -> int:
     different words of the same bank serialize. Returns the worst-case
     bank multiplicity (1 = conflict-free; broadcasts of the *same* word
     are free, as on hardware).
+    """
+    return _bank_degree_of(addrs[mask].tolist())
 
-    One Python pass over the active lanes' distinct words: at warp
-    width this beats any numpy formulation (each numpy call costs more
-    than the whole pass).
+
+def _bank_degree_of(active: List[int]) -> int:
+    """:func:`_bank_conflict_degree` of the active lanes' addresses.
+
+    One Python pass over their distinct words: at warp width this beats
+    any numpy formulation (each numpy call costs more than the whole
+    pass).
     """
     counts = [0] * 32
-    for word in set((addrs[mask] // 4).tolist()):
+    for word in {addr // 4 for addr in active}:
         counts[word % 32] += 1
     return max(max(counts), 1)

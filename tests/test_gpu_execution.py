@@ -294,6 +294,33 @@ class TestLaunchValidation:
         ):
             dev.launch(img, "spin", grid, block, [dev.malloc(4)])
 
+    # One CTA per SM on Kepler's 15 SMs: multi-warp and single-warp CTAs.
+    @pytest.mark.parametrize("grid,block", [(15, 64), (15, 32)])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_step_budget_bounds_the_launch(self, backend, grid, block):
+        @kernel
+        def count_up(out: ptr_i32, n: i32):
+            acc = 0
+            for i in range(n):
+                acc += i
+            out[ctaid_x * ntid_x + tid_x] = acc
+
+        module = compile_kernels([count_up], "m")
+        dev = Device(KEPLER_K40C)
+        dev.backend = backend
+        img = dev.load_module(module)
+        out = dev.malloc(4 * grid * block)
+        result = dev.launch(img, "count_up", grid, block, [out, 40])
+        steps = result.instructions
+        # Every SM alone stays under a tenth of the launch's steps; the
+        # launch as a whole does not.
+        dev.max_steps = steps // 10
+        with pytest.raises(
+            ExecutionError,
+            match=r"kernel exceeded the step budget \(infinite loop\?\)",
+        ):
+            dev.launch(img, "count_up", grid, block, [out, 40])
+
 
 class TestSchedulers:
     @pytest.mark.parametrize("policy", ["rr", "gto"])
