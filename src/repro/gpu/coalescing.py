@@ -37,11 +37,9 @@ class WarpAccess:
     least 1.
     """
 
-    __slots__ = ("addrs", "mask", "full", "active", "vals", "lo", "hi",
-                 "stride")
+    __slots__ = ("mask", "full", "active", "vals", "lo", "hi", "stride")
 
     def __init__(self, addrs: np.ndarray, mask: np.ndarray, nactive: int):
-        self.addrs = addrs
         self.mask = mask
         full = nactive == len(addrs)
         self.full = full
@@ -67,9 +65,10 @@ class WarpAccess:
     def lines(self, access_bytes: int, line_size: int) -> List[int]:
         """The sorted unique cache lines the active lanes touch.
 
-        A stride of at most a line leaves no line untouched between the
-        first and the last; a line-multiple stride whose lanes do not
-        straddle a line touches one line per lane.
+        A stride of at most a line leaves no gap that could hold a whole
+        line, so every line from the first to the last is touched; a
+        line-multiple stride whose lanes do not straddle a line touches
+        one line per lane.
         """
         stride = self.stride
         if stride is not None:
@@ -92,7 +91,7 @@ class WarpAccess:
         """Shared-memory bank-conflict degree (32 banks of 4-byte words).
 
         A stride of at most a word touches every word from the lowest to
-        the highest once; a word stride ``s`` cycles through
+        the highest once; a stride of ``s`` words cycles through
         ``32 / gcd(s, 32)`` banks, so ``k`` lanes pile up
         ``ceil(k / (32 / gcd(s, 32)))`` deep.
         """

@@ -350,6 +350,8 @@ class Device:
         #: execution's timing per threshold (docs/architecture.md).
         self.scheduler = "gto"
         self.scheduler_quantum = 48  # max instructions per warp per visit
+        #: warp steps one launch may take, over all its SMs, before it
+        #: fails as a runaway kernel
         self.max_steps = 200_000_000
         #: "interpreter" steps each warp on its own; "batched" executes
         #: a CTA's lock-step warps as one numpy op per instruction and
