@@ -13,7 +13,6 @@ Usage::
 
     --quick             small-app subset with scaled-down inputs (CI)
     --update-baseline   store this run as the comparison baseline
-    --backend NAME      execution backend ("interpreter" or "batched")
     --sample-rate N     trace sampling stride for the instrumented runs
     --repeat N          run each measurement N times and keep the
                         trimmed mean of the wall times (min and max
@@ -22,16 +21,6 @@ Usage::
                         lucky cache-warm run on noisy shared machines;
                         event counts are deterministic and identical
                         across repeats
-    --floor R           with a non-interpreter backend: also time each
-                        app's instrumented run on the interpreter and
-                        on the backend alternately in this process,
-                        --repeat times each, and exit nonzero if any
-                        app's ratio of the two trimmed means falls
-                        below R (the CI regression guard; e.g.
-                        --floor 0.95 means "no app may run more than 5%
-                        slower than the interpreter"). Interleaving
-                        makes load drift on a shared machine hit both
-                        sides alike.
     --rss               measure analysis peak RSS instead of speed:
                         each configuration runs in a forked child and
                         reports its instrumentation-attributable
@@ -47,11 +36,8 @@ Usage::
 The JSON keeps two sections per configuration key: ``baseline``
 (written once per era with --update-baseline, e.g. before a perf PR
 lands) and ``current`` (every run); ``speedup`` is aggregate baseline
-wall time / current wall time. Non-default backends/sample rates get
-their own key (``quick-batched``, ``full-sampled8``, ...); a batched
-run additionally records per-app ``vs_interpreter`` speedups against
-the matching interpreter key's ``current`` section, and a ``--floor``
-run records its interleaved per-app ratios under ``floor``.
+wall time / current wall time. Non-default sample rates get their own
+key (``full-sampled8``, ...).
 """
 
 from __future__ import annotations
@@ -149,7 +135,6 @@ def _run_app(
     app_name: str,
     app_kwargs: dict,
     instrumented: bool,
-    backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
     """One end-to-end execution; returns wall seconds + event counts."""
@@ -161,7 +146,6 @@ def _run_app(
         instrumentation_pipeline(INSTRUMENT_MODES).run(module)
         session = ProfilingSession(sample_rate=sample_rate)
     device = Device(KEPLER_K40C)
-    device.backend = backend
     rt = CudaRuntime(device, profiler=session)
     image = device.load_module(module)
     state = app.prepare(rt)
@@ -204,13 +188,12 @@ def _best_of(
     app_name: str,
     app_kwargs: dict,
     instrumented: bool,
-    backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
     """Trimmed-mean wall time over ``repeat`` runs (counts are
     deterministic and identical across repeats)."""
     runs = [
-        _run_app(app_name, app_kwargs, instrumented, backend, sample_rate)
+        _run_app(app_name, app_kwargs, instrumented, sample_rate)
         for _ in range(max(1, repeat))
     ]
     result = dict(runs[0])
@@ -221,13 +204,12 @@ def _best_of(
 def run_suite(
     apps: Dict[str, dict],
     repeat: int = 1,
-    backend: str = "interpreter",
     sample_rate: int = 1,
 ) -> dict:
     per_app: Dict[str, dict] = {}
     for name, kwargs in apps.items():
-        plain = _best_of(repeat, name, kwargs, False, backend)
-        instr = _best_of(repeat, name, kwargs, True, backend, sample_rate)
+        plain = _best_of(repeat, name, kwargs, False)
+        instr = _best_of(repeat, name, kwargs, True, sample_rate)
         per_app[name] = {
             "uninstrumented_s": round(plain["wall_s"], 4),
             "instrumented_s": round(instr["wall_s"], 4),
@@ -264,38 +246,6 @@ def run_suite(
         f"instrumented {total_instr:7.3f}s"
     )
     return {"apps": per_app, "aggregate": aggregate}
-
-
-def interleaved_ratios(
-    apps: Dict[str, dict],
-    repeat: int,
-    backend: str,
-    sample_rate: int = 1,
-) -> Dict[str, float]:
-    """Per-app instrumented wall-time ratio, interpreter / ``backend``.
-
-    Each app's runs alternate between the two backends in this one
-    process (the leading backend alternates too), ``repeat`` runs each,
-    and the ratio is of the two trimmed means: a slow spell on a shared
-    machine lands on both sides instead of deciding the ratio.
-    """
-    ratios: Dict[str, float] = {}
-    for name, kwargs in apps.items():
-        walls: Dict[str, List[float]] = {"interpreter": [], backend: []}
-        for i in range(max(1, repeat)):
-            order = ("interpreter", backend) if i % 2 == 0 else (
-                backend, "interpreter"
-            )
-            for which in order:
-                walls[which].append(_run_app(
-                    name, kwargs, True, which, sample_rate
-                )["wall_s"])
-        ratios[name] = round(
-            _trimmed(walls["interpreter"]) / _trimmed(walls[backend]), 3
-        )
-        print(f"{name:>10}: instrumented {backend} vs interpreter "
-              f"{ratios[name]:.3f}x (interleaved)")
-    return ratios
 
 
 def _rss_child(app_name: str, app_kwargs: dict, mode: str) -> int:
@@ -435,29 +385,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="small-app subset smoke run (CI)")
     parser.add_argument("--update-baseline", action="store_true",
                         help="store this run as the comparison baseline")
-    parser.add_argument("--backend", choices=["interpreter", "batched"],
-                        default="interpreter",
-                        help="execution backend behind Device.launch")
     parser.add_argument("--sample-rate", type=int, default=1,
                         help="trace-sampling stride for instrumented runs")
     parser.add_argument("--repeat", type=int, default=1,
                         help="repeat each measurement N times, keep the "
                         "trimmed mean (min+max dropped when N >= 3)")
-    parser.add_argument("--floor", type=float, default=None,
-                        help="fail (exit 1) if any app's instrumented "
-                        "speedup over the interpreter, timed with the two "
-                        "backends interleaved, drops below this ratio "
-                        "(needs a non-interpreter --backend)")
     parser.add_argument("--rss", action="store_true",
                         help="measure attributable analysis peak RSS on "
                         "the paper-scale RSS_APPS inputs instead of "
                         "speed; exit 1 if fused analysis breaches its "
                         "ceiling or the in-RAM path's small-input RSS")
     args = parser.parse_args(argv)
-    if args.floor is not None and args.backend == "interpreter":
-        parser.error("--floor needs a non-interpreter --backend")
-    if args.rss and (args.floor is not None or args.update_baseline):
-        parser.error("--rss is standalone; drop --floor/--update-baseline")
+    if args.rss and args.update_baseline:
+        parser.error("--rss is standalone; drop --update-baseline")
 
     if args.rss:
         rss = run_rss_suite(repeat=args.repeat)
@@ -493,11 +433,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     apps = (
         QUICK_APPS if args.quick else {name: {} for name in APP_NAMES}
     )
-    suite = run_suite(apps, repeat=args.repeat, backend=args.backend,
-                      sample_rate=args.sample_rate)
+    suite = run_suite(apps, repeat=args.repeat, sample_rate=args.sample_rate)
     suite["config"] = {
         "quick": args.quick,
-        "backend": args.backend,
         "sample_rate": args.sample_rate,
         "repeat": args.repeat,
         "python": sys.version.split()[0],
@@ -508,10 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(RESULT_FILE) as f:
             existing = json.load(f)
 
-    base_key = "quick" if args.quick else "full"
-    key = base_key
-    if args.backend != "interpreter":
-        key += f"-{args.backend}"
+    key = "quick" if args.quick else "full"
     if args.sample_rate != 1:
         key += f"-sampled{args.sample_rate}"
     section = existing.setdefault(key, {})
@@ -531,65 +466,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     print(f"speedup vs baseline: {section['speedup']}")
 
-    # A non-interpreter backend also reports per-app speedups against
-    # the matching interpreter run, so backend wins are visible per app.
-    reference = existing.get(base_key, {}).get("current")
-    if args.backend != "interpreter" and reference is not None:
-        vs: dict = {"apps": {}}
-        for name, app in suite["apps"].items():
-            ref = reference["apps"].get(name)
-            if not ref:
-                continue
-            vs["apps"][name] = {
-                "uninstrumented": round(
-                    ref["uninstrumented_s"] / app["uninstrumented_s"], 3
-                ) if app["uninstrumented_s"] else None,
-                "instrumented": round(
-                    ref["instrumented_s"] / app["instrumented_s"], 3
-                ) if app["instrumented_s"] else None,
-            }
-        vs["aggregate"] = {
-            "uninstrumented": round(
-                reference["aggregate"]["uninstrumented_s"]
-                / suite["aggregate"]["uninstrumented_s"], 3
-            ) if suite["aggregate"]["uninstrumented_s"] else None,
-            "instrumented": round(
-                reference["aggregate"]["instrumented_s"]
-                / suite["aggregate"]["instrumented_s"], 3
-            ) if suite["aggregate"]["instrumented_s"] else None,
-        }
-        section["vs_interpreter"] = vs
-        print(f"vs interpreter ({base_key}): {vs['aggregate']}")
-
-    if args.floor is not None:
-        section["floor"] = {
-            "floor": args.floor,
-            "repeat": args.repeat,
-            "instrumented": interleaved_ratios(
-                apps, args.repeat, args.backend, args.sample_rate
-            ),
-        }
-
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(RESULT_FILE, "w") as f:
         json.dump(existing, f, indent=2, sort_keys=True)
         f.write("\n")
     print(f"wrote {RESULT_FILE}")
-
-    if args.floor is not None:
-        slow = {
-            name: ratio
-            for name, ratio in section["floor"]["instrumented"].items()
-            if ratio < args.floor
-        }
-        if slow:
-            print(f"--floor {args.floor}: apps below the per-app "
-                  f"instrumented floor: " + ", ".join(
-                      f"{name} ({ratio:.3f}x)"
-                      for name, ratio in sorted(slow.items())
-                  ), file=sys.stderr)
-            return 1
-        print(f"--floor {args.floor}: all apps at or above the floor")
     return 0
 
 

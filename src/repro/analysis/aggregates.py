@@ -83,8 +83,8 @@ def _prefix_rank_gt(values: np.ndarray, prefix_len: np.ndarray,
 
     The fully vectorized offline form of a merge-sort tree: every query
     prefix decomposes into at most ``log2(n)`` power-of-two blocks, and
-    at each level the blocks are sorted once so a batched
-    ``searchsorted`` ranks all thresholds against all blocks at once
+    at each level the blocks are sorted once so one
+    ``searchsorted`` call ranks all thresholds against all blocks at once
     (block index packed into the key's high bits). Both ``values`` and
     ``thresholds`` are rank-compressed first, so rank comparison is
     value comparison and the packed keys stay far below 2**63.

@@ -8,7 +8,7 @@ memory-divergence distributions (Figure 5), the branch-divergence table
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.analysis.divergence_branch import BranchDivergenceProfile
 from repro.analysis.divergence_memory import MemoryDivergenceProfile
@@ -139,35 +139,6 @@ def render_heatmap(app: str, heatmap) -> str:
             f"  {row.name:<{name_width}} |{''.join(strip)}| "
             f"{row.accesses:>9} {touched:>13}B"
         )
-    return "\n".join(lines)
-
-
-def render_jit_cache(app: str, stats: Optional[dict]) -> str:
-    """JIT trace-cache counters for one profiled run (batched backend).
-
-    ``stats`` is ``JitCacheStats.snapshot()``: specialization hits and
-    misses plus decode-stream reuses. A healthy multi-launch run shows
-    hits dominating misses (each kernel is specialized once, then every
-    later launch of the same module is a cache hit). ``None`` (the
-    interpreter backend keeps no JIT cache) renders an explicit
-    placeholder so verbose output always shows the section.
-    """
-    if stats is None:
-        return (
-            f"JIT trace cache -- {app}\n"
-            f"  (none: the JIT trace cache only runs under "
-            f"--backend batched)"
-        )
-    total = stats.get("hits", 0) + stats.get("misses", 0)
-    rate = stats.get("hits", 0) / total if total else 0.0
-    lines = [
-        f"JIT trace cache -- {app}",
-        f"{'hits':>8} {'misses':>8} {'specialized':>12} "
-        f"{'decode reuses':>14} {'hit rate':>9}",
-        f"{stats.get('hits', 0):>8} {stats.get('misses', 0):>8} "
-        f"{stats.get('specializations', 0):>12} "
-        f"{stats.get('decode_reuses', 0):>14} {rate:>8.0%}",
-    ]
     return "\n".join(lines)
 
 

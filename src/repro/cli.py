@@ -31,7 +31,6 @@ from repro.analysis.report import (
     render_buffer_accounting,
     render_divergence_distribution,
     render_heatmap,
-    render_jit_cache,
     render_reuse_histogram,
     render_stream_stats,
 )
@@ -86,7 +85,6 @@ def _config_from_args(args) -> ProfileConfig:
                     measure_overhead=not args.no_overhead)
     if args.command != "serve":
         settings.update(buffer_capacity=args.buffer_capacity,
-                        backend=args.backend,
                         failure_policy=args.failure_policy,
                         heatmap_cell_rows=args.heatmap_cell_rows,
                         time_buckets=args.time_buckets)
@@ -115,10 +113,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
     """The knobs `profile` and `export` share (one advisor underneath)."""
     profile.add_argument("app")
     _add_config_args(profile)
-    profile.add_argument(
-        "--backend", default=None,
-        help="execution backend: interpreter or batched",
-    )
     profile.add_argument(
         "--failure-policy", default=None, choices=FAILURE_POLICIES,
         help="how launches react when they cannot run as requested "
@@ -343,12 +337,9 @@ def _cmd_profile(args) -> int:
         print(render_buffer_accounting(args.app, profiles))
         print()
     if args.verbose:
-        # Both sections always render under --verbose -- empty ones as
-        # explicit placeholders -- so the text view and the export
+        # The section always renders under --verbose -- empty as an
+        # explicit placeholder -- so the text view and the export
         # document agree on what was (and wasn't) collected.
-        print("### jit trace cache")
-        print(render_jit_cache(args.app, report.jit_cache))
-        print()
         print("### in-flight analysis")
         print(render_stream_stats(args.app, profiles))
         print()

@@ -53,7 +53,10 @@ class ProfileConfig:
     ``arch`` takes an :data:`ARCHES` name or a ``GPUArchitecture``, and
     ``modes`` any sequence. One setting has one spelling: the default
     heat-map binning is ``heatmap_cell_rows=None`` (read
-    :attr:`cell_rows`) and a ``None`` backend is the interpreter.
+    :attr:`cell_rows`), and a ``None`` backend and the retired
+    ``"batched"`` spelling are both the interpreter, the one execution
+    engine: old callers and job specs keep working and get the
+    interpreter's cache key.
     """
 
     arch: GPUArchitecture = _setting(KEPLER_K40C)
@@ -65,7 +68,6 @@ class ProfileConfig:
     heatmap_cell_rows: Optional[int] = _setting(None, least=1)
     time_buckets: int = _setting(64, least=1)
     columnar: bool = _setting(False)
-    # batched exports carry a jit_cache section: the bytes differ
     backend: str = _setting("interpreter", choices=BACKENDS)
     failure_policy: Optional[str] = _setting(
         None, result=False, choices=FAILURE_POLICIES
@@ -89,7 +91,7 @@ class ProfileConfig:
             _one_of("modes", mode, ANALYSIS_MODES, "analysis mode")
         if self.heatmap_cell_rows == DEFAULT_CELL_ROWS:
             normalize("heatmap_cell_rows", None)
-        if self.backend is None:
+        if self.backend in (None, "batched"):
             normalize("backend", "interpreter")
         for f in fields(self):
             name, value, rule = f.name, getattr(self, f.name), f.metadata

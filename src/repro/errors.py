@@ -61,8 +61,7 @@ class LaunchDegradedError(LaunchError):
 
     Raised (instead of warning) when ``device.failure_policy ==
     "strict"`` and a launch would have to drop a rung of the
-    degradation ladder (batched -> serial interpreter). Carries the same machine-readable
-    ``reason`` code and ``context`` dict as
+    degradation ladder. Carries the same machine-readable ``reason`` code and ``context`` dict as
     :class:`LaunchDegradedWarning`.
     """
 
@@ -83,11 +82,11 @@ class ProfilerError(ReproError):
 class LaunchDegradedWarning(RuntimeWarning):
     """A launch lost a requested fast path and fell back to a slower one.
 
-    Emitted (never raised) when a configuration the user asked for --
-    ``device.backend = "batched"`` -- cannot be honoured for this launch
-    and execution silently degrading would hide the perf cliff: pc
-    sampling forcing the serial interpreter. Results are unaffected;
-    only speed is.
+    Emitted (never raised) when a configuration the user asked for
+    cannot be honoured for this launch and execution silently degrading
+    would hide the perf cliff. Results are unaffected; only speed is.
+    The service tier warns with its own reason codes (pool loss,
+    retries); device launches currently have nothing to degrade to.
 
     Structured: ``reason`` is a stable machine-readable code (see
     :mod:`repro.reliability.supervisor`) and ``context`` a dict of

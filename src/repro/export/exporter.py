@@ -9,13 +9,11 @@ tool's stable outward interface: downstream agents, dashboards and
 autotuners consume it instead of scraping rendered text.
 
 Determinism contract: the default document depends only on the program,
-architecture, instrumentation knobs and execution backend -- *not* on
-how the trace was analyzed. Profiling the same app with fused in-flight
+architecture and instrumentation knobs -- *not* on how the trace was
+analyzed. Profiling the same app with fused in-flight
 analysis or with the raw records kept (``fused_drain=False``) yields
 byte-identical :func:`export_json` output
-(pinned by ``tests/test_goldens.py``). The batched backend adds a
-``jit_cache`` section (its trace-cache counters), so its document
-differs from the interpreter's by that section. Run-variant
+(pinned by ``tests/test_goldens.py``). Run-variant
 observations (wall-clock, in-flight analysis statistics, degradation
 events) live in the opt-in ``runtime`` section, which
 ``include_runtime=True`` adds at the cost of that identity.
@@ -285,8 +283,6 @@ def profile_export(report: AdvisorReport, *, time_buckets: int = 64,
     }
     if report.heatmap is not None:
         doc["heatmap"] = _heatmap_section(report, time_buckets, columnar)
-    if report.jit_cache is not None:
-        doc["jit_cache"] = dict(report.jit_cache)
     if include_runtime:
         doc["runtime"] = _runtime_section(report)
     return doc

@@ -134,15 +134,9 @@ def coalesce(
     i8 data of any width).
     """
     return np.array(
-        coalesce_lines(addrs, mask, access_bytes, line_size), dtype=np.int64
+        sorted(_line_set(addrs[mask].tolist(), access_bytes, line_size)),
+        dtype=np.int64,
     )
-
-
-def coalesce_lines(
-    addrs: np.ndarray, mask: np.ndarray, access_bytes: int, line_size: int
-) -> List[int]:
-    """Same unique lines as :func:`coalesce`, as a sorted plain list."""
-    return sorted(_line_set(addrs[mask].tolist(), access_bytes, line_size))
 
 
 def divergence_degree(

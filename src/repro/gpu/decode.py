@@ -31,13 +31,9 @@ interpreter's semantics exactly --
 equivalence is pinned by tests/test_fastpath_equivalence.py and the
 committed benchmark outputs.
 
-The micro-op array is the contract between execution backends (see
-docs/architecture.md): the per-warp interpreter calls ``op.run``
-directly, while the batched backend (:mod:`repro.gpu.backend_batched`)
-dispatches on the *identity* of ``op.run`` to a vectorized equivalent
-and falls back to the interpreter for any handler it has no entry for.
-Adding a handler here therefore never breaks the batched backend -- at
-worst the new micro-op de-batches the CTA that executes it.
+The per-warp interpreter, the one execution engine, calls ``op.run``
+directly (see docs/architecture.md). Every image decodes its own module
+once, at load.
 """
 
 from __future__ import annotations
@@ -226,10 +222,9 @@ def _apply_phi_moves(frame, moves, mask, warp_size: int, full: bool) -> None:
 def _model_global_lines(it, warp, lines, mode: int, is_write: bool) -> None:
     """Send pre-coalesced cache lines through L1 + MSHRs + timing.
 
-    Split out so the batched backend can coalesce a whole batch's
-    address matrix once at record time and replay each warp with its
-    precomputed line list. A threshold-sweep launch records the access
-    on the SM's tape instead (see ``repro.gpu.timing.TimingTape``).
+    Shared by global loads, stores and atomics. A threshold-sweep launch
+    records the access on the SM's tape instead (see
+    ``repro.gpu.timing.TimingTape``).
     """
     ctx = it.ctx
     ctx.transactions += len(lines)

@@ -9,8 +9,8 @@ precomputed for the reconvergence stacks.
 ``Device.launch`` enumerates CTAs over the grid, assigns them
 round-robin to SMs (each SM runs as many co-resident CTAs as its CTA
 limit and shared memory allow, with per-instruction round-robin warp
-scheduling), executes to completion on either backend through one SM
-drive loop, and returns a :class:`LaunchResult` with hardware-level
+scheduling), executes to completion through one SM drive loop, and
+returns a :class:`LaunchResult` with hardware-level
 statistics (cycles, cache stats, divergence counts).
 """
 
@@ -24,16 +24,14 @@ import numpy as np
 
 from repro.errors import ExecutionError, LaunchError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40C
-from repro.gpu.backend_batched import form_machines
 from repro.gpu.cache import CacheStats, MSHRFile, SetAssociativeCache
-from repro.gpu.decode import BarrierReached
+from repro.gpu.decode import BarrierReached, decode_module
 from repro.gpu.interpreter import WarpInterpreter
-from repro.gpu.jit_cache import JitTraceCache
 from repro.gpu.memory import Allocation, GlobalMemory, LocalMemory, SharedMemory
 from repro.gpu.simt import Warp, WarpStatus
 from repro.gpu.timing import SMTimingModel, TimingParams, TimingTape
 from repro.ir.cfg import immediate_post_dominators
-from repro.reliability.supervisor import PC_SAMPLING_BATCHED, LaunchSupervisor
+from repro.reliability.supervisor import LaunchSupervisor
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import AddressSpace, FloatType, IntType, PointerType
 from repro.ir.values import GlobalString, GlobalVariable
@@ -42,7 +40,7 @@ from repro.ir.values import GlobalString, GlobalVariable
 CONSTANT_BASE = 0x100
 
 #: execution backends a device can run launches on (``Device.backend``).
-BACKENDS = ("interpreter", "batched")
+BACKENDS = ("interpreter",)
 
 _DONE = WarpStatus.DONE
 
@@ -135,10 +133,8 @@ class DeviceModuleImage:
                 self.functions_by_id.append(fn)
 
         # Pre-decode every function body into micro-op arrays (the fast
-        # path the interpreter executes; see repro.gpu.decode). The
-        # device's JIT trace cache shares streams between images whose
-        # module text is identical.
-        self.decoded = device.jit_cache.decode(self)
+        # path the interpreter executes; see repro.gpu.decode).
+        self.decoded = decode_module(self)
 
     # -- queries used by the interpreter ------------------------------------
     def ipostdom(self, fn: Function, block: BasicBlock) -> Optional[BasicBlock]:
@@ -224,8 +220,6 @@ class _CTAContext:
         self.transactions = 0
         self.warps: List[Warp] = []
         self.interp = WarpInterpreter(self)
-        #: the batched machine this CTA runs on (batched launches only)
-        self.batched = None
 
 
 class _SM:
@@ -257,19 +251,16 @@ class _SM:
         self.mshr = MSHRFile(arch.mshr_entries)
         self.timing = SMTimingModel(arch, self.params)
 
-    def stage(self, max_resident: int) -> List[_CTAContext]:
-        """Move pending CTAs into free resident slots and return them;
-        the timing model learns the new resident-warp count."""
-        staged = []
+    def stage(self, max_resident: int) -> None:
+        """Move pending CTAs into free resident slots; the timing model
+        learns the new resident-warp count."""
         while self.pending and len(self.active) < max_resident:
             ctx = self.pending.pop(0)
             self.resident.append(ctx)
             self.active.append(ctx)
-            staged.append(ctx)
         self.timing.set_resident_warps(
             sum(1 for c in self.active for w in c.warps if not w.done)
         )
-        return staged
 
     def replay_tape(self) -> None:
         """Charge the recorded events once per threshold, in order.
@@ -353,17 +344,9 @@ class Device:
         #: warp steps one launch may take, over all its SMs, before it
         #: fails as a runaway kernel
         self.max_steps = 200_000_000
-        #: "interpreter" steps each warp on its own; "batched" executes
-        #: a CTA's lock-step warps as one numpy op per instruction and
-        #: falls back to the interpreter per CTA on divergence or
-        #: unsupported micro-ops (see docs/architecture.md). Both
-        #: backends produce byte-identical traces and statistics.
+        #: the execution backend; "interpreter" (each warp stepped on
+        #: its own) is the only one, and a launch rejects any other name
         self.backend = "interpreter"
-        self._launch_spec = None  # JIT spec resolved per batched launch
-        #: per-kernel count of batched machines that fell back to the
-        #: interpreter (``backend_batched.FALLBACK_LIMIT``)
-        self._batch_fallbacks: Dict[str, int] = {}
-        self._jit_cache = None
         #: how launches react when they cannot run as requested:
         #: "strict" raises LaunchDegradedError, "degrade" (default)
         #: falls back with one warning per (reason, kernel), and
@@ -379,13 +362,6 @@ class Device:
         if self._supervisor is None:
             self._supervisor = LaunchSupervisor(self)
         return self._supervisor
-
-    @property
-    def jit_cache(self) -> JitTraceCache:
-        """The per-kernel JIT trace cache (lazy; batched backend)."""
-        if self._jit_cache is None:
-            self._jit_cache = JitTraceCache(self.arch.name)
-        return self._jit_cache
 
     # -- memory API (used by the host runtime) ---------------------------------
     def malloc(self, nbytes: int, tag: str = "") -> DevicePointer:
@@ -454,23 +430,9 @@ class Device:
                 + " or ".join(map(repr, BACKENDS))
             )
         self.supervisor.policy  # an unknown failure policy fails here
-        backend = self.backend
-        if backend == "batched" and pc_sampler is not None:
-            self.supervisor.degrade(
-                PC_SAMPLING_BATCHED,
-                kernel_name,
-                "pc sampling needs per-instruction stepping: this launch "
-                "falls back from the batched backend to the interpreter",
-                backend=backend,
-            )
-            backend = "interpreter"
         if pc_sampler is not None and hooks is not None:
             # Sample attribution reads the raw trace records.
             hooks.keep_records()
-        batched = backend == "batched"
-        self._launch_spec = (
-            self.jit_cache.specialize(image, kernel_name) if batched else None
-        )
         kernel = image.kernel(kernel_name)
         grid3 = _as_dim3(grid)
         block3 = _as_dim3(block)
@@ -505,12 +467,9 @@ class Device:
         if image.shared_bytes_per_cta > 0:
             by_shared = self.arch.shared_mem_per_sm // image.shared_bytes_per_cta
             max_resident = max(1, min(max_resident, by_shared))
-        staged = [ctx for sm in sms for ctx in sm.stage(max_resident)]
-        if batched:
-            form_machines(self, staged, self.max_steps)
         total_steps = 0
         for sm in sms:
-            total_steps = self._run_sm(sm, max_resident, batched, total_steps)
+            total_steps = self._run_sm(sm, max_resident, total_steps)
             if sm.tape is not None:
                 sm.replay_tape()
         result = self._collect_result(
@@ -663,8 +622,7 @@ class Device:
         Each step executes the warp's next micro-op, or pops an empty
         reconvergence entry or a finished frame (an admin step). Returns
         the updated launch step count; callers detect progress by comparing
-        it with the value they passed in. Shared by the SM drive loop
-        below and the batched backend's de-batch fallback.
+        it with the value they passed in.
         """
         timing = interp.timing
         sampler = interp.pc_sampler
@@ -712,55 +670,32 @@ class Device:
             warp.status = WarpStatus.AT_BARRIER
         return steps
 
-    def _run_sm(self, sm: _SM, max_resident: int, batched: bool,
-                steps: int) -> int:
+    def _run_sm(self, sm: _SM, max_resident: int, steps: int) -> int:
         """Run one SM's CTAs to completion.
 
         ``steps`` is the launch's step count so far and the return value
         the count after this SM: ``max_steps`` bounds the whole launch,
         not each SM.
 
-        Each round visits the unfinished CTAs in residency order. A CTA
-        on a batched machine runs one machine round (a gang once, at its
-        first member's slot, replaying only this SM's rows); every other
-        CTA gives each ready warp one scheduler visit.
+        Each round visits the unfinished CTAs in residency order and
+        gives each ready warp one scheduler visit.
         """
         budget = self.max_steps
         quantum = self.scheduler_quantum if self.scheduler == "gto" else 1
         rotate_on_mem = self.scheduler == "gto"
+        sm.stage(max_resident)
         while sm.active:
             progressed = False
-            ran = set()    # machines already run this round
-            retired = []   # machines that drained after a fallback
-            round_ctxs = list(sm.active)
-            for ctx in round_ctxs:
-                machine = ctx.batched
-                if machine is None:
-                    for warp in ctx.warps:
-                        if warp.status != WarpStatus.READY:
-                            continue
-                        before = steps
-                        steps = self._visit_warp(
-                            ctx.interp, warp, quantum, rotate_on_mem, steps,
-                            budget,
-                        )
-                        progressed = progressed or steps != before
-                elif machine not in ran:
-                    ran.add(machine)
-                    rows = None
-                    if machine.gang:
-                        rows = [c.gang_row for c in round_ctxs
-                                if c.batched is machine]
-                    steps, progress, debatched = machine.run_round(
-                        quantum, rotate_on_mem, steps, budget, rows
+            for ctx in list(sm.active):
+                for warp in ctx.warps:
+                    if warp.status != WarpStatus.READY:
+                        continue
+                    before = steps
+                    steps = self._visit_warp(
+                        ctx.interp, warp, quantum, rotate_on_mem, steps,
+                        budget,
                     )
-                    progressed = progressed or progress
-                    if debatched:
-                        retired.append(machine)
-                        name = machine.entry_function.name
-                        self._batch_fallbacks[name] = (
-                            self._batch_fallbacks.get(name, 0) + 1
-                        )
+                    progressed = progressed or steps != before
                 # Barrier release: all live warps waiting.
                 live = [w for w in ctx.warps if not w.done]
                 if live and all(w.status == WarpStatus.AT_BARRIER for w in live):
@@ -769,14 +704,7 @@ class Device:
                     progressed = True
                 if not live:
                     sm.active.remove(ctx)
-                    staged = sm.stage(max_resident)
-                    if batched:
-                        form_machines(self, staged, budget - steps)
-            for machine in retired:
-                # Detach only after the round: members later in the list
-                # already had their quantum replayed by the machine.
-                for c in machine.ctxs:
-                    c.batched = None
+                    sm.stage(max_resident)
             if not progressed:
                 raise ExecutionError(
                     "SM deadlock: warps waiting at a barrier that can never "

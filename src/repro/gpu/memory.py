@@ -56,8 +56,8 @@ class _Arena:
     def gather(self, addrs: np.ndarray, mask: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Load one element of ``dtype`` per active lane; inactive lanes get 0.
 
-        For lane vectors that were not classified (the batched backend's
-        whole-CTA vectors, one atomic lane), numpy takes the fault range.
+        For a lane vector that was not classified (an atomic's one
+        lane), numpy takes the fault range.
         """
         nactive = np.count_nonzero(mask)
         if not nactive:

@@ -91,47 +91,6 @@ class Frame:
         self.returned_mask = np.zeros_like(mask)
         self.ret_values: Optional[np.ndarray] = None
 
-    @classmethod
-    def resume(cls, decoded, block, index: int, regs, sp: int, base_sp: int,
-               ret_slot, mask: np.ndarray) -> "Frame":
-        """Rebuild a frame mid-execution at ``block``/``index``.
-
-        Used by the batched backend's de-batch fallback: batched frames
-        only exist under uniform control flow, so the rebuilt frame has a
-        single stack entry carrying the full mask and no returned lanes.
-        """
-        frame = cls(decoded, mask, sp, ret_slot)
-        frame.regs = regs
-        frame.base_sp = base_sp
-        entry = frame.stack[0]
-        entry.block = block
-        entry.index = index
-        return frame
-
-    @classmethod
-    def resume_multi(cls, decoded, entries, regs, sp: int, base_sp: int,
-                     ret_slot, returned_mask: np.ndarray,
-                     ret_values: Optional[np.ndarray]) -> "Frame":
-        """Rebuild a frame mid-execution with an explicit stack.
-
-        Used by the masked batched backend's fallback, which must
-        reconstruct arbitrary divergent state: ``entries`` is the
-        bottom-to-top list of ``(block, index, reconv, mask)`` tuples
-        (masks may be empty -- the interpreter pops those as admin
-        steps, exactly as it would have serially), and the returned
-        lanes / pending return values are restored verbatim.
-        """
-        frame = cls(decoded, returned_mask, sp, ret_slot)
-        frame.regs = regs
-        frame.base_sp = base_sp
-        frame.returned_mask = returned_mask
-        frame.ret_values = ret_values
-        frame.stack = [
-            StackEntry(block, index, reconv, mask)
-            for block, index, reconv, mask in entries
-        ]
-        return frame
-
 
 class Warp:
     """A 32-lane warp plus its execution state."""

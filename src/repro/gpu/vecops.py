@@ -1,11 +1,10 @@
 """Vector semantics too long for decode's one-line op tables.
 
 The binary ops that need more than one numpy operator, the math
-intrinsics and the shared-memory bank-conflict model, on 32-lane (or,
-batched, ``(num_warps, 32)``) numpy vectors. The interpreter derives a
-uniformly strided access's bank degree in closed form
-(:meth:`repro.gpu.coalescing.WarpAccess.bank_degree`) and walks the
-lanes here for any other. The decode layer
+intrinsics and the shared-memory bank-conflict model, on 32-lane numpy
+vectors. The interpreter derives a uniformly strided access's bank
+degree in closed form (:meth:`repro.gpu.coalescing.WarpAccess.
+bank_degree`) and walks the lanes here for any other. The decode layer
 (:mod:`repro.gpu.decode`) binds them into micro-op handlers at module
 load time; its ``_BINOP_FUNCS``, ``_CMP_FUNCS`` and ``_ATOMIC_FUNCS``
 tables define every other op.
@@ -92,34 +91,6 @@ def _apply_math(name: str, args: List[np.ndarray], mask) -> np.ndarray:
         if name == "nv.fmax.f32":
             return np.maximum(a, args[1])
     raise ExecutionError(f"unknown math intrinsic {name}")
-
-
-def _bank_conflict_degrees(addrs: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Per-warp bank-conflict degrees for batched shared accesses.
-
-    ``addrs``/``masks`` are ``(num_warps, warp_size)``; returns one
-    :func:`_bank_conflict_degree` per row, so the batched backend charges
-    the same shared-access cycles the serial interpreter would.
-
-    Vectorized: one combined ``unique`` over ``(row, word)`` pairs
-    dedupes same-word broadcasts, one ``bincount`` over ``(row, bank)``
-    counts the serialized distinct words per bank, and the per-row max
-    is the degree -- identical to the per-row scalar computation.
-    """
-    W = addrs.shape[0]
-    if not masks.any():
-        return np.ones(W, dtype=np.int64)
-    rows, lanes = np.nonzero(masks)
-    words = addrs[rows, lanes] // 4
-    low = int(words.min())
-    span = int(words.max()) - low + 1
-    pairs = np.unique(rows * span + (words - low))
-    urows = pairs // span
-    ubanks = (pairs % span + low) % 32
-    counts = np.bincount(
-        urows * 32 + ubanks, minlength=W * 32
-    ).reshape(W, 32)
-    return np.maximum(counts.max(axis=1), 1)
 
 
 def _bank_conflict_degree(addrs: np.ndarray, mask: np.ndarray) -> int:

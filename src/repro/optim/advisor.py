@@ -16,7 +16,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.config import ProfileConfig
 from repro.errors import AnalysisError
@@ -95,9 +95,6 @@ class AdvisorReport:
     arithmetic: Optional[ArithmeticProfile] = None
     bypass_prediction: Optional[BypassPrediction] = None
     overhead: Optional[OverheadReport] = None
-    #: JIT trace-cache counters from the instrumented run's device
-    #: (batched backend only; see repro.gpu.jit_cache).
-    jit_cache: Optional[Dict[str, int]] = None
     #: granule-resolution heat map over all launches (launch-concatenated
     #: timeline); resolve to allocations via :meth:`resolved_heatmap`.
     heatmap: Optional[HeatmapTable] = None
@@ -182,8 +179,6 @@ class AdvisorReport:
                 "cycle_overhead": self.overhead.cycle_overhead,
                 "instruction_overhead": self.overhead.instruction_overhead,
             }
-        if self.jit_cache is not None:
-            out["jit_cache"] = dict(self.jit_cache)
         if self.heatmap is not None:
             out["heatmap"] = {
                 "granule_bytes": self.heatmap.granule_bytes,
@@ -347,6 +342,7 @@ class CUDAAdvisor:
     keywords (``CUDAAdvisor(arch=PASCAL_P100, modes=("memory",))``),
     which override a given ``config``'s. An invalid setting raises
     :class:`~repro.config.ConfigError` here, before anything runs.
+    Every run executes on the interpreter, the one execution engine.
     """
 
     def __init__(self, config: Optional[ProfileConfig] = None, **settings):
@@ -362,6 +358,10 @@ class CUDAAdvisor:
 
     @property
     def backend(self) -> str:
+        """The execution backend, kept for callers that read it or pass
+        it on to a device: always ``"interpreter"`` (``ProfileConfig``
+        maps ``None`` and the retired spelling of the removed backend
+        to it)."""
         return self.config.backend
 
     def _compile(self, program: GPUProgram, instrument: bool,
@@ -475,8 +475,6 @@ class CUDAAdvisor:
             baseline_results=baseline_results,
             instrumented_results=instrumented_results,
         )
-        if rt.device.backend == "batched":
-            report.jit_cache = rt.device.jit_cache.stats.snapshot()
         self._analyze(report, program)
         return report
 

@@ -99,8 +99,7 @@ class HookRuntime:
         #: overhead-reduction direction); call-path and block events are
         #: never sampled (the shadow stacks must stay exact). Sampling
         #: and the keep-first capacity are applied by the sink to each
-        #: flushed window of the merged trace, so sampled launches still
-        #: use the batched fast path.
+        #: flushed window of the merged trace.
         self.sample_rate = sample_rate
 
         # The fault injector's buffer_overflow point forces a tiny

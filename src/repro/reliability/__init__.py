@@ -3,9 +3,9 @@
 The reliability layer turns scattered one-off fallbacks into an
 explicit, policy-driven system (see ``docs/reliability.md``):
 
-* :mod:`repro.reliability.supervisor` -- the degradation ladder
-  (batched -> serial interpreter), failure policies, machine-readable
-  reason codes, per-device warning deduplication.
+* :mod:`repro.reliability.supervisor` -- the degradation ladder (no
+  launch rung at present), failure policies, machine-readable reason
+  codes, per-device warning deduplication.
 * :mod:`repro.reliability.faultinject` -- the seedable fault-injection
   framework driving the chaos test suite.
 """

@@ -1,13 +1,12 @@
 """The launch supervisor: policy-driven degradation ladder.
 
-Every ``Device.launch`` resolves its execution plan through the
-device's :class:`LaunchSupervisor`.  The **degradation ladder** orders
-the execution modes from fastest to most conservative::
-
-    batched backend  ->  serial interpreter
-
-Any transition *down* the ladder goes through
-:meth:`LaunchSupervisor.degrade`, which applies the device's
+Every ``Device.launch`` checks the device's ``failure_policy`` through
+its :class:`LaunchSupervisor`. A **degradation ladder** orders
+execution modes from fastest to most conservative; a launch that has to
+drop a rung reports it through :meth:`LaunchSupervisor.degrade`. The
+launch scope currently has one execution mode, the interpreter, and so
+no rung and no reason code; the policy is still validated on every
+launch. :meth:`~LaunchSupervisor.degrade` applies the device's
 ``failure_policy``:
 
 ``"strict"``
@@ -38,9 +37,8 @@ from repro.errors import LaunchDegradedError, LaunchDegradedWarning, LaunchError
 FAILURE_POLICIES = ("strict", "degrade", "best_effort")
 
 # -- machine-readable reason codes (stable API for tooling) -----------------
-#: pc sampling needs per-instruction stepping; batched backend dropped.
-PC_SAMPLING_BATCHED = "pc-sampling-batched"
-REASON_CODES = (PC_SAMPLING_BATCHED,)
+#: every launch runs on the interpreter, so no launch can degrade yet
+REASON_CODES: Tuple[str, ...] = ()
 
 
 @dataclass

@@ -7,8 +7,8 @@ config's result-affecting fields (plus the module IR hash and the
 export schema version) form the cache key; its execution hints (the
 failure policy) change how a job runs, never what it returns, so they
 ride inside the spec but stay out of the key. The execution
-``backend`` is result-affecting: batched runs add a ``jit_cache``
-section to the document, so the two backends' bytes differ.
+``backend`` still enters the key, but it has one value: every job runs
+on the interpreter, so every spelling of it shares one key.
 
 :class:`JobHandle` is the client's view of a submitted job: ``poll()``
 for the current state, ``wait()``/``result()`` to block, ``events`` for

@@ -209,8 +209,8 @@ class ProfilingService:
         ``config`` is a :class:`~repro.config.ProfileConfig`, or a dict
         of its fields (all but ``fused_drain``) over
         :data:`~repro.service.jobs.JOB_DEFAULTS`. Its result-affecting
-        settings (``modes``, ``arch``, ``sample_rate``, ``heatmap``,
-        ``backend``...) feed the cache key; its execution hints
+        settings (``modes``, ``arch``, ``sample_rate``, ``heatmap``...)
+        feed the cache key; its execution hints
         (``failure_policy``) do not. An unknown key or an invalid
         setting raises :class:`ServiceError` here, before the job gets
         an id. A cache hit resolves the handle before ``submit``

@@ -39,12 +39,12 @@ PINNED = [
      "fd810d7a39b89cbbe5e89254ffabef1ec2ff8ab334f76314daad23280c4f467e"),
     ("columnar", {"columnar": True}, SYRK_KW,
      "d2db66191297b0132588244104da17e4420b4336548b5c90b709e3ccf6ebb22c"),
-    ("backend", {"backend": "batched"}, SYRK_KW,
-     "a3a2c3a3f8445d6cdae7405c312318e0d7aabb9c03a46ad2a071d777e5d2ac0f"),
-    # one spelling per setting: these share the keys above
+    # one spelling per setting: these share the keys above (the
+    # retired "batched" backend runs on the interpreter)
     ("default_cell_rows_spelled_out",
      {"heatmap": True, "heatmap_cell_rows": DEFAULT_CELL_ROWS}, SYRK_KW,
      HEATMAP),
+    ("backend", {"backend": "batched"}, SYRK_KW, DEFAULT),
     ("backend_none", {"backend": None}, SYRK_KW, DEFAULT),
     ("backend_interpreter", {"backend": "interpreter"}, SYRK_KW, DEFAULT),
     # an execution hint never feeds the key

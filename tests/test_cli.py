@@ -39,11 +39,6 @@ class TestProfile:
         assert err.startswith("error: unknown app 'doom'")
         assert "Traceback" not in err
 
-    def test_unknown_backend_rejected(self, capsys):
-        assert main(["profile", "nn", "--backend", "warp-drive"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown backend 'warp-drive'")
-
     def test_unknown_mode_rejected(self, capsys):
         assert main(["profile", "nn", "--modes", "memory,quantum"]) == 2
         assert "unknown analysis mode 'quantum'" in capsys.readouterr().err

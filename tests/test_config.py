@@ -23,6 +23,7 @@ class TestNormalization:
         assert ProfileConfig(modes=["memory"]).modes == ("memory",)
         assert ProfileConfig(backend=None) == ProfileConfig()
         assert ProfileConfig(backend=None).backend == "interpreter"
+        assert ProfileConfig(backend="batched") == ProfileConfig()
         spelled = ProfileConfig(heatmap_cell_rows=DEFAULT_CELL_ROWS)
         assert spelled == ProfileConfig()
         assert spelled.heatmap_cell_rows is None

@@ -212,23 +212,11 @@ class TestCLI:
         assert "d_locations" in out
 
     def test_verbose_renders_empty_sections(self, capsys):
-        # Both sections always appear: the jit cache one as an explicit
-        # placeholder on the interpreter, and the in-flight analysis
-        # one populated (the CLI always analyzes fused).
+        # The in-flight analysis section always appears, populated (the
+        # CLI always analyzes fused).
         assert main(["profile", "nn", "--verbose", "--no-overhead"]) == 0
         out = capsys.readouterr().out
-        assert "### jit trace cache" in out
-        assert "only runs under --backend batched" in out
         assert "### in-flight analysis" in out
-        assert "peak rows" in out
-
-    def test_verbose_renders_populated_sections(self, capsys):
-        assert main([
-            "profile", "nn", "--verbose", "--no-overhead",
-            "--backend", "batched",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate" in out
         assert "peak rows" in out
 
     def test_usage_errors(self, capsys):

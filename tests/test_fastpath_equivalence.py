@@ -1,5 +1,5 @@
-"""Fast-path equivalence: the columnar trace buffers and the
-batched-warp backend must be invisible to every consumer.
+"""Fast-path equivalence: the columnar trace buffers, stride sampling
+and the overlapped baseline must be invisible to every consumer.
 
 Three properties are pinned here:
 
@@ -7,13 +7,9 @@ Three properties are pinned here:
   drained column views must give numerically identical results to the
   per-record reference analyses (``tests/analysis_oracle.py``) over the
   same trace materialized as classic records.
-* **Batched vs. interpreter backend** -- with ``device.backend =
-  "batched"``, drained traces, call-path registries, and hardware
-  statistics must be byte-identical to an interpreter run.
 * **Stride sampling** -- a ``sample_rate=k`` trace must be exactly
   every k-th record of the full memory+arith stream (same seqs, same
-  bytes), whichever backend produced it and however often the trace
-  buffers flush mid-launch.
+  bytes), however often the trace buffers flush mid-launch.
 * **Overlapped baseline** -- a ``CUDAAdvisor`` profile whose overhead
   baseline runs in a forked child, in parallel with the instrumented
   launches, must give the same traces and launch statistics as one
@@ -153,8 +149,7 @@ def _assert_launch_match(la, lb):
     assert la.cache == lb.cache
 
 
-def _advisor_report(app_name, app_kwargs, monkeypatch, overlap,
-                    backend=None):
+def _advisor_report(app_name, app_kwargs, monkeypatch, overlap):
     """A kept-records advisor profile with its overhead baseline run in
     a forked child beside the instrumented launches (``overlap``) or
     first, in this process. An overlapped run must really use the
@@ -170,8 +165,7 @@ def _advisor_report(app_name, app_kwargs, monkeypatch, overlap,
     monkeypatch.setattr(advisor_mod._BaselineChild, "collect", spy)
     monkeypatch.setattr(advisor_mod, "_overlap_available", lambda: overlap)
     advisor = CUDAAdvisor(
-        modes=("memory", "blocks", "arith"), backend=backend,
-        fused_drain=False,
+        modes=("memory", "blocks", "arith"), fused_drain=False,
     )
     report = advisor.profile(build_app(app_name, **app_kwargs))
     assert delivered == [True] * overlap
@@ -202,34 +196,15 @@ def test_parallel_launch_matches_serial(app_name, app_kwargs, monkeypatch):
     _assert_reports_match(serial, parallel)
 
 
-@pytest.mark.parametrize("app_name,app_kwargs", APPS)
-def test_batched_backend_matches_interpreter(app_name, app_kwargs):
-    serial = _profile_session(app_name, app_kwargs).profiles
-    batched = _profile_session(app_name, app_kwargs, backend="batched")
-    _assert_profiles_match(serial, batched.profiles)
-
-
-@pytest.mark.parametrize("app_name,app_kwargs", APPS)
-def test_batched_parallel_matches_serial_interpreter(
-    app_name, app_kwargs, monkeypatch
-):
-    serial = _advisor_report(app_name, app_kwargs, monkeypatch, False)
-    combined = _advisor_report(
-        app_name, app_kwargs, monkeypatch, True, backend="batched"
-    )
-    _assert_reports_match(serial, combined)
-
-
 @pytest.mark.parametrize("rate", [2, 3, 5])
 @pytest.mark.parametrize(
     "backend,flush_rows",
-    [("interpreter", None), ("batched", None), ("interpreter", 4),
-     ("batched", 4)],
+    [("interpreter", None), ("interpreter", 4)],
 )
 def test_stride_sampling_is_exact_subset(rate, backend, flush_rows):
     """sample_rate=k keeps exactly every k-th event of the merged
     memory+arith stream of a full trace -- same seqs, same rows --
-    regardless of backend, also when the buffers flush every few rows
+    also when the buffers flush every few rows
     (the stride continues across flush windows), and block records are
     never sampled."""
     app_name, app_kwargs = APPS[0]

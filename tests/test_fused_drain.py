@@ -15,8 +15,8 @@ capacity:
   across stride-sampling phases and keep-first capacity over flush
   boundaries.
 * **App-level tests** run instrumented programs twice (fused vs
-  kept records) on both backends and assert identical accounting, with the fused bank matching the
-  oracle over the kept trace.
+  kept records) and assert identical accounting, with the fused bank
+  matching the oracle over the kept trace.
 * **Launches that need raw records** (pc sampling) keep them as well
   as feeding the bank, without a degradation event.
 """
@@ -278,7 +278,7 @@ class TestFusedSinkProperty:
 # -- app-level equivalence ------------------------------------------------------
 
 
-def _session(app, fused=False, backend=None, sample_rate=1,
+def _session(app, fused=False, sample_rate=1,
              capacity=None, flush_rows=65536, configure=None):
     app_name, app_kwargs = app
     program = build_app(app_name, **app_kwargs)
@@ -292,8 +292,6 @@ def _session(app, fused=False, backend=None, sample_rate=1,
         fused=full_plan(LINE_SIZE) if fused else None,
     )
     device = Device(KEPLER_K40C)
-    if backend is not None:
-        device.backend = backend
     if configure is not None:
         configure(device)
     runtime = CudaRuntime(device, profiler=session)
@@ -310,12 +308,6 @@ class TestFusedApps:
         # no trace written anywhere, same results as the kept records.
         in_ram, _ = _session(app)
         fused, _ = _session(app, fused=True, flush_rows=32)
-        _assert_sessions_match(in_ram, fused)
-
-    @pytest.mark.parametrize("app", APPS, ids=lambda a: a[0])
-    def test_batched_backend(self, app):
-        in_ram, _ = _session(app, backend="batched")
-        fused, _ = _session(app, fused=True, backend="batched")
         _assert_sessions_match(in_ram, fused)
 
     def test_sampled_and_capped_serial(self):

@@ -5,11 +5,9 @@
 generated by ``tools/regen_goldens.py`` at the inputs and advisor knobs
 recorded in ``manifest.json``. Each case is re-profiled with the
 advisor's default, with fused in-flight analysis spelled out (as
-explicit callers pass it), with the raw records kept and analyzed
-after the run (``fused_drain=False``) and on the batched execution
-backend, and must match the file byte for byte. A batched run's export
-adds one top-level key, ``jit_cache`` (its trace-cache counters), which
-is dropped before the comparison.
+explicit callers pass it), and with the raw records kept and analyzed
+after the run (``fused_drain=False``), and must match the file byte for
+byte.
 """
 
 import json
@@ -33,7 +31,6 @@ PATHS = {
     "default": {},
     "fused": {"fused_drain": True},
     "records": {"fused_drain": False},
-    "batched": {"backend": "batched"},
 }
 
 
@@ -43,8 +40,4 @@ def test_export_matches_golden(app, arch, path):
     advisor = CUDAAdvisor(arch=arch, **MANIFEST["config"], **PATHS[path])
     report = advisor.profile(build_app(app, **MANIFEST["inputs"][app]))
     expected = (GOLDEN_DIR / f"{app}-{arch}.json").read_text(encoding="utf-8")
-    doc = profile_export(report)
-    if path == "batched":
-        assert set(doc) ^ set(json.loads(expected)) == {"jit_cache"}
-        del doc["jit_cache"]
-    assert export_json(doc) == expected
+    assert export_json(profile_export(report)) == expected

@@ -272,7 +272,7 @@ class TestLaunchValidation:
         with pytest.raises(LaunchError, match="too large"):
             kepler_device.launch(img, "saxpy", 1, 2048, [dx, dx, 1.0, 8])
 
-    # One warp; multi-warp CTAs; single-warp CTAs that gang across SMs.
+    # One warp; multi-warp CTAs; more single-warp CTAs than SMs.
     @pytest.mark.parametrize("grid,block", [(1, 32), (2, 64), (40, 32)])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_infinite_loop_detected(self, backend, grid, block):

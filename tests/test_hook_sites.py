@@ -1,10 +1,10 @@
-"""Instrumented call sites: error paths and cross-backend trace identity.
+"""Instrumented call sites: error paths and call-path attribution.
 
 Every hook call an instrumentation pass inserts (``Record``,
 ``passBasicBlock``, ``RecordArith``, ``cupr.push``/``cupr.pop``) reaches
-the launch's hook runtime from both execution backends. These tests pin
-what a broken call site or a missing runtime raises, on both backends,
-and that the two backends produce the same trace columns.
+the launch's hook runtime. These tests pin what a broken call site or a
+missing runtime raises, and that a device call's rows carry its call
+path.
 """
 
 import numpy as np
@@ -113,17 +113,15 @@ def test_non_constant_site_operand_fails_at_load():
     )
 
 
-def _profile(backend):
+def test_device_call_rows_carry_their_call_path():
     """saxpy_clamped (a device call, so cupr.push/pop fire) with every
     instrumentation mode, at a block size that leaves a partial warp."""
     module = compile_kernels([KERNELS["saxpy_clamped"]], "m")
     optimization_pipeline().run(module)
     instrumentation_pipeline(["memory", "blocks", "arith"]).run(module)
     session = ProfilingSession()
-    device = Device(KEPLER_K40C)
-    device.backend = backend
-    runtime = CudaRuntime(device, profiler=session)
-    image = device.load_module(module)
+    runtime = CudaRuntime(Device(KEPLER_K40C), profiler=session)
+    image = runtime.device.load_module(module)
     n = 150
     data = np.linspace(-3.0, 3.0, n, dtype=np.float32)
     d_in = runtime.cuda_malloc(data.nbytes, "in")
@@ -131,33 +129,12 @@ def _profile(backend):
     runtime.cuda_memcpy_htod(d_in, data)
     runtime.launch_kernel(image, "saxpy_clamped", 2, 96,
                           [d_in, d_out, np.float32(2.5), n])
-    return session.last_profile
-
-
-def _columns(records):
-    return {
-        name: getattr(records, name) for name in records.__slots__
-    }
-
-
-def test_trace_columns_identical_across_backends():
-    a, b = _profile("interpreter"), _profile("batched")
-    for stream in ("memory_records", "block_records", "arith_records"):
-        ca, cb = _columns(getattr(a, stream)), _columns(getattr(b, stream))
-        assert ca.keys() == cb.keys()
-        assert len(ca["seq"]), stream
-        for name in ca:
-            if isinstance(ca[name], list):
-                assert ca[name] == cb[name], (stream, name)
-            else:
-                assert ca[name].dtype == cb[name].dtype, (stream, name)
-                assert np.array_equal(ca[name], cb[name]), (stream, name)
+    profile = session.last_profile
     # The device call puts a second path next to the kernel root.
-    assert len(a.call_paths) == len(b.call_paths) >= 2
-    assert [a.call_paths.path(i) for i in range(len(a.call_paths))] == [
-        b.call_paths.path(i) for i in range(len(b.call_paths))
-    ]
+    assert len(profile.call_paths) >= 2
     seen = set()
-    for stream in (a.memory_records, a.block_records, a.arith_records):
+    for stream in (profile.memory_records, profile.block_records,
+                   profile.arith_records):
+        assert len(stream.seq)
         seen.update(stream.call_path_id.tolist())
-    assert seen == set(range(len(a.call_paths)))
+    assert seen == set(range(len(profile.call_paths)))

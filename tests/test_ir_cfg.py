@@ -186,8 +186,8 @@ class TestPostDominators:
 
     def test_one_arm_returns(self):
         """entry -> (ret | cont): only the continuing arm reaches the
-        merge, so the branch reconverges at the virtual exit (None) --
-        the batched backend must de-batch such branches."""
+        merge, so the branch reconverges at the virtual exit (None):
+        its lanes only meet again when the frame returns."""
         m = Module("m", target="nvptx")
         fn = m.add_function("f", VOID, [(I32, "n")], kind="kernel")
         entry = fn.add_block("entry")

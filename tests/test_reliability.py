@@ -1,9 +1,9 @@
 """Chaos suite for the launch-reliability layer.
 
-The rung of the degradation ladder (batched -> serial interpreter) is
-pinned here under the ``strict``, ``degrade`` and ``best_effort``
-failure policies, and the fault-injection framework drives buffer
-overflow through real instrumented launches: a launch flushing many
+The supervisor's ``strict``, ``degrade`` and ``best_effort`` failure
+policies are pinned here (device launches currently have no rung to
+degrade to: a pc-sampled launch runs as requested), and the
+fault-injection framework drives buffer overflow through real instrumented launches: a launch flushing many
 times mid-launch keeps records identical to a clean run. Where fork is
 missing, the advisor's overhead baseline runs in-process instead of in
 a child beside the instrumented run, with the same export.
@@ -38,7 +38,6 @@ from repro.reliability import (
     FaultInjector,
     LaunchSupervisor,
 )
-from repro.reliability import supervisor as sup
 from tests.conftest import KERNELS
 from tests.test_fastpath_equivalence import (
     _assert_profiles_match,
@@ -131,8 +130,7 @@ class TestFaultInjector:
             "buffer_overflow", "service_worker_crash", "service_job_hang",
             "cache_corrupt_entry", "service_pool_loss",
         }
-        assert set(REASON_CODES) == {"pc-sampling-batched"}
-        assert len(REASON_CODES) == len(set(REASON_CODES))
+        assert REASON_CODES == ()
         assert set(FAILURE_POLICIES) == {"strict", "degrade", "best_effort"}
 
 
@@ -146,10 +144,9 @@ class TestSupervisorPolicies:
     def test_strict_raises_with_reason_and_context(self):
         supervisor = self._supervisor("strict")
         with pytest.raises(LaunchDegradedError) as exc:
-            supervisor.degrade("pc-sampling-batched", "k", "the message",
-                               backend="batched")
-        assert exc.value.reason == "pc-sampling-batched"
-        assert exc.value.context == {"backend": "batched", "kernel": "k"}
+            supervisor.degrade("reason-a", "k", "the message", mode="m")
+        assert exc.value.reason == "reason-a"
+        assert exc.value.context == {"mode": "m", "kernel": "k"}
         assert str(exc.value) == "the message"
 
     def test_degrade_warns_once_per_reason_and_kernel(self):
@@ -172,68 +169,53 @@ class TestSupervisorPolicies:
         supervisor = self._supervisor("best_effort")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            supervisor.degrade("pc-sampling-batched", "k", "msg", backend="b")
-        assert len(supervisor.events_for("pc-sampling-batched")) == 1
-        assert supervisor.events[0].context["backend"] == "b"
+            supervisor.degrade("reason-a", "k", "msg", mode="m")
+        assert len(supervisor.events_for("reason-a")) == 1
+        assert supervisor.events[0].context["mode"] == "m"
 
     def test_unknown_policy_rejected(self):
         supervisor = self._supervisor("yolo")
         with pytest.raises(LaunchError, match="unknown failure policy"):
-            supervisor.degrade("pc-sampling-batched", "k", "msg")
+            supervisor.degrade("reason-a", "k", "msg")
 
 
 # -- ladder rungs through real launches ----------------------------------------
 
 
 class TestDegradationLadder:
-    def test_pc_sampling_batched_strict_raises(self):
-        def configure(device):
-            device.backend = "batched"
+    def test_pc_sampled_launch_does_not_degrade(self):
+        """Under the strict policy, where any degradation raises, a
+        pc-sampled launch records no event and writes what an unsampled
+        launch writes."""
+        def launch(pc_sampler):
+            module = compile_kernels([KERNELS["saxpy"]], "m")
+            optimization_pipeline().run(module)
+            device = Device(KEPLER_K40C)
             device.failure_policy = "strict"
+            runtime = CudaRuntime(device)
+            image = device.load_module(module)
+            x = runtime.cuda_malloc(4 * 64, "x")
+            y = runtime.cuda_malloc(4 * 64, "y")
+            runtime.cuda_memcpy_htod(x, np.arange(64, dtype=np.float32))
+            device.launch(image, "saxpy", 2, 32, [x, y, np.float32(2.0), 64],
+                          pc_sampler=pc_sampler)
+            assert not device.supervisor.events
+            return runtime.cuda_memcpy_dtoh(np.zeros(64, np.float32), y)
 
-        with pytest.raises(LaunchDegradedError) as exc:
-            _saxpy_launch(configure, pc_sampler=PCSampler(period=5))
-        assert exc.value.reason == sup.PC_SAMPLING_BATCHED
+        sampler = PCSampler(period=5)
+        sampled = launch(sampler)
+        assert sampler.profile.total_samples  # the sampler really ran
+        assert np.array_equal(sampled, launch(None))
+        assert np.array_equal(sampled, 2.0 * np.arange(64, dtype=np.float32))
 
     def test_pc_sampling_best_effort_is_silent(self):
         def configure(device):
-            device.backend = "batched"
             device.failure_policy = "best_effort"
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", LaunchDegradedWarning)
             device = _saxpy_launch(configure, pc_sampler=PCSampler(period=5))
-        assert device.supervisor.events_for(sup.PC_SAMPLING_BATCHED)
-
-    def test_degrade_warning_carries_reason_code(self):
-        def configure(device):
-            device.backend = "batched"
-
-        with pytest.warns(LaunchDegradedWarning, match="pc sampling") as rec:
-            _saxpy_launch(configure, pc_sampler=PCSampler(period=5))
-        degraded = [w.message for w in rec
-                    if isinstance(w.message, LaunchDegradedWarning)]
-        assert degraded[0].reason == sup.PC_SAMPLING_BATCHED
-        assert degraded[0].context["kernel"] == "saxpy"
-
-    def test_degrade_warns_once_across_repeated_launches(self):
-        module = compile_kernels([KERNELS["saxpy"]], "m")
-        optimization_pipeline().run(module)
-        device = Device(KEPLER_K40C)
-        device.backend = "batched"
-        runtime = CudaRuntime(device)
-        image = device.load_module(module)
-        d = runtime.cuda_malloc(4 * 64, "d")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                device.launch(image, "saxpy", 2, 32,
-                              [d, d, np.float32(1.0), 64],
-                              pc_sampler=PCSampler(period=5))
-        degraded = [w for w in caught
-                    if isinstance(w.message, LaunchDegradedWarning)]
-        assert len(degraded) == 1
-        assert len(device.supervisor.events) == 3
+        assert not device.supervisor.events
 
     def test_unknown_failure_policy_rejected_at_launch(self):
         def configure(device):

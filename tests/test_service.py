@@ -56,7 +56,6 @@ class TestCacheKey:
         ("heatmap", True),
         ("time_buckets", 32),
         ("columnar", True),
-        ("backend", "batched"),
     ])
     def test_every_knob_feeds_the_key(self, field, value):
         base = _spec()
@@ -297,31 +296,22 @@ class TestServiceAPI:
             with pytest.raises(ServiceError, match="warp-drive"):
                 svc.submit("syrk", {"backend": "warp-drive"})
 
-    def test_backends_never_share_a_cache_entry(self, tmp_path):
-        # A batched export carries a jit_cache section, so the backend
-        # is part of the spec: each backend gets its own key, and each
-        # cached payload is exactly what a fresh run of that spec
-        # produces.
+    def test_retired_batched_spelling_is_the_interpreter(self, tmp_path):
+        # "batched" names the removed backend: a job that still spells
+        # it runs on the interpreter, under the interpreter's key, and
+        # gets the interpreter's payload byte for byte.
         with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
-            handles = {
-                backend: svc.submit(
-                    "syrk", {"backend": backend}, app_kwargs=SYRK_KW
-                )
-                for backend in ("interpreter", "batched")
-            }
-            svc.wait(timeout=120)
-        assert handles["interpreter"].key != handles["batched"].key
-        assert handles["interpreter"].result().payload != (
-            handles["batched"].result().payload
-        )
-        for backend, handle in handles.items():
-            fresh = run_job(_spec(backend=backend))
-            assert handle.result().payload == fresh["payload"]
-        # the device default and an explicit "interpreter" are one spec
+            cold = svc.submit("syrk", {"backend": "interpreter"},
+                              app_kwargs=SYRK_KW)
+            cold_payload = cold.result().payload
+        assert run_job(_spec(backend="batched"))["payload"] == cold_payload
+        # the device default and both spellings are one spec
         with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
-            default = svc.submit("syrk", app_kwargs=SYRK_KW)
-            assert default.key == handles["interpreter"].key
-            assert default.result().source == CACHE_HIT
+            for config in ({"backend": "batched"}, {}):
+                warm = svc.submit("syrk", config, app_kwargs=SYRK_KW)
+                assert warm.key == cold.key
+                assert warm.result().source == CACHE_HIT
+                assert warm.result().payload == cold_payload
 
     def test_default_cell_rows_spelled_out_hits_the_cache(self, tmp_path):
         config = {"modes": ("memory",), "heatmap": True}
