@@ -61,8 +61,8 @@ class LaunchDegradedError(LaunchError):
 
     Raised (instead of warning) when ``device.failure_policy ==
     "strict"`` and a launch would have to drop a rung of the
-    degradation ladder. Carries the same machine-readable ``reason`` code and ``context`` dict as
-    :class:`LaunchDegradedWarning`.
+    degradation ladder. Carries the same machine-readable ``reason``
+    code and ``context`` dict as :class:`LaunchDegradedWarning`.
     """
 
     def __init__(self, message: str, reason: str = "", context: dict = None):

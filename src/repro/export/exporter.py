@@ -10,12 +10,11 @@ autotuners consume it instead of scraping rendered text.
 
 Determinism contract: the default document depends only on the program,
 architecture and instrumentation knobs -- *not* on how the trace was
-analyzed. Profiling the same app with fused in-flight
-analysis or with the raw records kept (``fused_drain=False``) yields
-byte-identical :func:`export_json` output
-(pinned by ``tests/test_goldens.py``). Run-variant
-observations (wall-clock, in-flight analysis statistics, degradation
-events) live in the opt-in ``runtime`` section, which
+analyzed. Profiling the same app with fused in-flight analysis or with
+the raw records kept (``fused_drain=False``) yields byte-identical
+:func:`export_json` output (pinned by ``tests/test_goldens.py``).
+Run-variant observations (wall-clock, in-flight analysis statistics,
+degradation events) live in the opt-in ``runtime`` section, which
 ``include_runtime=True`` adds at the cost of that identity.
 
 Versioning: ``schema_version`` is ``"<major>.<minor>"``. Within a major

@@ -3,8 +3,9 @@
 The binary ops that need more than one numpy operator, the math
 intrinsics and the shared-memory bank-conflict model, on 32-lane numpy
 vectors. The interpreter derives a uniformly strided access's bank
-degree in closed form (:meth:`repro.gpu.coalescing.WarpAccess.
-bank_degree`) and walks the lanes here for any other. The decode layer
+degree in closed form
+(:meth:`repro.gpu.coalescing.WarpAccess.bank_degree`) and walks the
+lanes here for any other. The decode layer
 (:mod:`repro.gpu.decode`) binds them into micro-op handlers at module
 load time; its ``_BINOP_FUNCS``, ``_CMP_FUNCS`` and ``_ATOMIC_FUNCS``
 tables define every other op.

@@ -185,6 +185,7 @@ LAUNCHES = {
     "divergent_kernel_plain": ("divergent_kernel", 2, 64, 100, False),
 }
 
+
 def test_no_warning_on_clean_launches():
     with warnings.catch_warnings():
         warnings.simplefilter("error", LaunchDegradedWarning)

@@ -3,8 +3,9 @@
 The supervisor's ``strict``, ``degrade`` and ``best_effort`` failure
 policies are pinned here (device launches currently have no rung to
 degrade to: a pc-sampled launch runs as requested), and the
-fault-injection framework drives buffer overflow through real instrumented launches: a launch flushing many
-times mid-launch keeps records identical to a clean run. Where fork is
+fault-injection framework drives buffer overflow through real
+instrumented launches: a launch flushing many times mid-launch keeps
+records identical to a clean run. Where fork is
 missing, the advisor's overhead baseline runs in-process instead of in
 a child beside the instrumented run, with the same export.
 """
@@ -70,7 +71,8 @@ def _chaos_session(configure=None, app=APP, **session_kwargs):
 
 
 def _saxpy_launch(configure=None, pc_sampler=None):
-    """A bare saxpy launch for ladder-rung tests; returns the device."""
+    """A bare saxpy launch (``y = 2 x`` over 64 lanes) for ladder-rung
+    tests; returns the device and ``y``."""
     module = compile_kernels([KERNELS["saxpy"]], "m")
     optimization_pipeline().run(module)
     device = Device(KEPLER_K40C)
@@ -78,10 +80,12 @@ def _saxpy_launch(configure=None, pc_sampler=None):
         configure(device)
     runtime = CudaRuntime(device)
     image = device.load_module(module)
-    d = runtime.cuda_malloc(4 * 64, "d")
-    device.launch(image, "saxpy", 2, 32, [d, d, np.float32(1.0), 64],
+    x = runtime.cuda_malloc(4 * 64, "x")
+    y = runtime.cuda_malloc(4 * 64, "y")
+    runtime.cuda_memcpy_htod(x, np.arange(64, dtype=np.float32))
+    device.launch(image, "saxpy", 2, 32, [x, y, np.float32(2.0), 64],
                   pc_sampler=pc_sampler)
-    return device
+    return device, runtime.cuda_memcpy_dtoh(np.zeros(64, np.float32), y)
 
 
 # -- fault injector unit behaviour ------------------------------------------------
@@ -187,25 +191,14 @@ class TestDegradationLadder:
         """Under the strict policy, where any degradation raises, a
         pc-sampled launch records no event and writes what an unsampled
         launch writes."""
-        def launch(pc_sampler):
-            module = compile_kernels([KERNELS["saxpy"]], "m")
-            optimization_pipeline().run(module)
-            device = Device(KEPLER_K40C)
+        def strict(device):
             device.failure_policy = "strict"
-            runtime = CudaRuntime(device)
-            image = device.load_module(module)
-            x = runtime.cuda_malloc(4 * 64, "x")
-            y = runtime.cuda_malloc(4 * 64, "y")
-            runtime.cuda_memcpy_htod(x, np.arange(64, dtype=np.float32))
-            device.launch(image, "saxpy", 2, 32, [x, y, np.float32(2.0), 64],
-                          pc_sampler=pc_sampler)
-            assert not device.supervisor.events
-            return runtime.cuda_memcpy_dtoh(np.zeros(64, np.float32), y)
 
         sampler = PCSampler(period=5)
-        sampled = launch(sampler)
+        device, sampled = _saxpy_launch(strict, pc_sampler=sampler)
         assert sampler.profile.total_samples  # the sampler really ran
-        assert np.array_equal(sampled, launch(None))
+        assert not device.supervisor.events
+        assert np.array_equal(sampled, _saxpy_launch(strict)[1])
         assert np.array_equal(sampled, 2.0 * np.arange(64, dtype=np.float32))
 
     def test_pc_sampling_best_effort_is_silent(self):
@@ -214,7 +207,8 @@ class TestDegradationLadder:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", LaunchDegradedWarning)
-            device = _saxpy_launch(configure, pc_sampler=PCSampler(period=5))
+            device, _ = _saxpy_launch(configure,
+                                      pc_sampler=PCSampler(period=5))
         assert not device.supervisor.events
 
     def test_unknown_failure_policy_rejected_at_launch(self):
