@@ -130,6 +130,26 @@ class TestDocument:
         assert "trace_buffers" in with_runtime["runtime"]
         assert "wall" in with_runtime["runtime"]
 
+    def test_run_summary_values_are_pinned(self):
+        # one fused run of two launches whose buffers keep 100 rows
+        # each: the report's summary and the export's runtime section
+        # carry the same drain counters
+        report = CUDAAdvisor(measure_overhead=False, buffer_capacity=100
+                             ).profile(build_app("hotspot", n=32, steps=2))
+        assert len(report.session.profiles) == 2
+        drain = {"segments_streamed": 4, "peak_resident_rows": 616,
+                 "rows_kept": 400}
+        data = report.to_dict()
+        assert data["trace_buffers"] == {"dropped_records": 1096}
+        assert data["streaming_drain"] == dict(drain, rows_dropped=1096)
+        assert "degradations" not in data
+        runtime = profile_export(report, include_runtime=True)["runtime"]
+        assert runtime == {
+            "trace_buffers": {"dropped_records": 1096,
+                              "spilled_records": 0, "corrupt_records": 0},
+            "streaming_drain": drain,
+        }
+
 
 class TestNDJSON:
     """Streamed emission: one record per top-level section (pinned)."""
