@@ -38,10 +38,11 @@ from repro.apps import APP_NAMES, TABLE2, build_app
 from repro.backend import lower_module_to_ptx
 from repro.errors import ReproError
 from repro.frontend.dsl import compile_kernels
-from repro.config import ARCHES, FAILURE_POLICIES, ConfigError, ProfileConfig
+from repro.config import ARCHES, ConfigError, ProfileConfig
 from repro.gpu.arch import kepler_with_l1
 from repro.optim.advisor import CUDAAdvisor
 from repro.passes import optimization_pipeline
+from repro.service.jobs import FAILURE_POLICIES
 
 
 class _UsageError(Exception):
@@ -85,7 +86,6 @@ def _config_from_args(args) -> ProfileConfig:
                     measure_overhead=not args.no_overhead)
     if args.command != "serve":
         settings.update(buffer_capacity=args.buffer_capacity,
-                        failure_policy=args.failure_policy,
                         heatmap_cell_rows=args.heatmap_cell_rows,
                         time_buckets=args.time_buckets)
     if args.command == "profile":
@@ -113,11 +113,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
     """The knobs `profile` and `export` share (one advisor underneath)."""
     profile.add_argument("app")
     _add_config_args(profile)
-    profile.add_argument(
-        "--failure-policy", default=None, choices=FAILURE_POLICIES,
-        help="how launches react when they cannot run as requested "
-        "(default: degrade; see docs/reliability.md)",
-    )
     profile.add_argument(
         "--buffer-capacity", type=int, default=None,
         help="cap per-launch trace records (oldest kept, rest dropped)",
@@ -191,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "--include-runtime", action="store_true",
         help="add the run-variant 'runtime' section (wall clock, drain "
-        "stats, degradations); costs run-to-run byte-identity",
+        "stats); costs run-to-run byte-identity",
     )
     export.add_argument(
         "--ndjson", action="store_true",

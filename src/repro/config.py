@@ -18,7 +18,6 @@ from repro.errors import ReproError
 from repro.gpu.arch import GPUArchitecture, KEPLER_K40C, PASCAL_P100
 from repro.gpu.device import BACKENDS
 from repro.passes.pipeline import ANALYSIS_MODES
-from repro.reliability.supervisor import FAILURE_POLICIES
 
 #: architecture names accepted wherever a setting arrives as text.
 ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
@@ -69,9 +68,6 @@ class ProfileConfig:
     time_buckets: int = _setting(64, least=1)
     columnar: bool = _setting(False)
     backend: str = _setting("interpreter", choices=BACKENDS)
-    failure_policy: Optional[str] = _setting(
-        None, result=False, choices=FAILURE_POLICIES
-    )
     # False keeps raw records and analyzes them after the run instead
     fused_drain: bool = _setting(True, result=False)
 

@@ -56,21 +56,6 @@ class LaunchError(ReproError):
     """A kernel launch was misconfigured (grid/block shape, arguments)."""
 
 
-class LaunchDegradedError(LaunchError):
-    """Strict failure policy: a launch needed to degrade and may not.
-
-    Raised (instead of warning) when ``device.failure_policy ==
-    "strict"`` and a launch would have to drop a rung of the
-    degradation ladder. Carries the same machine-readable ``reason``
-    code and ``context`` dict as :class:`LaunchDegradedWarning`.
-    """
-
-    def __init__(self, message: str, reason: str = "", context: dict = None):
-        super().__init__(message)
-        self.reason = reason
-        self.context = dict(context or {})
-
-
 class MemoryError_(ReproError):
     """Device/host memory-system fault (OOB access, double free...)."""
 
@@ -80,20 +65,19 @@ class ProfilerError(ReproError):
 
 
 class LaunchDegradedWarning(RuntimeWarning):
-    """A launch lost a requested fast path and fell back to a slower one.
+    """A profiling job fell back from the worker pool to serial execution.
 
-    Emitted (never raised) when a configuration the user asked for
-    cannot be honoured for this launch and execution silently degrading
-    would hide the perf cliff. Results are unaffected; only speed is.
-    The service tier warns with its own reason codes (pool loss,
-    retries); device launches currently have nothing to degrade to.
+    Emitted (never raised) by the profiling service under its
+    ``"degrade"`` failure policy: when a job exhausts its pool attempts
+    (``job-serial-fallback``) or the platform cannot fork a pool
+    (``service-fork-unavailable``). Results are unaffected; only speed
+    is.
 
-    Structured: ``reason`` is a stable machine-readable code (see
-    :mod:`repro.reliability.supervisor`) and ``context`` a dict of
-    details (kernel, backend, ...). ``str(w)`` stays the
-    human-readable message. The launch supervisor deduplicates these
-    per (reason, kernel) on each device, so a long profiling session
-    warns once instead of once per kernel instance.
+    Structured: ``reason`` is one of the service's machine-readable
+    codes (:data:`repro.service.jobs.SERVICE_REASON_CODES`) and
+    ``context`` names the app (``{"app": ...}``). ``str(w)`` stays
+    the human-readable message. The service warns once per (reason,
+    app), so a long session does not warn once per job.
     """
 
     def __init__(self, message: str, reason: str = "", context: dict = None):

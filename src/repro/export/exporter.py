@@ -13,9 +13,9 @@ architecture and instrumentation knobs -- *not* on how the trace was
 analyzed. Profiling the same app with fused in-flight analysis or with
 the raw records kept (``fused_drain=False``) yields byte-identical
 :func:`export_json` output (pinned by ``tests/test_goldens.py``).
-Run-variant observations (wall-clock, in-flight analysis statistics,
-degradation events) live in the opt-in ``runtime`` section, which
-``include_runtime=True`` adds at the cost of that identity.
+Run-variant observations (wall-clock, trace-drain statistics) live in
+the opt-in ``runtime`` section, which ``include_runtime=True`` adds at
+the cost of that identity.
 
 Versioning: ``schema_version`` is ``"<major>.<minor>"``. Within a major
 version changes are strictly additive (new optional fields or sections);
@@ -189,44 +189,19 @@ def _heatmap_section(report: AdvisorReport, time_buckets: int,
 
 
 def _runtime_section(report: AdvisorReport) -> dict:
-    session = report.session
+    dropped, drain = report.run_summary()
     runtime: dict = {
         "trace_buffers": {
-            "dropped_records": sum(
-                p.dropped_records for p in session.profiles
-            ),
+            "dropped_records": dropped,
             # constant 0, kept for schema 1.0 (see _kernel_entry)
             "spilled_records": 0,
             "corrupt_records": 0,
         },
     }
-    stream_stats = [
-        p.stream_stats for p in session.profiles
-        if p.stream_stats is not None
-    ]
-    if stream_stats:
+    if drain is not None:
         # fused in-flight analysis counters; the key keeps its schema
         # 1.0 name
-        runtime["streaming_drain"] = {
-            "segments_streamed": sum(
-                s["segments_streamed"] for s in stream_stats
-            ),
-            "peak_resident_rows": max(
-                s["peak_resident_rows"] for s in stream_stats
-            ),
-            "rows_kept": sum(
-                s["memory_rows"] + s["block_rows"] + s["arith_rows"]
-                for s in stream_stats
-            ),
-        }
-    supervisor = getattr(
-        getattr(session.runtime, "device", None), "_supervisor", None
-    )
-    if supervisor is not None and supervisor.events:
-        runtime["degradations"] = [
-            {"reason": e.reason, "kernel": e.kernel, "message": e.message}
-            for e in supervisor.events
-        ]
+        runtime["streaming_drain"] = drain
     if report.overhead is not None:
         runtime["wall"] = {
             "baseline_seconds": report.overhead.baseline_wall,

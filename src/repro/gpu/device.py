@@ -31,7 +31,6 @@ from repro.gpu.memory import Allocation, GlobalMemory, LocalMemory, SharedMemory
 from repro.gpu.simt import Warp, WarpStatus
 from repro.gpu.timing import SMTimingModel, TimingParams, TimingTape
 from repro.ir.cfg import immediate_post_dominators
-from repro.reliability.supervisor import LaunchSupervisor
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import AddressSpace, FloatType, IntType, PointerType
 from repro.ir.values import GlobalString, GlobalVariable
@@ -347,21 +346,8 @@ class Device:
         #: the execution backend; "interpreter" (each warp stepped on
         #: its own) is the only one, and a launch rejects any other name
         self.backend = "interpreter"
-        #: how launches react when they cannot run as requested:
-        #: "strict" raises LaunchDegradedError, "degrade" (default)
-        #: falls back with one warning per (reason, kernel), and
-        #: "best_effort" falls back silently. See docs/reliability.md.
-        self.failure_policy = "degrade"
         #: optional repro.reliability.FaultInjector for chaos testing.
         self.fault_injector = None
-        self._supervisor: Optional[LaunchSupervisor] = None
-
-    @property
-    def supervisor(self) -> LaunchSupervisor:
-        """The launch supervisor enforcing ``failure_policy`` (lazy)."""
-        if self._supervisor is None:
-            self._supervisor = LaunchSupervisor(self)
-        return self._supervisor
 
     # -- memory API (used by the host runtime) ---------------------------------
     def malloc(self, nbytes: int, tag: str = "") -> DevicePointer:
@@ -429,7 +415,6 @@ class Device:
                 f"unknown execution backend {self.backend!r}: expected "
                 + " or ".join(map(repr, BACKENDS))
             )
-        self.supervisor.policy  # an unknown failure policy fails here
         if pc_sampler is not None and hooks is not None:
             # Sample attribution reads the raw trace records.
             hooks.keep_records()

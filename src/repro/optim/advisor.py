@@ -115,6 +115,28 @@ class AdvisorReport:
             self.session.device_allocations, time_buckets
         )
 
+    def run_summary(self) -> Tuple[int, Optional[dict]]:
+        """The trace drain of this run, summed over its launches.
+
+        Returns the rows the keep-first buffer capacity discarded (the
+        trace is never written out, so nothing else can be lost) and
+        the fused in-flight analysis counters, ``None`` when no launch
+        streamed. :meth:`to_dict` and the export's ``runtime`` section
+        both report these.
+        """
+        profiles = self.session.profiles
+        dropped = sum(p.dropped_records for p in profiles)
+        stats = [p.stream_stats for p in profiles
+                 if p.stream_stats is not None]
+        if not stats:
+            return dropped, None
+        return dropped, {
+            "segments_streamed": sum(s["segments_streamed"] for s in stats),
+            "peak_resident_rows": max(s["peak_resident_rows"] for s in stats),
+            "rows_kept": sum(s["memory_rows"] + s["block_rows"]
+                             + s["arith_rows"] for s in stats),
+        }
+
     def to_dict(self) -> dict:
         """A JSON-serializable summary of every analysis (for dashboards,
         regression tracking, or the CLI's --json mode)."""
@@ -186,44 +208,11 @@ class AdvisorReport:
                 "time_cells": self.heatmap.time_cells,
                 "occupied_cells": len(self.heatmap.cells),
             }
-        # Rows the keep-first buffer capacity discarded: the trace is
-        # never written out, so nothing else can be lost.
-        dropped = sum(p.dropped_records for p in self.session.profiles)
+        dropped, drain = self.run_summary()
         if dropped:
-            out["trace_buffers"] = {
-                "dropped_records": dropped,
-            }
-        stream_stats = [
-            p.stream_stats
-            for p in self.session.profiles
-            if p.stream_stats is not None
-        ]
-        if stream_stats:
-            out["streaming_drain"] = {
-                "segments_streamed": sum(
-                    s["segments_streamed"] for s in stream_stats
-                ),
-                "peak_resident_rows": max(
-                    s["peak_resident_rows"] for s in stream_stats
-                ),
-                "rows_kept": sum(
-                    s["memory_rows"] + s["block_rows"] + s["arith_rows"]
-                    for s in stream_stats
-                ),
-                "rows_dropped": dropped,
-            }
-        supervisor = getattr(
-            getattr(self.session.runtime, "device", None), "_supervisor", None
-        )
-        if supervisor is not None and supervisor.events:
-            out["degradations"] = [
-                {
-                    "reason": e.reason,
-                    "kernel": e.kernel,
-                    "message": e.message,
-                }
-                for e in supervisor.events
-            ]
+            out["trace_buffers"] = {"dropped_records": dropped}
+        if drain is not None:
+            out["streaming_drain"] = dict(drain, rows_dropped=dropped)
         return out
 
     def advice(self) -> List[str]:
@@ -354,6 +343,7 @@ class CUDAAdvisor:
 
     @property
     def arch(self) -> GPUArchitecture:
+        """The target architecture, ``config.arch``."""
         return self.config.arch
 
     @property
@@ -366,6 +356,9 @@ class CUDAAdvisor:
 
     def _compile(self, program: GPUProgram, instrument: bool,
                  bypass: bool = False):
+        """The program's kernels compiled and optimized, with the
+        horizontal-bypass pass if ``bypass`` and the instrumentation
+        passes of ``config.modes`` if ``instrument``."""
         module = compile_kernels(list(program.kernels), program.name)
         optimization_pipeline().run(module)
         if bypass:
@@ -375,10 +368,11 @@ class CUDAAdvisor:
         return module
 
     def _fresh_runtime(self, profiler=None):
+        """A runtime on a new device, so no run sees another run's
+        memory, caches or statistics; ``profiler`` (a session) receives
+        the runtime's events."""
         device = Device(self.arch)
         device.backend = self.backend
-        if self.config.failure_policy is not None:
-            device.failure_policy = self.config.failure_policy
         return CudaRuntime(device, profiler=profiler)
 
     def _plan(self):
@@ -424,6 +418,12 @@ class CUDAAdvisor:
         (:func:`_overlap_available`) it runs first, in this process.
         Either way the results, and which error is raised, are those of
         running the two one after the other.
+
+        Returns the instrumented run's :class:`AdvisorReport` with every
+        analysis of ``config.modes``. A run whose program check fails
+        raises :class:`~repro.errors.AnalysisError`, the baseline's
+        first as in serial order, then the instrumented run's
+        (instrumentation must not change program semantics).
         """
         baseline_results: List[LaunchResult] = []
         baseline = None

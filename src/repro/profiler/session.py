@@ -19,13 +19,6 @@ from repro.profiler.datacentric import DataCentricMap
 from repro.profiler.profiler import HookRuntime, KernelProfile
 from repro.profiler.streamdrain import DEFAULT_FLUSH_ROWS
 
-#: Process-local instrumentation counters.  ``sessions_created`` bumps
-#: per :class:`ProfilingSession`, ``launches_profiled`` per hooked
-#: kernel launch.  The service tier's "a warm cache hit performs zero
-#: simulation work in this process" assertion reads these (see
-#: docs/service.md); they are monotonic and never reset.
-SESSION_COUNTERS = {"sessions_created": 0, "launches_profiled": 0}
-
 
 class ProfilingSession:
     """Collects profiles and interposition records for one program run.
@@ -47,7 +40,6 @@ class ProfilingSession:
                  sample_rate: int = 1,
                  flush_rows: int = DEFAULT_FLUSH_ROWS,
                  fused=None):
-        SESSION_COUNTERS["sessions_created"] += 1
         self.buffer_capacity = buffer_capacity
         self.sample_rate = sample_rate
         self.flush_rows = flush_rows
@@ -78,7 +70,6 @@ class ProfilingSession:
         host_call_path: Tuple[HostFrame, ...],
         launch_site: str,
     ) -> HookRuntime:
-        SESSION_COUNTERS["launches_profiled"] += 1
         hooks = HookRuntime(
             image,
             kernel,

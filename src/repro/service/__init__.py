@@ -18,6 +18,7 @@ from repro.service.cache import ResultCache
 from repro.service.jobs import (
     CACHE_HIT,
     DEGRADED_SERIAL,
+    FAILURE_POLICIES,
     FRESH,
     RETRIED,
     SERVICE_REASON_CODES,
@@ -34,6 +35,7 @@ __all__ = [
     "CACHE_HIT",
     "COALESCED",
     "DEGRADED_SERIAL",
+    "FAILURE_POLICIES",
     "FRESH",
     "RETRIED",
     "SERVICE_REASON_CODES",

@@ -4,11 +4,11 @@ A **job** is one whole profiling request: "profile app X with config Y
 and hand back the canonical export document". :class:`JobSpec` is the
 app, its inputs and one :class:`~repro.config.ProfileConfig`. The
 config's result-affecting fields (plus the module IR hash and the
-export schema version) form the cache key; its execution hints (the
-failure policy) change how a job runs, never what it returns, so they
-ride inside the spec but stay out of the key. The execution
-``backend`` still enters the key, but it has one value: every job runs
-on the interpreter, so every spelling of it shares one key.
+export schema version) form the cache key. The execution ``backend``
+still enters the key, but it has one value: every job runs on the
+interpreter, so every spelling of it shares one key. The service's
+failure policy (:data:`FAILURE_POLICIES`) changes how a job runs,
+never what it returns, and is not part of the spec.
 
 :class:`JobHandle` is the client's view of a submitted job: ``poll()``
 for the current state, ``wait()``/``result()`` to block, ``events`` for
@@ -41,6 +41,10 @@ FRESH = "fresh"
 RETRIED = "retried"
 DEGRADED_SERIAL = "degraded-serial"
 CACHE_HIT = "cache-hit"
+
+#: the job-scope failure policies (docs/service.md); a launch has no
+#: fallback of its own, so this ladder is the one failure policy.
+FAILURE_POLICIES = ("strict", "degrade", "best_effort")
 
 # -- machine-readable reason codes (stable API, service scope) ---------------
 #: a pool worker died (crash/OOM/kill) while holding the job.

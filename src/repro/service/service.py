@@ -14,7 +14,8 @@ Client API::
             ...                        # or: svc.stream(handle)
         result = handle.result()       # canonical export_json text
 
-Robustness ladder (job scope, mirroring ``device.failure_policy``):
+Robustness ladder (job scope; a launch has no fallback of its own, so
+this is the one failure policy):
 
 ``"strict"``
     A job fault (worker crash, hang, error) fails the job immediately;
@@ -43,7 +44,7 @@ import warnings
 from dataclasses import fields, replace
 from typing import Dict, List, Iterator, Optional, Union
 
-from repro.config import FAILURE_POLICIES, ConfigError, ProfileConfig
+from repro.config import ConfigError, ProfileConfig
 from repro.errors import LaunchDegradedWarning, ReproError
 from repro.export import SCHEMA_VERSION
 from repro.service import pool as poolmod
@@ -54,6 +55,7 @@ from repro.service.jobs import (
     DEGRADED_SERIAL,
     DONE,
     FAILED,
+    FAILURE_POLICIES,
     FRESH,
     JOB_DEFAULTS,
     JOB_SERIAL_FALLBACK,
@@ -210,12 +212,10 @@ class ProfilingService:
         of its fields (all but ``fused_drain``) over
         :data:`~repro.service.jobs.JOB_DEFAULTS`. Its result-affecting
         settings (``modes``, ``arch``, ``sample_rate``, ``heatmap``...)
-        feed the cache key; its execution hints
-        (``failure_policy``) do not. An unknown key or an invalid
-        setting raises :class:`ServiceError` here, before the job gets
-        an id. A cache hit resolves the handle before ``submit``
-        returns; an identical in-flight spec is coalesced instead of
-        re-simulated.
+        feed the cache key. An unknown key or an invalid setting
+        raises :class:`ServiceError` here, before the job gets an id.
+        A cache hit resolves the handle before ``submit`` returns; an
+        identical in-flight spec is coalesced instead of re-simulated.
         """
         try:
             if not isinstance(config, ProfileConfig):

@@ -33,10 +33,9 @@ def run_job(spec: JobSpec) -> dict:
     """Execute one profiling job; returns ``{"payload", "launches"}``.
 
     The advisor runs the spec's :class:`~repro.config.ProfileConfig`
-    as it stands: it was validated when the spec was built, and its
-    execution hints (the failure policy) change how the job runs,
-    never its payload bytes. Jobs analyze in flight (the advisor's
-    default fused analysis): a job never needs raw records.
+    as it stands: it was validated when the spec was built. Jobs
+    analyze in flight (the advisor's default fused analysis): a job
+    never needs raw records.
     """
     from repro.apps import build_app
 

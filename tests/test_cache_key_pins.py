@@ -47,8 +47,6 @@ PINNED = [
     ("backend", {"backend": "batched"}, SYRK_KW, DEFAULT),
     ("backend_none", {"backend": None}, SYRK_KW, DEFAULT),
     ("backend_interpreter", {"backend": "interpreter"}, SYRK_KW, DEFAULT),
-    # an execution hint never feeds the key
-    ("failure_policy_hint", {"failure_policy": "strict"}, SYRK_KW, DEFAULT),
     ("pascal_heatmap_cell_rows_64",
      {"arch": "pascal", "heatmap": True, "heatmap_cell_rows": 64}, SYRK_KW,
      "630d5b79c8722be8866bbe66f80b00e3eb3012c1a85be50c9a82880ce382f633"),

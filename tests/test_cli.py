@@ -92,11 +92,10 @@ class TestProfile:
         assert "peak rows" in out
 
     def test_failure_policy_flag(self, capsys):
-        assert main([
-            "profile", "nn", "--modes", "memory", "--no-overhead",
-            "--failure-policy", "strict",
-        ]) == 0
-        assert "### advice" in capsys.readouterr().out
+        # a launch has no fallback: the policy is `repro serve`'s only
+        for command in ("profile", "export"):
+            self._assert_removed(capsys, command, "--failure-policy",
+                                 "strict")
 
     def test_repro_errors_are_one_line(self, capsys, monkeypatch):
         from repro.errors import LaunchError

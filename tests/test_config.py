@@ -46,7 +46,6 @@ class TestValidation:
         ("time_buckets", 0),
         ("columnar", "yes"),
         ("backend", "warp-drive"),
-        ("failure_policy", "bogus"),
         ("fused_drain", None),
     ])
     def test_invalid_setting_names_its_field(self, field, value):
@@ -71,11 +70,10 @@ class TestValidation:
 
 class TestKeyMaterial:
     def test_result_fields_only(self):
-        material = ProfileConfig(failure_policy="strict").key_material()
+        material = ProfileConfig().key_material()
         assert set(material) == {
             f.name for f in fields(ProfileConfig) if f.metadata["result"]
         }
-        assert "failure_policy" not in material
         assert "fused_drain" not in material
 
     def test_arch_enters_by_name(self):

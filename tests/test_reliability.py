@@ -1,8 +1,8 @@
 """Chaos suite for the launch-reliability layer.
 
-The supervisor's ``strict``, ``degrade`` and ``best_effort`` failure
-policies are pinned here (device launches currently have no rung to
-degrade to: a pc-sampled launch runs as requested), and the
+A launch has no fallback: a pc-sampled launch runs as requested and
+warns nothing (the one failure policy is the service's job-scope
+ladder, pinned by ``tests/test_service_chaos.py``). The
 fault-injection framework drives buffer overflow through real
 instrumented launches: a launch flushing many times mid-launch keeps
 records identical to a clean run. Where fork is
@@ -13,16 +13,11 @@ a child beside the instrumented run, with the same export.
 import multiprocessing
 import os
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    LaunchDegradedError,
-    LaunchDegradedWarning,
-    LaunchError,
-)
+from repro.errors import LaunchDegradedWarning
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.export import export_json, profile_export
@@ -32,13 +27,8 @@ from repro.optim import advisor as advisor_mod
 from repro.passes import instrumentation_pipeline, optimization_pipeline
 from repro.profiler import ProfilingSession
 from repro.profiler.pc_sampling import PCSampler
-from repro.reliability import (
-    FAILURE_POLICIES,
-    INJECTION_POINTS,
-    REASON_CODES,
-    FaultInjector,
-    LaunchSupervisor,
-)
+from repro.reliability import INJECTION_POINTS, FaultInjector
+from repro.service import FAILURE_POLICIES, SERVICE_REASON_CODES
 from tests.conftest import KERNELS
 from tests.test_fastpath_equivalence import (
     _assert_profiles_match,
@@ -70,14 +60,11 @@ def _chaos_session(configure=None, app=APP, **session_kwargs):
     return session, device
 
 
-def _saxpy_launch(configure=None, pc_sampler=None):
-    """A bare saxpy launch (``y = 2 x`` over 64 lanes) for ladder-rung
-    tests; returns the device and ``y``."""
+def _saxpy_launch(pc_sampler=None):
+    """A bare saxpy launch (``y = 2 x`` over 64 lanes); returns ``y``."""
     module = compile_kernels([KERNELS["saxpy"]], "m")
     optimization_pipeline().run(module)
     device = Device(KEPLER_K40C)
-    if configure is not None:
-        configure(device)
     runtime = CudaRuntime(device)
     image = device.load_module(module)
     x = runtime.cuda_malloc(4 * 64, "x")
@@ -85,7 +72,7 @@ def _saxpy_launch(configure=None, pc_sampler=None):
     runtime.cuda_memcpy_htod(x, np.arange(64, dtype=np.float32))
     device.launch(image, "saxpy", 2, 32, [x, y, np.float32(2.0), 64],
                   pc_sampler=pc_sampler)
-    return device, runtime.cuda_memcpy_dtoh(np.zeros(64, np.float32), y)
+    return runtime.cuda_memcpy_dtoh(np.zeros(64, np.float32), y)
 
 
 # -- fault injector unit behaviour ------------------------------------------------
@@ -134,89 +121,30 @@ class TestFaultInjector:
             "buffer_overflow", "service_worker_crash", "service_job_hang",
             "cache_corrupt_entry", "service_pool_loss",
         }
-        assert REASON_CODES == ()
+        assert set(SERVICE_REASON_CODES) == {
+            "job-worker-crash", "job-timeout", "job-worker-error",
+            "job-serial-fallback", "pool-shrunk",
+            "service-fork-unavailable", "cache-entry-corrupt",
+        }
         assert set(FAILURE_POLICIES) == {"strict", "degrade", "best_effort"}
 
 
-# -- the supervisor itself -------------------------------------------------------
-
-
-class TestSupervisorPolicies:
-    def _supervisor(self, policy):
-        return LaunchSupervisor(SimpleNamespace(failure_policy=policy))
-
-    def test_strict_raises_with_reason_and_context(self):
-        supervisor = self._supervisor("strict")
-        with pytest.raises(LaunchDegradedError) as exc:
-            supervisor.degrade("reason-a", "k", "the message", mode="m")
-        assert exc.value.reason == "reason-a"
-        assert exc.value.context == {"mode": "m", "kernel": "k"}
-        assert str(exc.value) == "the message"
-
-    def test_degrade_warns_once_per_reason_and_kernel(self):
-        supervisor = self._supervisor("degrade")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                supervisor.degrade("reason-a", "k", "msg")
-            supervisor.degrade("reason-a", "other", "msg")
-            supervisor.degrade("reason-b", "k", "msg")
-        assert len(caught) == 3  # (reason, kernel) pairs, not instances
-        assert len(supervisor.events) == 7  # every event still recorded
-        w = caught[0].message
-        assert isinstance(w, LaunchDegradedWarning)
-        assert w.reason == "reason-a"
-        assert w.context["kernel"] == "k"
-        assert str(w) == "msg"
-
-    def test_best_effort_is_silent_but_records(self):
-        supervisor = self._supervisor("best_effort")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            supervisor.degrade("reason-a", "k", "msg", mode="m")
-        assert len(supervisor.events_for("reason-a")) == 1
-        assert supervisor.events[0].context["mode"] == "m"
-
-    def test_unknown_policy_rejected(self):
-        supervisor = self._supervisor("yolo")
-        with pytest.raises(LaunchError, match="unknown failure policy"):
-            supervisor.degrade("reason-a", "k", "msg")
-
-
-# -- ladder rungs through real launches ----------------------------------------
+# -- real launches: nothing falls back -------------------------------------------
 
 
 class TestDegradationLadder:
     def test_pc_sampled_launch_does_not_degrade(self):
-        """Under the strict policy, where any degradation raises, a
-        pc-sampled launch records no event and writes what an unsampled
-        launch writes."""
-        def strict(device):
-            device.failure_policy = "strict"
-
+        """A pc-sampled launch writes what an unsampled launch writes."""
         sampler = PCSampler(period=5)
-        device, sampled = _saxpy_launch(strict, pc_sampler=sampler)
+        sampled = _saxpy_launch(pc_sampler=sampler)
         assert sampler.profile.total_samples  # the sampler really ran
-        assert not device.supervisor.events
-        assert np.array_equal(sampled, _saxpy_launch(strict)[1])
+        assert np.array_equal(sampled, _saxpy_launch())
         assert np.array_equal(sampled, 2.0 * np.arange(64, dtype=np.float32))
 
     def test_pc_sampling_best_effort_is_silent(self):
-        def configure(device):
-            device.failure_policy = "best_effort"
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", LaunchDegradedWarning)
-            device, _ = _saxpy_launch(configure,
-                                      pc_sampler=PCSampler(period=5))
-        assert not device.supervisor.events
-
-    def test_unknown_failure_policy_rejected_at_launch(self):
-        def configure(device):
-            device.failure_policy = "casual"
-
-        with pytest.raises(LaunchError, match="unknown failure policy"):
-            _saxpy_launch(configure)
+            _saxpy_launch(pc_sampler=PCSampler(period=5))
 
     def test_fork_unavailable_degrades_not_crashes(self, monkeypatch):
         """Spawn-only platforms run the overhead baseline in-process --
@@ -269,4 +197,3 @@ class TestBufferFaults:
         assert device.fault_injector.log  # the injection fired
         assert any(len(p.memory_records) > 128 for p in session.profiles)
         _assert_profiles_match(serial, session.profiles)
-        assert not device.supervisor.events

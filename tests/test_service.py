@@ -353,6 +353,8 @@ class TestServiceAPI:
                 with pytest.raises(ServiceError) as info:
                     svc.submit("syrk", config, app_kwargs=SYRK_KW)
             assert info.value.__cause__.field == field
+            if field == "failure_policy":  # the service's, not a job's
+                assert "unknown submit() config keys" in str(info.value)
             assert svc.handles == {}
             assert svc.counters["submitted"] == 0
             assert svc.counters["dispatched"] == 0
