@@ -38,11 +38,10 @@ from repro.apps import APP_NAMES, TABLE2, build_app
 from repro.backend import lower_module_to_ptx
 from repro.errors import ReproError
 from repro.frontend.dsl import compile_kernels
-from repro.config import ARCHES, ConfigError, ProfileConfig
+from repro.config import ARCHES, FAILURE_POLICIES, ConfigError, ProfileConfig
 from repro.gpu.arch import kepler_with_l1
 from repro.optim.advisor import CUDAAdvisor
 from repro.passes import optimization_pipeline
-from repro.service.jobs import FAILURE_POLICIES
 
 
 class _UsageError(Exception):
@@ -215,8 +214,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--repeat", type=int, default=1,
                        help="submit the whole app list N times")
     serve.add_argument("--job-timeout", type=float, default=30.0,
-                       help="reap a worker that misses heartbeats for "
-                       "this many seconds (default 30)")
+                       help="reap a worker still running one attempt of "
+                       "a job this many seconds after its dispatch; the "
+                       "job is retried, and its serial fallback has no "
+                       "deadline (default 30)")
     serve.add_argument("--max-attempts", type=int, default=3,
                        help="pool attempts per job before the serial "
                        "fallback (default 3)")

@@ -22,6 +22,11 @@ from repro.passes.pipeline import ANALYSIS_MODES
 #: architecture names accepted wherever a setting arrives as text.
 ARCHES = {"kepler": KEPLER_K40C, "pascal": PASCAL_P100}
 
+#: the profiling service's job-scope failure policies (docs/service.md);
+#: a launch has no fallback of its own, so this ladder is the one
+#: failure policy.
+FAILURE_POLICIES = ("strict", "degrade", "best_effort")
+
 
 class ConfigError(ReproError):
     """A profiling setting is invalid; ``field`` names the setting."""

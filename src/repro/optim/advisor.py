@@ -12,14 +12,13 @@ experiment (baseline vs oracle vs Eq.(1) prediction).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import ProfileConfig
 from repro.errors import AnalysisError
+from repro.forked import ForkedChild, fork_available
 from repro.analysis.aggregates import advisor_plan
 from repro.analysis.arithmetic import ArithmeticProfile
 from repro.analysis.divergence_branch import BranchDivergenceProfile
@@ -264,63 +263,12 @@ class AdvisorReport:
         return tips
 
 
-def _overlap_available() -> bool:
-    """Whether a baseline run can overlap the instrumented one.
-
-    It needs ``fork`` and a process that may fork safely: no other
-    thread (the child would inherit any lock it holds) and not a
-    daemonic process, which may have no children. Service pool workers
-    are both, and the pool already runs whole jobs side by side.
-    """
-    return (hasattr(os, "fork") and threading.active_count() == 1
-            and not multiprocessing.current_process().daemon)
-
-
-class _BaselineChild:
-    """A baseline run in one forked child process.
-
-    The child calls :meth:`CUDAAdvisor._baseline_run` and sends its
-    ``(results, check passed)`` over a one-way pipe, then leaves with
-    ``os._exit``: no atexit handler or inherited stdio buffer of the
-    parent runs twice. A child that raises sends nothing; the parent
-    then reruns the baseline itself (:meth:`CUDAAdvisor._checked_baseline`).
-    """
-
-    def __init__(self, advisor: "CUDAAdvisor", program: GPUProgram):
-        ctx = multiprocessing.get_context("fork")
-        self._conn, send = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(
-            target=_baseline_child, args=(advisor, program, send)
-        )
-        self._proc.start()
-        send.close()  # EOF reaches the parent once the child exits
-
-    def collect(self) -> Optional[Tuple[List[LaunchResult], bool]]:
-        """Wait for and reap the child; None if it delivered nothing."""
-        try:
-            return self._conn.recv()
-        except Exception:  # EOF (crash, exception) or a torn message
-            return None
-        finally:
-            self._conn.close()
-            self._proc.join()
-
-    def kill(self) -> None:
-        """Stop and reap the child without waiting for its result."""
-        self._proc.kill()
-        self._proc.join()
-        self._conn.close()
-
-
-def _baseline_child(advisor, program, conn) -> None:
-    """Child entry: send the baseline's outcome and leave at once. An
-    exception sends nothing and exits 1, silently; the parent reruns."""
-    code = 1
-    try:
-        conn.send(advisor._baseline_run(program))
-        code = 0
-    finally:
-        os._exit(code)
+def _baseline_child(conn, advisor: "CUDAAdvisor",
+                    program: GPUProgram) -> None:
+    """Forked-child target: send the baseline's ``(results, check
+    passed)``. An exception sends nothing; the parent then reruns the
+    baseline itself (:meth:`CUDAAdvisor._checked_baseline`)."""
+    conn.send(advisor._baseline_run(program))
 
 
 class CUDAAdvisor:
@@ -394,12 +342,18 @@ class CUDAAdvisor:
         return results, bool(program.check(rt, state))
 
     def _checked_baseline(
-        self, program: GPUProgram,
-        delivered: Optional[Tuple[List[LaunchResult], bool]],
+        self, program: GPUProgram, child: Optional[ForkedChild],
     ) -> List[LaunchResult]:
-        """The baseline's results, raising if its check failed. Without
-        what a child ``delivered`` the baseline runs here, which
+        """The baseline's results, raising if its check failed. The
+        ``child`` running it is collected and reaped; without one, or
+        when it delivered nothing, the baseline runs here, which
         reproduces any program error exactly."""
+        delivered = None
+        if child is not None:
+            try:
+                delivered = child.recv()
+            finally:
+                child.stop()
         results, passed = delivered or self._baseline_run(program)
         if not passed:
             raise AnalysisError(
@@ -412,12 +366,13 @@ class CUDAAdvisor:
         """Run the full Figure 1 workflow for one program.
 
         The uninstrumented baseline run (for overhead and sanity) shares
-        no state with the instrumented one, so it runs in a forked child
-        while this process runs the instrumented program
-        (:class:`_BaselineChild`). Where fork is unavailable or unsafe
-        (:func:`_overlap_available`) it runs first, in this process.
-        Either way the results, and which error is raised, are those of
-        running the two one after the other.
+        no state with the instrumented one, so it runs in a
+        :class:`~repro.forked.ForkedChild` while this process runs the
+        instrumented program. Where fork is unavailable
+        (:func:`~repro.forked.fork_available`) or unsafe (another live
+        thread, whose locks the child would inherit) it runs first, in
+        this process. Either way the results, and which error is raised,
+        are those of running the two one after the other.
 
         Returns the instrumented run's :class:`AdvisorReport` with every
         analysis of ``config.modes``. A run whose program check fails
@@ -429,8 +384,8 @@ class CUDAAdvisor:
         baseline = None
         config = self.config
         if config.measure_overhead:
-            if _overlap_available():
-                baseline = _BaselineChild(self, program)
+            if fork_available() and threading.active_count() == 1:
+                baseline = ForkedChild(_baseline_child, self, program)
             else:
                 baseline_results = self._checked_baseline(program, None)
         try:
@@ -451,16 +406,14 @@ class CUDAAdvisor:
         except Exception:
             # Serial order: a failing baseline would have raised first.
             if baseline is not None:
-                self._checked_baseline(program, baseline.collect())
+                self._checked_baseline(program, baseline)
             raise
         except BaseException:
             if baseline is not None:
-                baseline.kill()
+                baseline.stop()
             raise
         if baseline is not None:
-            baseline_results = self._checked_baseline(
-                program, baseline.collect()
-            )
+            baseline_results = self._checked_baseline(program, baseline)
         if not instrumented_ok:
             raise AnalysisError(
                 f"{program.name}: instrumented run failed validation "

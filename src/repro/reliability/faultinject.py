@@ -26,10 +26,10 @@ Service-scope points (the profiling-as-a-service tier;
     sees a crashed worker holding a job.  Context: ``job``, ``app``,
     ``attempt``, ``worker``.
 ``service_job_hang``
-    Fired in a persistent pool worker after it acknowledges a job; the
-    worker sleeps forever without heartbeating -- the service's job
-    timeout must reap it.  Context: ``job``, ``app``, ``attempt``,
-    ``worker``.
+    Fired in a persistent pool worker when it picks up a job, before
+    any execution; the worker sleeps forever without answering -- the
+    pool reaps it ``job_timeout`` seconds after the job's dispatch.
+    Context: ``job``, ``app``, ``attempt``, ``worker``.
 ``cache_corrupt_entry``
     Fired after a result-cache entry is published; flips bytes in the
     entry file so the next read fails its checksum and the entry is

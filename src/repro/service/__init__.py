@@ -5,7 +5,9 @@ The production tier on top of the reliability layer (docs/service.md):
 * :mod:`repro.service.service` -- :class:`ProfilingService`, the
   long-lived scheduler with the async submit/poll/result/wait API.
 * :mod:`repro.service.pool` -- the persistent, self-healing worker
-  pool (job-scope heartbeats, timeouts, respawn-or-shrink).
+  pool of :class:`~repro.forked.ForkedChild` workers (a per-attempt
+  job deadline counted from dispatch, crash detection,
+  respawn-or-shrink).
 * :mod:`repro.service.cache` -- the content-addressed crash-safe
   on-disk result cache (atomic publication, checksum + quarantine).
 * :mod:`repro.service.jobs` -- job specs, handles, status streaming

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import ProfileConfig
+from repro.config import FAILURE_POLICIES, ProfileConfig  # noqa: F401
 from repro.errors import ReproError
 
 # -- job states --------------------------------------------------------------
@@ -42,14 +42,11 @@ RETRIED = "retried"
 DEGRADED_SERIAL = "degraded-serial"
 CACHE_HIT = "cache-hit"
 
-#: the job-scope failure policies (docs/service.md); a launch has no
-#: fallback of its own, so this ladder is the one failure policy.
-FAILURE_POLICIES = ("strict", "degrade", "best_effort")
-
 # -- machine-readable reason codes (stable API, service scope) ---------------
 #: a pool worker died (crash/OOM/kill) while holding the job.
 JOB_WORKER_CRASH = "job-worker-crash"
-#: a pool worker missed its heartbeat deadline and was reaped.
+#: a pool worker still held the job ``job_timeout`` seconds after its
+#: dispatch and was reaped.
 JOB_TIMEOUT = "job-timeout"
 #: a pool worker raised an exception while running the job.
 JOB_WORKER_ERROR = "job-worker-error"

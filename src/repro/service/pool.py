@@ -1,14 +1,14 @@
 """The persistent worker pool behind the profiling service.
 
-Pool workers are **long-lived**: each runs
+Pool workers are **long-lived**: each is a
+:class:`~repro.forked.ForkedChild` running
 :func:`repro.service.worker.worker_main`, accepting one whole profiling
-job at a time over a duplex pipe.  The pool supervises them with three
-primitives:
+job at a time over its pipe.  The pool supervises them three ways:
 
-* **heartbeats** -- a busy worker beats every ``heartbeat_interval``
-  seconds from a background thread; the hang deadline (``job_timeout``)
-  is measured from the last beat, so a long but progressing job is
-  never reaped while a stuck one is.
+* **a job deadline** -- a worker still holding a job ``job_timeout``
+  seconds after its dispatch is reaped, so the deadline bounds one
+  attempt; the service retries it, and its serial fallback has no
+  deadline, so a slow job still finishes.
 * **crash detection** -- EOF on a worker's pipe means the process died
   without delivering its result.
 * **self-healing** -- a reaped worker is respawned up to
@@ -23,14 +23,13 @@ The pool is driven synchronously: the service calls :meth:`step` from
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
-from multiprocessing import get_context
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Dict, List, Optional
 
-from repro.service.worker import HEARTBEAT_INTERVAL, worker_main
+from repro.forked import ForkedChild
+from repro.service.worker import worker_main
 
 #: pool event kinds
 OK = "ok"
@@ -54,34 +53,24 @@ class PoolEvent:
 @dataclass
 class _PoolWorker:
     id: int
-    proc: object
-    conn: object
+    child: ForkedChild
     job: Optional[str] = None
-    last_beat: float = field(default_factory=time.monotonic)
-
-
-def fork_available() -> bool:
-    try:
-        get_context("fork")
-    except ValueError:  # pragma: no cover -- non-POSIX platforms
-        return False
-    return hasattr(os, "fork")
+    dispatched: float = 0.0  #: monotonic time the job was handed over
 
 
 class WorkerPool:
-    """A self-healing fleet of persistent job workers."""
+    """A self-healing fleet of persistent job workers; it forks, so its
+    owner checks :func:`~repro.forked.fork_available` first."""
 
     def __init__(
         self,
         size: int,
         injector=None,
         job_timeout: Optional[float] = None,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
         max_respawns: Optional[int] = None,
     ):
         self.injector = injector
         self.job_timeout = job_timeout
-        self.heartbeat_interval = heartbeat_interval
         #: total replacement spawns allowed before the pool shrinks.
         self.max_respawns = 2 * size if max_respawns is None else max_respawns
         self.respawns = 0
@@ -90,44 +79,26 @@ class WorkerPool:
         #: surfaced on the next step() so the service still sees them.
         self._pending: List[PoolEvent] = []
         self._next_id = 0
-        self._ctx = get_context("fork") if fork_available() else None
-        if self._ctx is not None:
-            for _ in range(size):
-                self._spawn()
+        for _ in range(size):
+            self._spawn()
 
     # -- lifecycle -----------------------------------------------------------
-    def _spawn(self) -> Optional[int]:
-        if self._ctx is None:
-            return None
+    def _spawn(self) -> None:
         worker_id = self._next_id
         self._next_id += 1
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, child_conn, self.injector,
-                  self.heartbeat_interval),
-        )
-        proc.daemon = True
-        proc.start()
-        child_conn.close()  # parent's copy; EOF detection needs it closed
-        self.workers[worker_id] = _PoolWorker(worker_id, proc, parent_conn)
-        return worker_id
+        child = ForkedChild(worker_main, worker_id, self.injector)
+        self.workers[worker_id] = _PoolWorker(worker_id, child)
 
     def _reap(self, worker: _PoolWorker) -> None:
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
         del self.workers[worker.id]
-        if worker.proc.is_alive():
-            worker.proc.kill()
-        worker.proc.join()
+        worker.child.stop()
 
     def _heal(self, event: PoolEvent) -> PoolEvent:
         """Respawn a replacement, or shrink once the budget is spent."""
         if self.respawns < self.max_respawns:
             self.respawns += 1
-            event.respawned = self._spawn() is not None
+            self._spawn()
+            event.respawned = True
         event.shrunk = not event.respawned
         return event
 
@@ -144,13 +115,13 @@ class WorkerPool:
         worker = self.workers[worker_id]
         assert worker.job is None, "dispatch to a busy worker"
         try:
-            worker.conn.send(message)
+            worker.child.conn.send(message)
         except (BrokenPipeError, OSError):
             self._reap(worker)
             self._pending.append(self._heal(PoolEvent(CRASH, worker.id, None)))
             return False
         worker.job = message["id"]
-        worker.last_beat = time.monotonic()
+        worker.dispatched = time.monotonic()
         return True
 
     def kill_worker(self, worker_id: int) -> Optional[str]:
@@ -159,42 +130,32 @@ class WorkerPool:
         worker = self.workers.get(worker_id)
         if worker is None:
             return None
-        worker.proc.kill()
+        worker.child.process.kill()
         return worker.job
 
     def step(self, timeout: float = 0.02) -> List[PoolEvent]:
         """Pump worker pipes once; reap crashes and hangs; self-heal."""
         events: List[PoolEvent] = list(self._pending)
         self._pending.clear()
-        conns = {w.conn: w for w in self.workers.values()}
+        conns = {w.child.conn: w for w in self.workers.values()}
         if conns:
             for conn in _connection_wait(list(conns), timeout=timeout):
                 worker = conns[conn]
-                if worker.id not in self.workers:  # reaped this step
-                    continue
-                try:
-                    kind, payload = conn.recv()
-                except (EOFError, OSError):
+                message = worker.child.recv()
+                if message is None:
                     event = PoolEvent(CRASH, worker.id, worker.job)
                     self._reap(worker)
                     events.append(self._heal(event))
                     continue
-                if kind == "hb":
-                    worker.last_beat = time.monotonic()
-                elif kind == "ok":
-                    job_id, result = payload
-                    worker.job = None
-                    events.append(PoolEvent(OK, worker.id, job_id, result))
-                else:  # "err"
-                    job_id, detail = payload
-                    worker.job = None
-                    events.append(PoolEvent(ERR, worker.id, job_id, detail))
+                kind, (job_id, payload) = message  # kind: OK or ERR
+                worker.job = None
+                events.append(PoolEvent(kind, worker.id, job_id, payload))
         if self.job_timeout is not None:
             now = time.monotonic()
             for worker in list(self.workers.values()):
-                if worker.job is None:
-                    continue
-                if now - worker.last_beat > self.job_timeout:
+                if worker.job is not None and (
+                    now - worker.dispatched > self.job_timeout
+                ):
                     event = PoolEvent(TIMEOUT, worker.id, worker.job)
                     self._reap(worker)
                     events.append(self._heal(event))
@@ -205,10 +166,12 @@ class WorkerPool:
         for worker in list(self.workers.values()):
             if worker.job is None:
                 try:
-                    worker.conn.send(None)
+                    worker.child.conn.send(None)
                 except (BrokenPipeError, OSError):
                     pass
         deadline = time.monotonic() + 2.0
         for worker in list(self.workers.values()):
-            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            worker.child.process.join(
+                timeout=max(0.0, deadline - time.monotonic())
+            )
             self._reap(worker)

@@ -47,6 +47,7 @@ from typing import Dict, List, Iterator, Optional, Union
 from repro.config import ConfigError, ProfileConfig
 from repro.errors import LaunchDegradedWarning, ReproError
 from repro.export import SCHEMA_VERSION
+from repro.forked import fork_available
 from repro.service import pool as poolmod
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
@@ -142,7 +143,6 @@ class ProfilingService:
         backoff: float = 0.05,
         failure_policy: str = "degrade",
         injector=None,
-        heartbeat_interval: float = 0.1,
         max_respawns: Optional[int] = None,
     ):
         if failure_policy not in FAILURE_POLICIES:
@@ -175,7 +175,7 @@ class ProfilingService:
         self._ir_hash_memo: Dict[str, str] = {}
         self._warned = set()
         workers = max(0, workers)
-        if workers and not poolmod.fork_available():  # pragma: no cover
+        if workers and not fork_available():  # pragma: no cover
             self._degrade_warn(
                 SERVICE_FORK_UNAVAILABLE, "*",
                 "this platform cannot fork worker processes; the service "
@@ -186,7 +186,6 @@ class ProfilingService:
             workers,
             injector=injector,
             job_timeout=job_timeout,
-            heartbeat_interval=heartbeat_interval,
             max_respawns=max_respawns,
         ) if workers else None
 

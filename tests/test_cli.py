@@ -1,7 +1,12 @@
 """Tests for the CLI (the artifact's run/showoutput workflow)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -136,6 +141,23 @@ class TestInterruptHygiene:
         captured = capsys.readouterr()
         assert captured.err == "interrupted (reaped 1 worker processes)\n"
         assert multiprocessing.active_children() == []
+
+
+class TestImportCost:
+    def test_cli_import_leaves_the_service_out(self):
+        """Only ``repro serve`` needs the service: a fresh ``import
+        repro.cli`` must not pay for importing it."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('repro.service')))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "[]"
 
 
 class TestServe:

@@ -30,6 +30,7 @@ from repro.analysis.reuse_distance import (
     site_reuse_analysis,
 )
 from repro.apps import build_app
+from repro.forked import ForkedChild
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.host import CudaRuntime
@@ -155,15 +156,15 @@ def _advisor_report(app_name, app_kwargs, monkeypatch, overlap):
     first, in this process. An overlapped run must really use the
     child: one is started and delivers its results."""
     delivered = []
-    collect = advisor_mod._BaselineChild.collect
+    recv = ForkedChild.recv
 
     def spy(child):
-        result = collect(child)
+        result = recv(child)
         delivered.append(result is not None)
         return result
 
-    monkeypatch.setattr(advisor_mod._BaselineChild, "collect", spy)
-    monkeypatch.setattr(advisor_mod, "_overlap_available", lambda: overlap)
+    monkeypatch.setattr(ForkedChild, "recv", spy)
+    monkeypatch.setattr(advisor_mod, "fork_available", lambda: overlap)
     advisor = CUDAAdvisor(
         modes=("memory", "blocks", "arith"), fused_drain=False,
     )

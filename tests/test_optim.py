@@ -12,6 +12,7 @@ from repro.analysis.reuse_distance import (
     ReuseDistanceModel,
 )
 from repro.errors import AnalysisError, ExecutionError
+from repro.forked import ForkedChild
 from repro.export import export_json, profile_export
 from repro.gpu.arch import KEPLER_K40C, kepler_with_l1
 from repro.optim import (
@@ -187,8 +188,7 @@ class TestBaselineOverlap:
 
     @staticmethod
     def _export(program, monkeypatch, overlap):
-        monkeypatch.setattr(advisor_mod, "_overlap_available",
-                            lambda: overlap)
+        monkeypatch.setattr(advisor_mod, "fork_available", lambda: overlap)
         report = CUDAAdvisor().profile(program)
         return export_json(profile_export(report)), report
 
@@ -196,14 +196,14 @@ class TestBaselineOverlap:
     def _spy_children(monkeypatch):
         """Record each baseline child's pid and what it delivered."""
         seen = []
-        collect = advisor_mod._BaselineChild.collect
+        recv = ForkedChild.recv
 
         def spy(self):
-            delivered = collect(self)
-            seen.append((self._proc.pid, delivered is not None))
+            delivered = recv(self)
+            seen.append((self.process.pid, delivered is not None))
             return delivered
 
-        monkeypatch.setattr(advisor_mod._BaselineChild, "collect", spy)
+        monkeypatch.setattr(ForkedChild, "recv", spy)
         return seen
 
     @staticmethod
@@ -279,11 +279,11 @@ class TestBaselineOverlap:
 
     def test_interrupt_kills_the_child(self, monkeypatch):
         seen = []
-        start = advisor_mod._BaselineChild.__init__
+        start = ForkedChild.__init__
 
         def spy(self, *args):
             start(self, *args)
-            seen.append(self._proc.pid)
+            seen.append(self.process.pid)
 
         compile_ = CUDAAdvisor._compile
 
@@ -292,9 +292,9 @@ class TestBaselineOverlap:
                 raise KeyboardInterrupt
             return compile_(self, program, instrument, bypass)
 
-        monkeypatch.setattr(advisor_mod._BaselineChild, "__init__", spy)
+        monkeypatch.setattr(ForkedChild, "__init__", spy)
         monkeypatch.setattr(CUDAAdvisor, "_compile", interrupted)
-        monkeypatch.setattr(advisor_mod, "_overlap_available", lambda: True)
+        monkeypatch.setattr(advisor_mod, "fork_available", lambda: True)
         with pytest.raises(KeyboardInterrupt):
             CUDAAdvisor().profile(self._app())
         assert len(seen) == 1

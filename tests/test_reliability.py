@@ -21,6 +21,7 @@ from repro.errors import LaunchDegradedWarning
 from repro.frontend import compile_kernels
 from repro.gpu import Device, KEPLER_K40C
 from repro.export import export_json, profile_export
+from repro.forked import ForkedChild
 from repro.host import CudaRuntime
 from repro.optim import CUDAAdvisor
 from repro.optim import advisor as advisor_mod
@@ -158,15 +159,15 @@ class TestDegradationLadder:
             return export_json(profile_export(report))
 
         started = []
-        start = advisor_mod._BaselineChild.__init__
+        start = ForkedChild.__init__
 
         def spy(child, *args):
             start(child, *args)
-            started.append(child._proc.pid)
+            started.append(child.process.pid)
 
-        monkeypatch.setattr(advisor_mod._BaselineChild, "__init__", spy)
+        monkeypatch.setattr(ForkedChild, "__init__", spy)
         with monkeypatch.context() as forking:
-            forking.setattr(advisor_mod, "_overlap_available", lambda: True)
+            forking.setattr(advisor_mod, "fork_available", lambda: True)
             overlapped = export()
         assert len(started) == 1
         monkeypatch.setattr(

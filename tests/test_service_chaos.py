@@ -26,6 +26,7 @@ from repro.service import (
     ProfilingService,
     run_job,
 )
+from repro.service import worker
 from repro.service.jobs import JOB_DEFAULTS
 
 SYRK = ("syrk", {"n": 16, "m": 16}, {})
@@ -68,11 +69,37 @@ class TestFaultLadder:
             "service_job_hang", when={"job": "job-1", "attempt": 0}
         )
         with ProfilingService(workers=1, injector=injector,
-                              job_timeout=1.0, heartbeat_interval=0.05,
-                              backoff=0.01) as svc:
+                              job_timeout=1.0, backoff=0.01) as svc:
             result = svc.submit(*SYRK[:1], app_kwargs=SYRK[1]).result(
                 timeout=120
             )
+        assert result.source == RETRIED
+        assert result.reasons == ["job-timeout"]
+        assert svc.counters["job_timeouts"] == 1
+        assert result.payload == _baseline(*SYRK)
+
+    def test_job_wedged_inside_run_job_reaped_and_retried(
+        self, tmp_path, monkeypatch
+    ):
+        # The deadline counts from dispatch, so a job that stops making
+        # progress inside run_job itself is reaped like an injected hang.
+        marker = tmp_path / "wedged"
+        run = worker.run_job
+
+        def wedge_first_attempt(spec):
+            if not marker.exists():
+                marker.touch()
+                while True:
+                    time.sleep(3600)
+            return run(spec)
+
+        monkeypatch.setattr(worker, "run_job", wedge_first_attempt)
+        with ProfilingService(workers=1, job_timeout=2.0,
+                              backoff=0.01) as svc:
+            result = svc.submit(*SYRK[:1], app_kwargs=SYRK[1]).result(
+                timeout=30
+            )
+        assert marker.exists()
         assert result.source == RETRIED
         assert result.reasons == ["job-timeout"]
         assert svc.counters["job_timeouts"] == 1
@@ -134,7 +161,7 @@ class TestChaosSession:
             # a worker dies holding job-2's first attempt
             .inject("service_worker_crash",
                     when={"job": "job-2", "attempt": 0})
-            # a worker wedges on job-5's first attempt (no heartbeats)
+            # a worker wedges on job-5's first attempt (never answers)
             .inject("service_job_hang",
                     when={"job": "job-5", "attempt": 0})
             # a live worker is killed as job-7 lands (submit storm
@@ -145,8 +172,7 @@ class TestChaosSession:
         )
         with ProfilingService(
             workers=2, cache_dir=str(tmp_path / "cache"),
-            injector=injector, job_timeout=3.0, heartbeat_interval=0.05,
-            backoff=0.01,
+            injector=injector, job_timeout=3.0, backoff=0.01,
         ) as svc:
             handles = [
                 svc.submit(app, config, app_kwargs=kwargs)
