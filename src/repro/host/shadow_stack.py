@@ -14,7 +14,6 @@ shadow stacks in the paper.
 from __future__ import annotations
 
 import functools
-import inspect
 import sys
 import threading
 from dataclasses import dataclass
@@ -73,15 +72,21 @@ def host_function(fn: Callable) -> Callable:
 
     Equivalent to the engine's mandatory CPU instrumentation: each call
     pushes the callee (with the *call site's* file/line, which is what
-    the code-centric view prints) and each return pops it.
+    the code-centric view prints) and each return pops it. A call made
+    straight onto the root ``main()`` frame is the program's entry:
+    its caller (a profiler, a test) lies outside the application, so
+    it is recorded at ``<program>: 0`` like the root, and a call path
+    names application code only.
     """
-    filename = (inspect.getsourcefile(fn) or "<unknown>").rsplit("/", 1)[-1]
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        caller = sys._getframe(1)
-        call_site_file = caller.f_code.co_filename.rsplit("/", 1)[-1]
-        frame = HostFrame(fn.__name__, call_site_file, caller.f_lineno)
+        if GLOBAL_HOST_STACK.depth() == 1:
+            frame = HostFrame(fn.__name__, "<program>", 0)
+        else:
+            caller = sys._getframe(1)
+            call_site_file = caller.f_code.co_filename.rsplit("/", 1)[-1]
+            frame = HostFrame(fn.__name__, call_site_file, caller.f_lineno)
         GLOBAL_HOST_STACK.push(frame)
         try:
             return fn(*args, **kwargs)

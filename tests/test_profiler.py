@@ -93,6 +93,72 @@ class TestHostShadowStack:
         assert GLOBAL_HOST_STACK.depth() == depth_before
 
 
+def _debugging_paths(session):
+    """Each launch's code-centric host path and the data-centric view
+    of its first traced address (Figures 8 and 9)."""
+    views = []
+    for profile in session.profiles:
+        record = profile.memory_records[0]
+        views.append((
+            [str(frame) for frame in profile.host_call_path],
+            session.data_centric_map().resolve(
+                int(record.active_addresses()[0])
+            ).render(),
+        ))
+    return views
+
+
+def _drive_bfs_here():
+    """bfs driven by hand, so its host methods are called from here."""
+    from repro.apps import build_app
+
+    app = build_app("bfs", num_nodes=128)
+    module = compile_kernels(list(app.kernels), app.name)
+    optimization_pipeline().run(module)
+    instrumentation_pipeline(["memory", "blocks"]).run(module)
+    session = ProfilingSession()
+    rt = CudaRuntime(Device(KEPLER_K40C), profiler=session)
+    image = rt.device.load_module(module)
+    state = app.prepare(rt)
+    app.run(rt, image, state)
+    return session
+
+
+class TestProgramEntryFrames:
+    def test_call_paths_name_only_application_frames(self):
+        """The same app profiled from two call sites -- the advisor and
+        a hand-written driver -- gives identical code-centric and
+        data-centric paths, each entering at ``<program>: 0``."""
+        from repro.apps import build_app
+        from repro.optim import CUDAAdvisor
+
+        report = CUDAAdvisor(
+            measure_overhead=False, fused_drain=False
+        ).profile(build_app("bfs", num_nodes=128))
+        advised = _debugging_paths(report.session)
+        assert advised == _debugging_paths(_drive_bfs_here())
+        host_path, data_view = advised[0]
+        assert host_path == ["main():: <program>: 0",
+                             "run():: <program>: 0"]
+        assert "1: prepare():: <program>: 0" in data_view
+
+    def test_nested_host_calls_keep_their_call_site(self):
+        seen = {}
+
+        @host_function
+        def inner():
+            seen["path"] = GLOBAL_HOST_STACK.snapshot()
+
+        @host_function
+        def outer():
+            inner()
+
+        outer()
+        entry, nested = seen["path"][-2:]
+        assert (entry.filename, entry.line) == ("<program>", 0)
+        assert nested.filename == "test_profiler.py" and nested.line > 0
+
+
 class TestKernelProfile:
     def test_records_collected(self, profiled_run):
         session, _, _ = profiled_run
