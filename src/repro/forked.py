@@ -11,7 +11,8 @@ and ends it with :meth:`ForkedChild.stop`.
 A child leaves through ``os._exit`` once its target returns or raises,
 so no atexit handler or inherited stdio buffer of the parent runs
 twice, and an exception ends it with code 1 silently: the parent sees
-EOF. Every child is daemonic, so one left running dies with its parent.
+EOF. Every child is daemonic: multiprocessing terminates one still
+running when the parent exits.
 """
 
 from __future__ import annotations
