@@ -162,16 +162,20 @@ class WorkerPool:
         return events
 
     def shutdown(self) -> None:
-        """Orderly stop: ask idle workers to exit, kill the rest."""
-        for worker in list(self.workers.values()):
+        """Orderly stop: ask idle workers to exit and wait for them;
+        kill busy ones at once (their jobs stay un-run)."""
+        leaving = []
+        for worker in self.workers.values():
             if worker.job is None:
                 try:
                     worker.child.conn.send(None)
+                    leaving.append(worker)
                 except (BrokenPipeError, OSError):
                     pass
         deadline = time.monotonic() + 2.0
-        for worker in list(self.workers.values()):
+        for worker in leaving:
             worker.child.process.join(
                 timeout=max(0.0, deadline - time.monotonic())
             )
+        for worker in list(self.workers.values()):
             self._reap(worker)
