@@ -14,9 +14,10 @@ this CLI reproduces that workflow::
 analysis: trace rows stream into the analyzer aggregates while the
 kernel runs; see docs/architecture.md). Beyond the artifact: ``repro
 serve`` drives the profiling service (a persistent worker pool +
-content-addressed result cache; see docs/service.md), and
-``--cache-dir`` memoizes ``profile --format json``/``export`` results
-across invocations.
+content-addressed result cache; see docs/service.md). ``profile``
+renders text; ``export`` writes the one machine-readable output, the
+schema-validated export document, and its ``--cache-dir`` memoizes
+that document across invocations.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _config_from_args(args) -> ProfileConfig:
     The flags are mapped by hand, not generated from the config's
     fields: their spellings are the user's (``--no-overhead``), and
     they differ per command (``--heatmap`` on profile, the heat map
-    follows ``--modes`` on export, ``--columnar`` is export's only).
+    follows ``--modes`` on export, serve takes no heat-map setting).
     """
     settings = dict(arch=args.arch, modes=_split_modes(args.modes),
                     sample_rate=args.sample_rate,
@@ -91,7 +92,6 @@ def _config_from_args(args) -> ProfileConfig:
         settings["heatmap"] = args.heatmap
     if args.command == "export":
         settings["heatmap"] = "memory" in settings["modes"]
-        settings["columnar"] = args.columnar
     return _config(**settings)
 
 
@@ -125,13 +125,6 @@ def _add_profiling_args(profile: argparse.ArgumentParser) -> None:
         "--time-buckets", type=int, default=64,
         help="max display time buckets of the rendered/exported heat map",
     )
-    profile.add_argument(
-        "--cache-dir", default=None,
-        help="memoize the export document in this content-addressed "
-        "result cache; a repeated invocation with identical knobs "
-        "serves the cached bytes without re-simulating "
-        "(profile: needs --format json; see docs/service.md)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -147,24 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", help="run CUDAAdvisor on an app")
     _add_profiling_args(profile)
     profile.add_argument(
-        "--json", action="store_true",
-        help="emit the legacy report summary as JSON (report.to_dict(); "
-        "for the stable schema-governed document use --format json)",
-    )
-    profile.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format: rendered text (default) or the versioned "
-        "profile-export document (docs/profile-format.md)",
-    )
-    profile.add_argument(
         "--heatmap", action="store_true",
         help="collect and render the per-allocation x time memory heat "
         "map (needs the 'memory' mode; see docs/heatmaps.md)",
     )
     profile.add_argument(
         "--verbose", action="store_true",
-        help="print execution internals (JIT trace-cache counters, "
-        "in-flight analysis statistics)",
+        help="also print the in-flight analysis statistics",
     )
 
     export = sub.add_parser(
@@ -178,20 +160,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output path ('-' or omitted: stdout)",
     )
     export.add_argument(
-        "--columnar", action="store_true",
-        help="emit the heat map as a sparse parallel-array cell table "
-        "instead of per-allocation series (compact for large maps)",
-    )
-    export.add_argument(
         "--include-runtime", action="store_true",
         help="add the run-variant 'runtime' section (wall clock, drain "
         "stats); costs run-to-run byte-identity",
     )
     export.add_argument(
-        "--ndjson", action="store_true",
-        help="emit NDJSON: one record per top-level section, streamed "
-        "as produced; the records reassemble into the canonical "
-        "document (docs/profile-format.md)",
+        "--cache-dir", default=None,
+        help="memoize the export document in this content-addressed "
+        "result cache; a repeated invocation with identical knobs "
+        "serves the cached bytes without re-simulating "
+        "(docs/service.md)",
     )
 
     serve = sub.add_parser(
@@ -279,30 +257,7 @@ def _cached_export_payload(args, config: ProfileConfig) -> str:
 
 def _cmd_profile(args) -> int:
     config = _config_from_args(args)
-    if args.cache_dir is not None:
-        if args.format != "json" or args.json:
-            raise _UsageError(
-                "--cache-dir memoizes the export document: combine it "
-                "with --format json (text rendering needs a live report)"
-            )
-        sys.stdout.write(_cached_export_payload(args, config))
-        return 0
     report = CUDAAdvisor(config).profile(build_app(_check_app(args.app)))
-
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return 0
-
-    if args.format == "json":
-        from repro.export import export_json, profile_export
-
-        sys.stdout.write(export_json(
-            profile_export(report, time_buckets=config.time_buckets)
-        ))
-        return 0
-
     if report.reuse_element is not None:
         print("### RD_mode (reuse distance)")
         print(render_reuse_histogram(args.app, report.reuse_element))
@@ -358,12 +313,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    import json as json_mod
-
     from repro.export import (
         SCHEMA_VERSION,
         export_json,
-        iter_ndjson,
         profile_export,
         validate,
     )
@@ -375,21 +327,19 @@ def _cmd_export(args) -> int:
             "served from the cache: drop one of the two flags"
         )
     if args.cache_dir is not None:
-        doc = json_mod.loads(_cached_export_payload(args, config))
+        # the worker validated the document before it was cached
+        text = _cached_export_payload(args, config)
     else:
         report = CUDAAdvisor(config).profile(build_app(_check_app(args.app)))
         doc = profile_export(
             report,
             time_buckets=config.time_buckets,
-            columnar=config.columnar,
             include_runtime=args.include_runtime,
         )
         # The bundled schema is the emitter's own contract: a document
         # that fails it is a bug, caught here rather than by a consumer.
         validate(doc)
-    text = (
-        "".join(iter_ndjson(doc)) if args.ndjson else export_json(doc)
-    )
+        text = export_json(doc)
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -541,9 +491,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"interrupted{suffix}", file=sys.stderr)
         return 130
     except ReproError as exc:
-        # Tool-level failures (bad launch, corrupt trace under strict,
-        # failed validation) come out as one friendly line, never a
-        # traceback.
+        # Tool-level failures (a bad launch, a failed validation) come
+        # out as one friendly line, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

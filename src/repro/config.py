@@ -71,7 +71,6 @@ class ProfileConfig:
     heatmap: bool = _setting(False)
     heatmap_cell_rows: Optional[int] = _setting(None, least=1)
     time_buckets: int = _setting(64, least=1)
-    columnar: bool = _setting(False)
     backend: str = _setting("interpreter", choices=BACKENDS)
     # False keeps raw records and analyzes them after the run instead
     fused_drain: bool = _setting(True, result=False)
@@ -116,7 +115,8 @@ class ProfileConfig:
 
     def key_material(self) -> dict:
         """The result-affecting settings as JSON-ready cache-key material;
-        the architecture enters by its :data:`ARCHES` name."""
+        the architecture enters by its :data:`ARCHES` name, and the
+        heat-map binning only with a heat map."""
         names = [name for name, arch in ARCHES.items() if arch == self.arch]
         _require(bool(names), "arch", f"architecture {self.arch.name!r} "
                  f"has no cache key: use one of {', '.join(ARCHES)}")
@@ -125,4 +125,8 @@ class ProfileConfig:
             for f in fields(self) if f.metadata["result"]
         }
         material["arch"] = names[0]
+        if not self.heatmap:
+            # they only shape the heat map: without one, every value
+            # returns the same document and shares one key
+            del material["time_buckets"], material["heatmap_cell_rows"]
         return material

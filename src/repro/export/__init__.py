@@ -3,11 +3,8 @@
 from repro.export.exporter import (
     GENERATOR,
     SCHEMA_VERSION,
-    assemble_ndjson,
     export_json,
-    iter_ndjson,
     profile_export,
-    profile_export_stream,
 )
 from repro.export.validate import (
     SCHEMA_DIR,
@@ -22,12 +19,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "SCHEMA_DIR",
     "SchemaError",
-    "assemble_ndjson",
     "export_json",
     "iter_errors",
-    "iter_ndjson",
     "load_schema",
     "profile_export",
-    "profile_export_stream",
     "validate",
 ]

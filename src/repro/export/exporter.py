@@ -26,7 +26,6 @@ accept any document whose major version they know.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
 
 from repro.optim.advisor import AdvisorReport
 
@@ -137,46 +136,18 @@ def _metrics_section(report: AdvisorReport) -> dict:
     return metrics
 
 
-def _heatmap_section(report: AdvisorReport, time_buckets: int,
-                     columnar: bool) -> dict:
+def _heatmap_section(report: AdvisorReport, time_buckets: int) -> dict:
     resolved = report.resolved_heatmap(time_buckets)
-    allocations = []
-    section = {
+    return {
         "granule_bytes": resolved.granule_bytes,
         "cell_rows": resolved.cell_rows,
         "time_cells": resolved.time_cells,
         "time_buckets": resolved.time_buckets,
         "total_accesses": resolved.total_accesses,
-        "layout": "columnar" if columnar else "series",
-        "allocations": allocations,
-    }
-    if columnar:
-        # Sparse cell table: one parallel-array entry per cell with
-        # activity, in (allocation, bucket) order.
-        cells = {
-            "allocation": [], "bucket": [],
-            "reads": [], "writes": [], "unique_bytes": [],
-        }
-        for i, row in enumerate(resolved.rows):
-            allocations.append({
-                "name": row.name,
-                "base": row.base,
-                "nbytes": row.nbytes,
-                "site": row.site,
-            })
-            for b in range(resolved.time_buckets):
-                if not (row.reads[b] or row.writes[b]
-                        or row.unique_bytes[b]):
-                    continue
-                cells["allocation"].append(i)
-                cells["bucket"].append(b)
-                cells["reads"].append(row.reads[b])
-                cells["writes"].append(row.writes[b])
-                cells["unique_bytes"].append(row.unique_bytes[b])
-        section["cells"] = cells
-    else:
-        for row in resolved.rows:
-            allocations.append({
+        # the one layout; the key stays because schema 1.0 requires it
+        "layout": "series",
+        "allocations": [
+            {
                 "name": row.name,
                 "base": row.base,
                 "nbytes": row.nbytes,
@@ -184,24 +155,35 @@ def _heatmap_section(report: AdvisorReport, time_buckets: int,
                 "reads": list(row.reads),
                 "writes": list(row.writes),
                 "unique_bytes": list(row.unique_bytes),
-            })
-    return section
+            }
+            for row in resolved.rows
+        ],
+    }
 
 
 def _runtime_section(report: AdvisorReport) -> dict:
-    dropped, drain = report.run_summary()
+    # The trace drain of this run, summed over its launches: the rows
+    # the keep-first buffer capacity discarded (the trace is never
+    # written out, so nothing else can be lost), and the fused
+    # in-flight analysis counters when a launch streamed.
+    profiles = report.session.profiles
     runtime: dict = {
         "trace_buffers": {
-            "dropped_records": dropped,
+            "dropped_records": sum(p.dropped_records for p in profiles),
             # constant 0, kept for schema 1.0 (see _kernel_entry)
             "spilled_records": 0,
             "corrupt_records": 0,
         },
     }
-    if drain is not None:
-        # fused in-flight analysis counters; the key keeps its schema
-        # 1.0 name
-        runtime["streaming_drain"] = drain
+    stats = [p.stream_stats for p in profiles if p.stream_stats is not None]
+    if stats:
+        # the key keeps its schema 1.0 name
+        runtime["streaming_drain"] = {
+            "segments_streamed": sum(s["segments_streamed"] for s in stats),
+            "peak_resident_rows": max(s["peak_resident_rows"] for s in stats),
+            "rows_kept": sum(s["memory_rows"] + s["block_rows"]
+                             + s["arith_rows"] for s in stats),
+        }
     if report.overhead is not None:
         runtime["wall"] = {
             "baseline_seconds": report.overhead.baseline_wall,
@@ -211,15 +193,13 @@ def _runtime_section(report: AdvisorReport) -> dict:
 
 
 def profile_export(report: AdvisorReport, *, time_buckets: int = 64,
-                   columnar: bool = False,
                    include_runtime: bool = False) -> dict:
     """Build the schema-governed export document for one report.
 
     ``time_buckets`` bounds the heat map's display time axis (ignored
-    without a heat map); ``columnar`` switches the heat map to the
-    sparse parallel-array cell table (compact for many allocations x
-    many buckets); ``include_runtime`` adds the run-variant ``runtime``
-    section -- see the module docstring for the determinism trade-off.
+    without a heat map); ``include_runtime`` adds the run-variant
+    ``runtime`` section -- see the module docstring for the determinism
+    trade-off.
     """
     session = report.session
     doc: dict = {
@@ -256,64 +236,17 @@ def profile_export(report: AdvisorReport, *, time_buckets: int = 64,
         "metrics": _metrics_section(report),
     }
     if report.heatmap is not None:
-        doc["heatmap"] = _heatmap_section(report, time_buckets, columnar)
+        doc["heatmap"] = _heatmap_section(report, time_buckets)
     if include_runtime:
         doc["runtime"] = _runtime_section(report)
     return doc
 
 
-def export_json(doc: dict, indent: Optional[int] = 2) -> str:
-    """Serialize a document canonically (sorted keys, trailing newline).
+def export_json(doc: dict) -> str:
+    """Serialize a document canonically (sorted keys, two-space indent,
+    trailing newline).
 
     Canonical form is what makes "byte-identical" a meaningful contract:
     two equal documents always produce the same bytes.
     """
-    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
-
-
-# -- NDJSON streamed emission (the service tier's incremental path) ---------
-
-def iter_ndjson(doc: dict) -> Iterator[str]:
-    """Stream a document as NDJSON: one record per top-level section.
-
-    Each yielded line is a compact JSON object
-    ``{"section": <key>, "value": <doc[key]>}`` (sorted keys, ``\\n``
-    terminated), emitted in sorted section order so the stream itself
-    is canonical.  Concatenating the lines and feeding them back
-    through :func:`assemble_ndjson` reproduces the document exactly --
-    ``export_json(assemble_ndjson(iter_ndjson(doc)))`` is byte-equal
-    to ``export_json(doc)`` (pinned by ``tests/test_export.py``).
-    """
-    for key in sorted(doc):
-        yield json.dumps(
-            {"section": key, "value": doc[key]},
-            sort_keys=True, separators=(",", ":"),
-        ) + "\n"
-
-
-def assemble_ndjson(lines: Iterable[str]) -> dict:
-    """Reassemble NDJSON section records into the canonical document."""
-    doc: dict = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        doc[record["section"]] = record["value"]
-    return doc
-
-
-def profile_export_stream(
-    report: AdvisorReport, *, time_buckets: int = 64,
-    columnar: bool = False, include_runtime: bool = False,
-) -> Iterator[str]:
-    """NDJSON emission of :func:`profile_export` (same arguments).
-
-    One record leaves per top-level section, so a service result can
-    stream out of the process incrementally instead of waiting for the
-    full document to serialize.
-    """
-    return iter_ndjson(profile_export(
-        report, time_buckets=time_buckets, columnar=columnar,
-        include_runtime=include_runtime,
-    ))
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -114,106 +114,6 @@ class AdvisorReport:
             self.session.device_allocations, time_buckets
         )
 
-    def run_summary(self) -> Tuple[int, Optional[dict]]:
-        """The trace drain of this run, summed over its launches.
-
-        Returns the rows the keep-first buffer capacity discarded (the
-        trace is never written out, so nothing else can be lost) and
-        the fused in-flight analysis counters, ``None`` when no launch
-        streamed. :meth:`to_dict` and the export's ``runtime`` section
-        both report these.
-        """
-        profiles = self.session.profiles
-        dropped = sum(p.dropped_records for p in profiles)
-        stats = [p.stream_stats for p in profiles
-                 if p.stream_stats is not None]
-        if not stats:
-            return dropped, None
-        return dropped, {
-            "segments_streamed": sum(s["segments_streamed"] for s in stats),
-            "peak_resident_rows": max(s["peak_resident_rows"] for s in stats),
-            "rows_kept": sum(s["memory_rows"] + s["block_rows"]
-                             + s["arith_rows"] for s in stats),
-        }
-
-    def to_dict(self) -> dict:
-        """A JSON-serializable summary of every analysis (for dashboards,
-        regression tracking, or the CLI's --json mode)."""
-        out: dict = {
-            "program": self.program,
-            "arch": {
-                "name": self.arch.name,
-                "chip": self.arch.chip,
-                "l1_size": self.arch.l1_size,
-                "l1_line_size": self.arch.l1_line_size,
-            },
-            "modes": list(self.modes),
-            "kernel_instances": len(self.session.profiles),
-            "advice": self.advice(),
-        }
-        if self.reuse_element is not None:
-            out["reuse_element"] = {
-                "frequencies": self.reuse_element.frequencies,
-                "no_reuse_fraction": self.reuse_element.no_reuse_fraction,
-                "average_finite_distance":
-                    self.reuse_element.average_distance,
-                "samples": self.reuse_element.samples,
-            }
-        if self.reuse_cache_line is not None:
-            out["reuse_cache_line"] = {
-                "no_reuse_fraction":
-                    self.reuse_cache_line.no_reuse_fraction,
-                "average_finite_distance":
-                    self.reuse_cache_line.average_distance,
-            }
-        if self.memory_divergence is not None:
-            out["memory_divergence"] = {
-                "distribution": {
-                    str(k): v
-                    for k, v in self.memory_divergence.distribution.items()
-                },
-                "degree": self.memory_divergence.divergence_degree,
-                "instructions": self.memory_divergence.instructions,
-            }
-        if self.branch_divergence is not None:
-            out["branch_divergence"] = {
-                "divergent_blocks": self.branch_divergence.divergent_blocks,
-                "total_blocks": self.branch_divergence.total_blocks,
-                "percent": self.branch_divergence.divergence_percent,
-            }
-        if self.arithmetic is not None:
-            out["arithmetic"] = {
-                "lane_flops": self.arithmetic.lane_flops,
-                "lane_intops": self.arithmetic.lane_intops,
-                "float_fraction": self.arithmetic.float_fraction,
-            }
-        if self.bypass_prediction is not None:
-            p = self.bypass_prediction
-            out["bypass_prediction"] = {
-                "optimal_warps": p.optimal_warps,
-                "warps_per_cta": p.warps_per_cta,
-                "raw_value": p.raw_value,
-                "recommended": p.bypassing_recommended,
-            }
-        if self.overhead is not None:
-            out["overhead"] = {
-                "cycle_overhead": self.overhead.cycle_overhead,
-                "instruction_overhead": self.overhead.instruction_overhead,
-            }
-        if self.heatmap is not None:
-            out["heatmap"] = {
-                "granule_bytes": self.heatmap.granule_bytes,
-                "cell_rows": self.heatmap.cell_rows,
-                "time_cells": self.heatmap.time_cells,
-                "occupied_cells": len(self.heatmap.cells),
-            }
-        dropped, drain = self.run_summary()
-        if dropped:
-            out["trace_buffers"] = {"dropped_records": dropped}
-        if drain is not None:
-            out["streaming_drain"] = dict(drain, rows_dropped=dropped)
-        return out
-
     def advice(self) -> List[str]:
         """Human-readable optimization guidance (the tool's purpose)."""
         tips: List[str] = []

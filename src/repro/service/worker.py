@@ -6,7 +6,7 @@ function for its serial fallback, which is what makes a degraded-serial
 result byte-identical to a fresh pooled one. A job carries everything
 it needs in its spec's :class:`~repro.config.ProfileConfig`: the
 advisor is ``CUDAAdvisor(spec.config)``, and the export takes the
-config's ``time_buckets`` and ``columnar``.
+config's ``time_buckets``.
 
 :func:`worker_main` is the long-lived loop a pool process (a
 :class:`~repro.forked.ForkedChild`) runs: receive a job message, run
@@ -38,9 +38,7 @@ def run_job(spec: JobSpec) -> dict:
     report = CUDAAdvisor(config).profile(
         build_app(spec.app, **dict(spec.app_kwargs))
     )
-    doc = profile_export(
-        report, time_buckets=config.time_buckets, columnar=config.columnar
-    )
+    doc = profile_export(report, time_buckets=config.time_buckets)
     # The emitter's own contract: a document that fails the bundled
     # schema is a bug caught in the worker, not at a cache consumer.
     validate(doc)

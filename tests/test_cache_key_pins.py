@@ -16,31 +16,34 @@ from repro.service import ProfilingService
 
 SYRK_KW = {"n": 16, "m": 16}
 
-DEFAULT = "8d2f3c03843cfdaec4be96bbebabd51017b9d5c579cb4f7f19d2706b60af1f87"
-HEATMAP = "383d0e558cf4d0c7ecc4e377ee4fb20b433737aa0e2143d7e5c88a424914799d"
+DEFAULT = "927b0f6bd2e15a5db30734900f6e019d87023edee09326ee5e232c12b9ce561d"
+HEATMAP = "64e81dbc00dba416695b6706eaf88ef698f4c2a0ef155562614e09d9137f5424"
 
 #: (case id, submit config, app kwargs, expected digest)
 PINNED = [
     ("default", {}, SYRK_KW, DEFAULT),
     ("app_kwargs", {}, {"m": 16, "n": 32},
-     "877731837f8b031196ee643decbd11b389fae7ef52f0229df4cc93d2298b1751"),
+     "b1a9d1eccd854eeac6fd9dff0932ca9d21e757941c984027391d4f64926c03d6"),
     ("arch", {"arch": "pascal"}, SYRK_KW,
-     "7ef60bcaccf0484faf043eaa669bbdf197f17bf4bbe7bdbe4c19480a0d1116a0"),
+     "57b4fcf31cff33bcb9c3be666cbb0ba9508727756534ee7b77012779d43b2f56"),
     ("modes", {"modes": ("memory",)}, SYRK_KW,
-     "f2f3597b3b0bc0fde18b6fab45dce018924028f14a84ea7490b598401e2fb20f"),
+     "876673593b0d76a1ba97354c1b23eb8de4b61484e791ed93a4053505fffb21b1"),
     ("sample_rate", {"sample_rate": 4}, SYRK_KW,
-     "084bdb89c4cf12a2c5b1477330d1d6c05da66229fb835a64e4bea918647c8033"),
+     "047bfdc52bd15303d93110534adabb3f397a4cfc7472ed5a702e2ab788f072ab"),
     ("buffer_capacity", {"buffer_capacity": 100}, SYRK_KW,
-     "7c6d3da42a8cc24708ef336b26f2678c02db648f62315395966fff83a399e276"),
+     "55bb920e99132d63630fe1a3b0f4e831d3e06e1cf485a0590075c351bc6f6a33"),
     ("measure_overhead", {"measure_overhead": True}, SYRK_KW,
-     "75cacd7052b6cb306eb809bd457f24dfe70e941a1afdbe9ab972cfe12666b9c5"),
+     "6f89006363fe85e3941a7447c6208082e9956f9e0ab95e0ad04b72e972e0b135"),
     ("heatmap", {"heatmap": True}, SYRK_KW, HEATMAP),
-    ("time_buckets", {"time_buckets": 32}, SYRK_KW,
-     "fd810d7a39b89cbbe5e89254ffabef1ec2ff8ab334f76314daad23280c4f467e"),
-    ("columnar", {"columnar": True}, SYRK_KW,
-     "d2db66191297b0132588244104da17e4420b4336548b5c90b709e3ccf6ebb22c"),
+    ("time_buckets", {"heatmap": True, "time_buckets": 32}, SYRK_KW,
+     "c71d7f2b857888577820dba218635b0028c89ca7eb173c28a343b9c540b7f520"),
     # one spelling per setting: these share the keys above (the
-    # retired "batched" backend runs on the interpreter)
+    # retired "batched" backend runs on the interpreter, and without a
+    # heat map its binning shapes nothing)
+    ("time_buckets_without_heatmap", {"time_buckets": 32}, SYRK_KW,
+     DEFAULT),
+    ("heatmap_cell_rows_without_heatmap", {"heatmap_cell_rows": 64},
+     SYRK_KW, DEFAULT),
     ("default_cell_rows_spelled_out",
      {"heatmap": True, "heatmap_cell_rows": DEFAULT_CELL_ROWS}, SYRK_KW,
      HEATMAP),
@@ -49,7 +52,7 @@ PINNED = [
     ("backend_interpreter", {"backend": "interpreter"}, SYRK_KW, DEFAULT),
     ("pascal_heatmap_cell_rows_64",
      {"arch": "pascal", "heatmap": True, "heatmap_cell_rows": 64}, SYRK_KW,
-     "630d5b79c8722be8866bbe66f80b00e3eb3012c1a85be50c9a82880ce382f633"),
+     "2c8563826f5aeb5441fbbaa9d0d17f4d7612d9ec7c150a88cf0c6941592f37d0"),
 ]
 
 

@@ -63,6 +63,16 @@ class TestProfile:
             self._assert_removed(capsys, command, "--spill-dir", "spill")
             self._assert_removed(capsys, command, "--spill-rows", "128")
 
+    def test_removed_output_flags_rejected(self, capsys):
+        # `profile` renders text and `export` writes the one document:
+        # the legacy JSON dump, the second output format and the
+        # columnar and NDJSON encodings are gone
+        self._assert_removed(capsys, "profile", "--json")
+        self._assert_removed(capsys, "profile", "--format", "json")
+        self._assert_removed(capsys, "profile", "--cache-dir", "d")
+        self._assert_removed(capsys, "export", "--columnar")
+        self._assert_removed(capsys, "export", "--ndjson")
+
     def test_bad_sample_rate_rejected(self, capsys):
         assert main(["profile", "nn", "--sample-rate", "0"]) == 2
         assert "--sample-rate must be >= 1" in capsys.readouterr().err
@@ -208,12 +218,6 @@ class TestServe:
 
 
 class TestCacheDirFlag:
-    def test_profile_cache_dir_needs_format_json(self, tmp_path, capsys):
-        assert main([
-            "profile", "nn", "--cache-dir", str(tmp_path),
-        ]) == 2
-        assert "--format json" in capsys.readouterr().err
-
     def test_export_cache_dir_rejects_include_runtime(self, tmp_path,
                                                       capsys):
         assert main([
@@ -244,24 +248,6 @@ class TestPTX:
         out = capsys.readouterr().out
         assert ".target sm_60" in out
         assert ".visible .entry euclid(" in out
-
-
-class TestJSON:
-    def test_json_report_round_trips(self, capsys):
-        import json
-
-        assert main([
-            "profile", "nn", "--modes", "memory,blocks", "--no-overhead",
-            "--json",
-        ]) == 0
-        out = capsys.readouterr().out
-        data = json.loads(out)
-        assert data["program"] == "nn"
-        assert data["arch"]["chip"] == "Tesla K40c"
-        assert 0 <= data["reuse_element"]["no_reuse_fraction"] <= 1
-        assert data["branch_divergence"]["total_blocks"] > 0
-        assert data["bypass_prediction"]["warps_per_cta"] == 8
-        assert isinstance(data["advice"], list) and data["advice"]
 
 
 class TestInstrument:

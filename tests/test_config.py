@@ -44,7 +44,6 @@ class TestValidation:
         ("measure_overhead", 1),
         ("heatmap_cell_rows", 0),
         ("time_buckets", 0),
-        ("columnar", "yes"),
         ("backend", "warp-drive"),
         ("fused_drain", None),
     ])
@@ -70,11 +69,19 @@ class TestValidation:
 
 class TestKeyMaterial:
     def test_result_fields_only(self):
-        material = ProfileConfig().key_material()
+        material = ProfileConfig(heatmap=True).key_material()
         assert set(material) == {
             f.name for f in fields(ProfileConfig) if f.metadata["result"]
         }
         assert "fused_drain" not in material
+
+    def test_heatmap_binning_only_with_a_heatmap(self):
+        binning = {"time_buckets", "heatmap_cell_rows"}
+        assert binning.isdisjoint(ProfileConfig().key_material())
+        assert ProfileConfig(time_buckets=32,
+                             heatmap_cell_rows=64).key_material() == (
+            ProfileConfig().key_material()
+        )
 
     def test_arch_enters_by_name(self):
         for name, arch in ARCHES.items():

@@ -7,10 +7,9 @@
 * **Determinism**: the opt-in ``runtime`` section is the only part of
   the document allowed to vary between runs; byte-identity across the
   fused and kept-records paths is pinned by ``tests/test_goldens.py``.
-* **CLI**: ``repro export`` writes a validating document,
-  ``repro profile --format json`` emits the same document shape, the
-  legacy ``--json`` summary still works, and ``--verbose`` always
-  renders the jit-cache and in-flight analysis sections.
+* **CLI**: ``repro export`` writes a validating document, ``repro
+  profile`` renders the heat map, and ``--verbose`` always renders the
+  in-flight analysis section.
 * **Validator**: the in-tree subset validator rejects documents that
   break type, required, enum, pattern and additional-property rules.
 """
@@ -25,12 +24,10 @@ from repro.config import ANALYSIS_MODES as MODES
 from repro.export import (
     SCHEMA_VERSION,
     SchemaError,
-    assemble_ndjson,
     export_json,
     iter_errors,
     load_schema,
     profile_export,
-    profile_export_stream,
     validate,
 )
 from repro.optim.advisor import CUDAAdvisor
@@ -108,21 +105,6 @@ class TestDocument:
             assert entry["writes"] == row.writes
             assert entry["unique_bytes"] == row.unique_bytes
 
-    def test_columnar_layout_holds_same_totals(self, nn_report, nn_doc):
-        columnar = profile_export(nn_report, columnar=True)
-        validate(columnar)
-        cells = columnar["heatmap"]["cells"]
-        series = nn_doc["heatmap"]["allocations"]
-        assert sum(cells["reads"]) == sum(
-            sum(a["reads"]) for a in series
-        )
-        assert sum(cells["writes"]) == sum(
-            sum(a["writes"]) for a in series
-        )
-        # every cell entry points at a declared allocation row
-        n_alloc = len(columnar["heatmap"]["allocations"])
-        assert all(i < n_alloc for i in cells["allocation"])
-
     def test_runtime_section_is_opt_in(self, nn_report, nn_doc):
         assert "runtime" not in nn_doc
         with_runtime = profile_export(nn_report, include_runtime=True)
@@ -132,57 +114,18 @@ class TestDocument:
 
     def test_run_summary_values_are_pinned(self):
         # one fused run of two launches whose buffers keep 100 rows
-        # each: the report's summary and the export's runtime section
-        # carry the same drain counters
+        # each: the export's runtime section sums their drain counters
         report = CUDAAdvisor(measure_overhead=False, buffer_capacity=100
                              ).profile(build_app("hotspot", n=32, steps=2))
         assert len(report.session.profiles) == 2
-        drain = {"segments_streamed": 4, "peak_resident_rows": 616,
-                 "rows_kept": 400}
-        data = report.to_dict()
-        assert data["trace_buffers"] == {"dropped_records": 1096}
-        assert data["streaming_drain"] == dict(drain, rows_dropped=1096)
-        assert "degradations" not in data
         runtime = profile_export(report, include_runtime=True)["runtime"]
         assert runtime == {
             "trace_buffers": {"dropped_records": 1096,
                               "spilled_records": 0, "corrupt_records": 0},
-            "streaming_drain": drain,
+            "streaming_drain": {"segments_streamed": 4,
+                                "peak_resident_rows": 616,
+                                "rows_kept": 400},
         }
-
-
-class TestNDJSON:
-    """Streamed emission: one record per top-level section (pinned)."""
-
-    def test_records_reassemble_into_canonical_document(self, nn_report):
-        lines = list(profile_export_stream(nn_report))
-        reassembled = assemble_ndjson(lines)
-        assert export_json(reassembled) == export_json(
-            profile_export(nn_report)
-        )
-
-    def test_one_compact_record_per_section_sorted(self, nn_report, nn_doc):
-        lines = list(profile_export_stream(nn_report))
-        records = [json.loads(line) for line in lines]
-        assert [r["section"] for r in records] == sorted(nn_doc)
-        for line, record in zip(lines, records):
-            assert set(record) == {"section", "value"}
-            assert line.endswith("\n") and "\n" not in line[:-1]
-            assert record["value"] == nn_doc[record["section"]]
-
-    def test_assemble_skips_blank_lines(self, nn_doc):
-        lines = [
-            json.dumps({"section": k, "value": v}) + "\n"
-            for k, v in nn_doc.items()
-        ]
-        assert assemble_ndjson(["\n"] + lines + ["", "\n"]) == nn_doc
-
-    def test_cli_export_ndjson(self, capsys):
-        assert main(["export", "nn", "--no-overhead", "--ndjson"]) == 0
-        out = capsys.readouterr().out
-        doc = assemble_ndjson(out.splitlines())
-        validate(doc)
-        assert doc["program"] == "nn"
 
 
 class TestCLI:
@@ -199,31 +142,6 @@ class TestCLI:
         assert main(["export", "nn", "--no-overhead"]) == 0
         doc = json.loads(capsys.readouterr().out)
         validate(doc)
-
-    def test_profile_format_json_emits_export_document(self, capsys):
-        assert main([
-            "profile", "nn", "--format", "json", "--heatmap",
-            "--no-overhead",
-        ]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        validate(doc)
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert "heatmap" in doc
-
-    def test_profile_format_json_without_heatmap(self, capsys):
-        assert main([
-            "profile", "nn", "--format", "json", "--no-overhead",
-        ]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        validate(doc)
-        assert "heatmap" not in doc
-
-    def test_legacy_json_flag_still_summarizes(self, capsys):
-        assert main(["profile", "nn", "--json", "--no-overhead"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        # the legacy dump, not the export document
-        assert "schema_version" not in doc
-        assert doc["program"] == "nn"
 
     def test_profile_heatmap_renders_rows(self, capsys):
         assert main(["profile", "nn", "--heatmap", "--no-overhead"]) == 0
@@ -306,6 +224,24 @@ class TestValidator:
         }
         with pytest.raises(SchemaError, match="lane_flops"):
             validate(doc)
+
+    def test_earlier_columnar_heat_map_still_validates(self, nn_doc):
+        # the writer emits only "series"; schema 1.0 is additive-only,
+        # so a sparse "columnar" cell table an earlier 1.0 writer
+        # emitted stays valid
+        doc = json.loads(export_json(nn_doc))
+        section = doc["heatmap"]
+        names = ("allocation", "bucket", "reads", "writes", "unique_bytes")
+        cells = {name: [] for name in names}
+        for i, row in enumerate(section["allocations"]):
+            series = [row.pop(name) for name in names[2:]]
+            for b, values in enumerate(zip(*series)):
+                if any(values):
+                    for name, value in zip(names, (i, b, *values)):
+                        cells[name].append(value)
+        assert cells["bucket"]
+        section.update(layout="columnar", cells=cells)
+        validate(doc)
 
     def test_bool_is_not_an_integer(self):
         doc = self._ok_doc()

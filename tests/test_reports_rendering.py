@@ -1,7 +1,5 @@
 """Rendering and advice-path tests for the AdvisorReport."""
 
-import pytest
-
 from repro.analysis.divergence_branch import BranchDivergenceProfile
 from repro.analysis.divergence_memory import MemoryDivergenceProfile
 from repro.analysis.reuse_distance import (
@@ -92,27 +90,3 @@ class TestAdviceBranches:
         tips = report.advice()
         assert len(tips) == 1
         assert "no significant bottleneck" in tips[0]
-
-
-class TestToDict:
-    def test_minimal_report(self):
-        data = _report().to_dict()
-        assert data["program"] == "toy"
-        assert data["arch"]["chip"] == "Tesla K40c"
-        assert "reuse_element" not in data
-        assert data["advice"]
-
-    def test_full_report_keys(self):
-        report = _report(
-            reuse_element=_hist(50, 50),
-            reuse_cache_line=_hist(10, 90),
-            memory_divergence=_md(4),
-            branch_divergence=_bd(1, 4),
-        )
-        data = report.to_dict()
-        assert set(data["reuse_element"]) == {
-            "frequencies", "no_reuse_fraction", "average_finite_distance",
-            "samples",
-        }
-        assert data["branch_divergence"]["percent"] == pytest.approx(25.0)
-        assert data["memory_divergence"]["degree"] == pytest.approx(4.0)

@@ -55,11 +55,12 @@ class TestCacheKey:
         ("measure_overhead", True),
         ("heatmap", True),
         ("time_buckets", 32),
-        ("columnar", True),
     ])
     def test_every_knob_feeds_the_key(self, field, value):
-        base = _spec()
-        changed = _spec(**{field: value})
+        # the heat-map binning feeds the key only with a heat map
+        extra = {"heatmap": True} if field == "time_buckets" else {}
+        base = _spec(**extra)
+        changed = _spec(**extra, **{field: value})
         assert base.cache_key("ir", SCHEMA_VERSION) != (
             changed.cache_key("ir", SCHEMA_VERSION)
         )
@@ -74,6 +75,16 @@ class TestCacheKey:
         other = _spec(heatmap=True, heatmap_cell_rows=64)
         assert other.cache_key("ir", SCHEMA_VERSION) != (
             unset.cache_key("ir", SCHEMA_VERSION)
+        )
+
+    @pytest.mark.parametrize("field,value", [
+        ("time_buckets", 32),
+        ("heatmap_cell_rows", 64),
+    ])
+    def test_heatmap_binning_without_heatmap_shares_the_key(self, field,
+                                                             value):
+        assert _spec(**{field: value}).cache_key("ir", SCHEMA_VERSION) == (
+            _spec().cache_key("ir", SCHEMA_VERSION)
         )
 
     def test_ir_hash_stable_across_service_instances(self):
@@ -327,6 +338,22 @@ class TestServiceAPI:
             assert warm.result().source == CACHE_HIT
             assert warm.result().payload == cold_payload
 
+    def test_heatmap_binning_without_heatmap_shares_one_entry(self,
+                                                              tmp_path):
+        # without a heat map the binning shapes nothing: the variants
+        # share the default spec's key, so they coalesce or hit the cache
+        with ProfilingService(workers=0, cache_dir=str(tmp_path)) as svc:
+            first = svc.submit("syrk", {}, app_kwargs=SYRK_KW)
+            for config in ({"time_buckets": 32}, {"heatmap_cell_rows": 64}):
+                other = svc.submit("syrk", config, app_kwargs=SYRK_KW)
+                assert other.key == first.key
+                assert other.result().source in (CACHE_HIT, COALESCED)
+                assert other.result().payload == first.result().payload
+            assert svc.counters["jobs_executed"] == 1
+        # ... and a run of such a variant returns the same bytes
+        assert run_job(_spec(time_buckets=32, heatmap_cell_rows=64))[
+            "payload"] == first.result().payload
+
     def test_heatmap_needs_memory_mode(self):
         with ProfilingService(workers=0) as svc:
             with pytest.raises(ServiceError, match="memory"):
@@ -366,6 +393,32 @@ class TestServiceAPI:
 
     def test_service_error_is_repro_error(self):
         assert issubclass(ServiceError, ReproError)
+
+
+# -- shutdown ----------------------------------------------------------------
+
+
+class TestShutdown:
+    def test_close_kills_a_busy_worker_at_once(self):
+        # the idle worker is asked to exit; the busy one is not waited on
+        import multiprocessing
+        import signal
+        import time
+
+        svc = ProfilingService(workers=2)
+        try:
+            handle = svc.submit("lavaMD")
+            assert svc.poll(handle) == "running"
+            processes = {w.job is None: w.child.process
+                         for w in svc.pool.workers.values()}
+        finally:
+            start = time.monotonic()
+            svc.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.0
+        assert multiprocessing.active_children() == []
+        assert processes[True].exitcode == 0  # idle: an orderly exit
+        assert processes[False].exitcode == -signal.SIGKILL
 
 
 # -- cache round-trip: cold -> warm -> corrupt -> re-simulate ----------------

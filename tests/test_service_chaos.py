@@ -148,8 +148,8 @@ CHAOS_JOBS = [
     ("hotspot", {"n": 32, "steps": 2}, {"sample_rate": 2}),
     ("hotspot", {"n": 32, "steps": 2}, {"heatmap": True}),
     ("bicg", {"nx": 32, "ny": 32}, {}),
-    ("bicg", {"nx": 32, "ny": 32}, {"time_buckets": 32}),
-    ("bicg", {"nx": 32, "ny": 32}, {"columnar": True}),
+    ("bicg", {"nx": 32, "ny": 32}, {"heatmap": True, "time_buckets": 32}),
+    ("bicg", {"nx": 32, "ny": 32}, {"buffer_capacity": 100}),
 ]
 
 
@@ -178,6 +178,8 @@ class TestChaosSession:
                 svc.submit(app, config, app_kwargs=kwargs)
                 for app, kwargs, config in CHAOS_JOBS
             ]
+            # nine keys: no job coalesces onto another
+            assert len({h.key for h in handles}) == len(CHAOS_JOBS)
             svc.wait(timeout=300)
 
             # every job completed; none failed
